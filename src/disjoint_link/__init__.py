@@ -37,6 +37,7 @@ from .linkage import (
     k_nearest,
     link,
     median_aggregate,
+    nearest_neighbors,
     random_link,
 )
 from .reducers import (
@@ -87,6 +88,7 @@ __all__ = [
     "link",
     "load_csv",
     "median_aggregate",
+    "nearest_neighbors",
     "normalize_latent",
     "predict_proba",
     "project_pca",

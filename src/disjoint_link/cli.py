@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -28,7 +27,6 @@ from .linkage import (
 from .synth import SyntheticPairConfig, synthesize_disjoint_pair
 
 REDUCER_CHOICES = ("feature_importance", "pca", "autoencoder", "random")
-THREADS_ENV = "DISJOINT_LINK_THREADS"
 
 
 class ConfigError(ValueError):
@@ -273,25 +271,6 @@ def cmd_evaluate(cfg: dict, out_override: str | None = None) -> Path:
     return out
 
 
-def _apply_thread_cap() -> None:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV}: must be an integer, got {raw!r}")
-    if n < 0:
-        raise ConfigError(f"{THREADS_ENV}: must be >= 0")
-    if n > 0:
-        try:
-            import numba
-
-            numba.set_num_threads(min(n, numba.config.NUMBA_NUM_THREADS))
-        except ImportError:  # numpy fallback is single-threaded already
-            pass
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="disjoint-link",
@@ -310,7 +289,6 @@ def main(argv: list[str] | None = None) -> int:
 
     handlers = {"synth": cmd_synth, "link": cmd_link, "evaluate": cmd_evaluate}
     try:
-        _apply_thread_cap()
         cfg = load_config(args.config)
         out = handlers[args.command](cfg, args.out)
     except ConfigError as exc:

@@ -249,7 +249,6 @@ def run_fold_condition(
     ae_hyper: AutoencoderHyper | None = None,
     seed: int = 0,
     fold: int = 0,
-    backend: str | None = None,
 ) -> FoldOutcome:
     """Evaluate one condition on one fold. Test labels touch nothing fitted."""
     if condition != ctx.condition:
@@ -299,14 +298,10 @@ def run_fold_condition(
             else:
                 raise DataError(f"unknown condition {condition!r}")
             z_tr_n, z_te_n = _normalized(z_tr, z_tr, z_te)
-            dist_tr = _kernels.pairwise_euclidean(z_tr_n, z2n, backend=backend)
-            dist_te = _kernels.pairwise_euclidean(z_te_n, z2n, backend=backend)
-            idx_tr, val_tr = _kernels.k_smallest(dist_tr, k, backend=backend)
-            idx_te, val_te = _kernels.k_smallest(dist_te, k, backend=backend)
-            nb_tr = NeighborMap(k, idx_tr, val_tr)
-            nb_te = NeighborMap(k, idx_te, val_te)
-        agg_tr = _kernels.median_over_rows(ctx.X_std, nb_tr.neighbors, backend=backend)
-        agg_te = _kernels.median_over_rows(ctx.X_std, nb_te.neighbors, backend=backend)
+            nb_tr = NeighborMap(k, *_kernels.nearest(z_tr_n, z2n, k))
+            nb_te = NeighborMap(k, *_kernels.nearest(z_te_n, z2n, k))
+        agg_tr = _kernels.median_over_rows(ctx.X_std, nb_tr.neighbors)
+        agg_te = _kernels.median_over_rows(ctx.X_std, nb_te.neighbors)
         feat_tr = np.hstack([x_tr, agg_tr])
         feat_te = np.hstack([x_te, agg_te])
 
@@ -399,7 +394,6 @@ def evaluate_conditions(
     k: int = DEFAULT_K,
     r: int = DEFAULT_R,
     ae_hyper: AutoencoderHyper | None = None,
-    backend: str | None = None,
 ) -> EvaluationReport:
     """Per-fold AUROC of every condition under stratified cross-validation.
 
@@ -427,7 +421,7 @@ def evaluate_conditions(
             for fold, (tr, te) in enumerate(split):
                 out = run_fold_condition(
                     cond, d1, tr, te, ctx,
-                    k=k, ae_hyper=ae_hyper, seed=seed, fold=fold, backend=backend,
+                    k=k, ae_hyper=ae_hyper, seed=seed, fold=fold,
                 )
                 fold_values.append(out.auroc)
             results[cond].append(fold_values)

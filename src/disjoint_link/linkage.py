@@ -1,9 +1,10 @@
-"""Cross-dataset linkage: distance matrix, neighbor retrieval, aggregation.
+"""Cross-dataset linkage: exact neighbor search, aggregation, concatenation.
 
-For two reduced datasets the linkage matrix holds an exact Euclidean
-distance for every cross-dataset sample pair. Each sample's k nearest rows
-in the other dataset are median-aggregated and concatenated onto its own
-(standardized) features, giving the linked datasets.
+Every cross-dataset sample pair of two reduced datasets has an exact
+Euclidean distance. Each sample's k nearest rows in the other dataset are
+median-aggregated and concatenated onto its own (standardized) features,
+giving the linked datasets. The search streams over row blocks, so the full
+distance matrix (`distance_matrix`) is never built on the linking path.
 """
 
 from __future__ import annotations
@@ -75,26 +76,40 @@ class LinkedDataset:
             raise DataError("provenance must tag every column")
 
 
-def distance_matrix(a: ReducedDataset, b: ReducedDataset, backend: str | None = None) -> LinkageMatrix:
-    """Exact all-pairs Euclidean distances between two reduced datasets."""
+def _check_pair(a: ReducedDataset, b: ReducedDataset) -> None:
     if a.r != b.r:
         raise DataError(f"reduced dimensions differ: {a.r} vs {b.r}")
-    dist = _kernels.pairwise_euclidean(a.Z, b.Z, backend=backend)
+
+
+def _check_k(k: int, n_cols: int) -> None:
+    if not 1 <= k <= n_cols:
+        raise DataError(f"k={k} must lie in [1, {n_cols}]")
+
+
+def distance_matrix(a: ReducedDataset, b: ReducedDataset) -> LinkageMatrix:
+    """Exact all-pairs Euclidean distances between two reduced datasets."""
+    _check_pair(a, b)
+    dist = _kernels.pairwise_euclidean(a.Z, b.Z)
     return LinkageMatrix(dist=dist, row_source=a.source_id, col_source=b.source_id)
 
 
-def k_nearest(m: LinkageMatrix, k: int, backend: str | None = None) -> NeighborMap:
+def k_nearest(m: LinkageMatrix, k: int) -> NeighborMap:
     """Per row, the k nearest columns ascending; ties go to the lower index."""
-    n_cols = m.dist.shape[1]
-    if not 1 <= k <= n_cols:
-        raise DataError(f"k={k} must lie in [1, {n_cols}]")
-    idx, val = _kernels.k_smallest(m.dist, k, backend=backend)
+    _check_k(k, m.dist.shape[1])
+    idx, val = _kernels.k_smallest(m.dist, k)
     return NeighborMap(k=k, neighbors=idx, distances=val)
 
 
-def median_aggregate(
-    neighbors: NeighborMap, source_features: np.ndarray, backend: str | None = None
-) -> np.ndarray:
+def nearest_neighbors(query: ReducedDataset, ref: ReducedDataset, k: int) -> NeighborMap:
+    """`k_nearest(distance_matrix(query, ref), k)` without the matrix: the
+    exact search streams over blocks of query rows."""
+    _check_pair(query, ref)
+    _check_k(k, ref.Z.shape[0])
+    idx, val = _kernels.nearest(query.Z, ref.Z, k)
+    return NeighborMap(k=k, neighbors=idx, distances=val)
+
+
+def median_aggregate(neighbors: NeighborMap, source_features: np.ndarray) -> np.ndarray:
     """Feature-wise median over each row's neighbors in the source dataset.
 
     Even k uses the midpoint of the two middle values. Source labels are
@@ -103,7 +118,7 @@ def median_aggregate(
     source_features = np.asarray(source_features, dtype=np.float64)
     if neighbors.neighbors.max() >= source_features.shape[0]:
         raise DataError("neighbor index exceeds the source dataset")
-    return _kernels.median_over_rows(source_features, neighbors.neighbors, backend=backend)
+    return _kernels.median_over_rows(source_features, neighbors.neighbors)
 
 
 def _concat_linked(
@@ -133,7 +148,6 @@ class LinkResult:
     d21: LinkedDataset
     reducer_kind: str
     r: int
-    matrix: LinkageMatrix
     neighbors_12: NeighborMap
     neighbors_21: NeighborMap
     reducer_payload: dict
@@ -185,19 +199,17 @@ def link_detailed(
     r: int = DEFAULT_R,
     ae_hyper: AutoencoderHyper | None = None,
     seed: int = 0,
-    backend: str | None = None,
 ) -> LinkResult:
-    """Full pipeline: standardize, reduce, normalize, one distance matrix,
-    neighbors both ways, median aggregation, concatenation."""
+    """Full pipeline: standardize, reduce, normalize, exact neighbors both
+    ways, median aggregation, concatenation."""
     d1s, _ = standardize(d1)
     d2s, _ = standardize(d2)
     z1, z2, r_eff, payload = _reduce_pair(d1s, d2s, reducer_kind, r, ae_hyper, seed)
     z1n, z2n = normalize_latent(z1), normalize_latent(z2)
-    matrix = distance_matrix(z1n, z2n, backend=backend)
-    nb12 = k_nearest(matrix, k, backend=backend)
-    nb21 = k_nearest(matrix.transposed, k, backend=backend)
-    agg12 = median_aggregate(nb12, d2s.X, backend=backend)
-    agg21 = median_aggregate(nb21, d1s.X, backend=backend)
+    nb12 = nearest_neighbors(z1n, z2n, k)
+    nb21 = nearest_neighbors(z2n, z1n, k)
+    agg12 = median_aggregate(nb12, d2s.X)
+    agg21 = median_aggregate(nb21, d1s.X)
     d12 = _concat_linked(d1s.X, d1, agg12, d2)
     d21 = _concat_linked(d2s.X, d2, agg21, d1)
     return LinkResult(
@@ -205,7 +217,6 @@ def link_detailed(
         d21=d21,
         reducer_kind=reducer_kind,
         r=r_eff,
-        matrix=matrix,
         neighbors_12=nb12,
         neighbors_21=nb21,
         reducer_payload={"kind": reducer_kind, "R": r_eff, **payload},

@@ -9,6 +9,7 @@ columns, only the latent structure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,9 +73,17 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _hermite_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """128-point Gauss-Hermite (probabilists') nodes and weights, read-only."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(128)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def expected_positive_rate(bias: float, score_std: float) -> float:
     """E[sigmoid(bias + s)] for s ~ N(0, score_std^2), by Gauss-Hermite quadrature."""
-    nodes, weights = np.polynomial.hermite_e.hermegauss(128)
+    nodes, weights = _hermite_nodes()
     vals = _sigmoid(bias + score_std * nodes)
     return float(weights @ vals / np.sqrt(2.0 * np.pi))
 

@@ -1,20 +1,7 @@
 import numpy as np
 import pytest
 
-from disjoint_link import _kernels
 from disjoint_link.data import Dataset, FeatureSchema
-
-
-def _available_backends():
-    backends = ["numpy"]
-    if _kernels._HAVE_NUMBA:
-        backends.append("numba")
-    return backends
-
-
-@pytest.fixture(params=_available_backends())
-def backend(request):
-    return request.param
 
 
 def numeric_dataset(X, y, ds_id="test"):

@@ -37,6 +37,18 @@ def pairwise_dist_brute(a, b):
     return out
 
 
+def k_smallest_brute(dist, k):
+    """First k columns of a stable argsort of every row, with their values."""
+    dist = np.asarray(dist, dtype=float)
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(dist, order, axis=1)
+
+
+def k_nearest_brute(a, b, k):
+    """The full scalar-loop distance matrix, then a stable argsort per row."""
+    return k_smallest_brute(pairwise_dist_brute(a, b), k)
+
+
 def auroc_brute(scores, labels):
     """Pairwise definition: (#{s+ > s-} + 0.5 #ties) / (P * N)."""
     pos = [s for s, y in zip(scores, labels) if y == 1]

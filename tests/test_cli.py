@@ -222,11 +222,3 @@ class TestValidation:
         cfg = write_config(tmp_path, doc)
         assert main(["evaluate", "--config", str(cfg)]) == 2
         assert not (tmp_path / "out").exists()
-
-    def test_thread_cap_env_var(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DISJOINT_LINK_THREADS", "not-a-number")
-        cfg = write_config(tmp_path, synth_config(tmp_path / "out"))
-        assert main(["synth", "--config", str(cfg)]) == 2
-        assert "DISJOINT_LINK_THREADS" in capsys.readouterr().err
-        monkeypatch.setenv("DISJOINT_LINK_THREADS", "2")
-        assert main(["synth", "--config", str(cfg)]) == 0

@@ -1,47 +1,51 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from disjoint_link import _kernels
 
-from oracles import median_brute, pairwise_dist_brute
+from oracles import k_nearest_brute, k_smallest_brute, median_brute, pairwise_dist_brute
+
+
+@pytest.fixture(params=["numpy", "list"])
+def as_input(request):
+    """Every kernel takes array-likes: run each case on ndarrays and on nested lists."""
+    if request.param == "numpy":
+        return np.asarray
+    return lambda x: np.asarray(x).tolist()
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
 
 
 class TestPairwiseEuclidean:
-    def test_identical_single_rows(self, backend):
+    def test_identical_single_rows(self, as_input):
         a = np.array([[1.0, 2.0, 3.0]])
-        assert _kernels.pairwise_euclidean(a, a.copy(), backend=backend)[0, 0] == 0.0
+        assert _kernels.pairwise_euclidean(as_input(a), as_input(a.copy()))[0, 0] == 0.0
 
-    def test_3_4_5_triangle(self, backend):
+    def test_3_4_5_triangle(self, as_input):
         a = np.array([[0.0, 0.0]])
         b = np.array([[3.0, 4.0]])
-        assert _kernels.pairwise_euclidean(a, b, backend=backend)[0, 0] == 5.0
+        assert _kernels.pairwise_euclidean(as_input(a), as_input(b))[0, 0] == 5.0
 
-    def test_matches_bruteforce(self, backend):
+    def test_matches_bruteforce(self, as_input):
         rng = np.random.default_rng(42)
         a = rng.normal(size=(3, 2))
         b = rng.normal(size=(4, 2))
-        got = _kernels.pairwise_euclidean(a, b, backend=backend)
+        got = _kernels.pairwise_euclidean(as_input(a), as_input(b))
         np.testing.assert_allclose(got, pairwise_dist_brute(a, b), atol=1e-12)
 
-    def test_backends_bit_identical(self):
-        if not _kernels._HAVE_NUMBA:
-            pytest.skip("numba unavailable")
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(50, 7))
-        b = rng.normal(size=(80, 7))
-        d_np = _kernels.pairwise_euclidean(a, b, backend="numpy")
-        d_nb = _kernels.pairwise_euclidean(a, b, backend="numba")
-        assert np.array_equal(d_np, d_nb)
-
-    def test_dimension_mismatch(self, backend):
+    def test_dimension_mismatch(self, as_input):
         with pytest.raises(ValueError):
-            _kernels.pairwise_euclidean(np.zeros((2, 3)), np.zeros((2, 4)), backend=backend)
+            _kernels.pairwise_euclidean(as_input(np.zeros((2, 3))), as_input(np.zeros((2, 4))))
 
-    def test_zero_iff_identical_rows(self, backend):
+    def test_zero_iff_identical_rows(self, as_input):
         rng = np.random.default_rng(8)
         a = rng.normal(size=(5, 3))
         b = a[[2, 0]].copy()
-        d = _kernels.pairwise_euclidean(a, b, backend=backend)
+        d = _kernels.pairwise_euclidean(as_input(a), as_input(b))
         assert d[2, 0] == 0.0 and d[0, 1] == 0.0
         mask = np.zeros_like(d, dtype=bool)
         mask[2, 0] = mask[0, 1] = True
@@ -49,73 +53,136 @@ class TestPairwiseEuclidean:
 
 
 class TestKSmallest:
-    def test_tie_broken_by_lower_index(self, backend):
+    def test_tie_broken_by_lower_index(self, as_input):
         dist = np.array([[2.0, 1.0, 1.0]])
-        idx, val = _kernels.k_smallest(dist, 2, backend=backend)
+        idx, val = _kernels.k_smallest(as_input(dist), 2)
         assert idx.tolist() == [[1, 2]]
         assert val.tolist() == [[1.0, 1.0]]
 
-    def test_k_equals_m_is_full_sort(self, backend):
+    def test_k_equals_m_is_full_sort(self, as_input):
         rng = np.random.default_rng(11)
         dist = rng.uniform(size=(4, 6))
-        idx, val = _kernels.k_smallest(dist, 6, backend=backend)
+        idx, val = _kernels.k_smallest(as_input(dist), 6)
         for i in range(4):
             assert sorted(idx[i].tolist()) == list(range(6))
             assert (np.diff(val[i]) >= 0).all()
 
-    def test_k1_is_argmin(self, backend):
+    def test_k1_is_argmin(self, as_input):
         rng = np.random.default_rng(5)
         dist = rng.uniform(size=(7, 9))
-        idx, _ = _kernels.k_smallest(dist, 1, backend=backend)
+        idx, _ = _kernels.k_smallest(as_input(dist), 1)
         np.testing.assert_array_equal(idx[:, 0], dist.argmin(axis=1))
 
-    def test_backends_identical(self):
-        if not _kernels._HAVE_NUMBA:
-            pytest.skip("numba unavailable")
-        rng = np.random.default_rng(7)
-        dist = rng.integers(0, 5, size=(40, 30)).astype(float)  # many ties
-        i_np, v_np = _kernels.k_smallest(dist, 6, backend="numpy")
-        i_nb, v_nb = _kernels.k_smallest(dist, 6, backend="numba")
-        np.testing.assert_array_equal(i_np, i_nb)
-        np.testing.assert_array_equal(v_np, v_nb)
-
-    def test_k_out_of_range(self, backend):
+    def test_k_out_of_range(self, as_input):
         with pytest.raises(ValueError):
-            _kernels.k_smallest(np.zeros((2, 3)), 4, backend=backend)
+            _kernels.k_smallest(as_input(np.zeros((2, 3))), 4)
+
+    @given(
+        dist=st.integers(1, 8).flatmap(
+            lambda m: st.lists(
+                st.lists(st.sampled_from([0.0, 1.0, 2.0, np.inf, np.nan]), min_size=m, max_size=m),
+                min_size=1,
+                max_size=8,
+            )
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_stable_argsort_on_ties(self, dist, data):
+        dist = np.array(dist)
+        k = data.draw(st.integers(1, dist.shape[1]), label="k")
+        idx, val = _kernels.k_smallest(dist, k)
+        want_idx, want_val = k_smallest_brute(dist, k)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(bits(val), bits(want_val))
+
+
+def integer_points(max_rows):
+    """Tie-heavy point sets: few distinct small integer coordinates."""
+    return st.integers(1, 3).flatmap(
+        lambda r: st.tuples(
+            st.lists(st.lists(st.integers(0, 2), min_size=r, max_size=r), min_size=1, max_size=max_rows),
+            st.lists(st.lists(st.integers(0, 2), min_size=r, max_size=r), min_size=1, max_size=max_rows),
+        )
+    )
+
+
+def block_rows(rule, n, extra):
+    if rule == "one_row":
+        return 1
+    if rule == "non_divisor":
+        return n - 1  # divides no n >= 3
+    return n + extra
+
+
+class TestNearest:
+    @pytest.mark.parametrize("k_rule", ["one", "all", "any"])
+    @pytest.mark.parametrize("block_rule", ["one_row", "non_divisor", "whole"])
+    @given(points=integer_points(12), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_full_matrix_oracle(self, block_rule, k_rule, points, data):
+        query, ref = (np.array(p, dtype=float) for p in points)
+        n, m = len(query), len(ref)
+        assume(block_rule != "non_divisor" or n >= 3)
+        k = {"one": 1, "all": m}.get(k_rule) or data.draw(st.integers(1, m), label="k")
+        rows = block_rows(block_rule, n, data.draw(st.integers(0, 3), label="extra"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_BLOCK_CELLS", rows * m)
+            idx, dist = _kernels.nearest(query, ref, k)
+        want_idx, want_dist = k_nearest_brute(query, ref, k)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(bits(dist), bits(want_dist))
+
+    @given(
+        shape=st.tuples(st.integers(1, 10), st.integers(1, 10), st.integers(1, 4)),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reverse_search_is_top_k_of_the_transpose(self, shape, seed, data):
+        n, m, r = shape
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(n, r)).round(rng.integers(0, 3))  # rounding makes ties
+        b = rng.normal(size=(m, r)).round(rng.integers(0, 3))
+        k = data.draw(st.integers(1, n), label="k")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_BLOCK_CELLS", data.draw(st.integers(1, 2 * n * m), label="cells"))
+            idx, dist = _kernels.nearest(b, a, k)
+        want_idx, want_dist = _kernels.k_smallest(_kernels.pairwise_euclidean(a, b).T, k)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(bits(dist), bits(want_dist))
+
+    def test_k_out_of_range(self):
+        with pytest.raises(ValueError):
+            _kernels.nearest(np.zeros((2, 3)), np.zeros((3, 3)), 4)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            _kernels.nearest(np.zeros((2, 3)), np.zeros((3, 4)), 1)
 
 
 class TestMedianOverRows:
-    def test_odd_k_median(self, backend):
+    def test_odd_k_median(self, as_input):
         values = np.array([[1.0], [5.0], [100.0]])
         idx = np.array([[0, 1, 2]])
-        assert _kernels.median_over_rows(values, idx, backend=backend)[0, 0] == 5.0
+        assert _kernels.median_over_rows(as_input(values), as_input(idx))[0, 0] == 5.0
 
-    def test_even_k_midpoint(self, backend):
+    def test_even_k_midpoint(self, as_input):
         values = np.array([[1.0], [3.0], [5.0], [100.0]])
         idx = np.array([[0, 1, 2, 3]])
-        assert _kernels.median_over_rows(values, idx, backend=backend)[0, 0] == 4.0
+        assert _kernels.median_over_rows(as_input(values), as_input(idx))[0, 0] == 4.0
 
-    def test_matches_statistics_median(self, backend):
+    def test_matches_statistics_median(self, as_input):
         rng = np.random.default_rng(13)
         values = rng.normal(size=(20, 3))
         for k in (1, 2, 3, 4, 5):
             idx = np.array([rng.choice(20, size=k, replace=False) for _ in range(6)])
-            got = _kernels.median_over_rows(values, idx, backend=backend)
+            got = _kernels.median_over_rows(as_input(values), as_input(idx))
             for i in range(6):
                 for c in range(3):
                     want = median_brute([values[j, c] for j in idx[i]])
                     assert got[i, c] == pytest.approx(want, abs=1e-15)
 
-    def test_backends_identical(self):
-        if not _kernels._HAVE_NUMBA:
-            pytest.skip("numba unavailable")
-        rng = np.random.default_rng(17)
-        values = rng.normal(size=(30, 4))
-        idx = np.array([rng.choice(30, size=4, replace=False) for _ in range(12)])
-        a = _kernels.median_over_rows(values, idx, backend="numpy")
-        b = _kernels.median_over_rows(values, idx, backend="numba")
-        assert np.array_equal(a, b)
-
-    def test_index_out_of_range(self, backend):
+    def test_index_out_of_range(self, as_input):
         with pytest.raises(ValueError):
-            _kernels.median_over_rows(np.zeros((3, 2)), np.array([[0, 3]]), backend=backend)
+            _kernels.median_over_rows(as_input(np.zeros((3, 2))), as_input(np.array([[0, 3]])))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from disjoint_link.linkage import (
     link_detailed,
     linked_to_csv,
     median_aggregate,
+    nearest_neighbors,
     neighbors_to_csv,
     random_link,
     random_link_detailed,
@@ -101,6 +104,37 @@ class TestKNearest:
         assert (np.diff(nb.distances, axis=1) >= 0).all()
 
 
+class TestNearestNeighbors:
+    def test_equals_k_nearest_of_the_matrix(self):
+        rng = np.random.default_rng(4)
+        a, b = reduced(rng.integers(0, 3, size=(9, 2))), reduced(rng.integers(0, 3, size=(13, 2)), "b")
+        got = nearest_neighbors(a, b, 4)
+        want = k_nearest(distance_matrix(a, b), 4)
+        np.testing.assert_array_equal(got.neighbors, want.neighbors)
+        np.testing.assert_array_equal(got.distances, want.distances)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DataError):
+            nearest_neighbors(reduced([[1.0, 2.0]]), reduced([[1.0]], "b"), 1)
+
+    def test_k_too_large(self):
+        with pytest.raises(DataError):
+            nearest_neighbors(reduced([[1.0]]), reduced([[1.0], [2.0]], "b"), 3)
+
+    def test_memory_stays_below_half_a_matrix(self):
+        n = m = 4000
+        rng = np.random.default_rng(5)
+        a, b = reduced(rng.normal(size=(n, 8))), reduced(rng.normal(size=(m, 8)), "b")
+        tracemalloc.start()
+        try:
+            nb = nearest_neighbors(a, b, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nb.neighbors.shape == (n, 5)
+        assert peak < 8 * n * m / 2
+
+
 class TestMedianAggregate:
     def test_k1_identity(self):
         m = LinkageMatrix(np.array([[0.5, 0.1], [0.2, 0.9]]), "a", "b")
@@ -159,13 +193,24 @@ class TestLink:
         d1 = make_dataset([[0.0], [2.0]], [0, 1], "d1")
         d2 = make_dataset([[10.0], [14.0]], [0, 1], "d2")
         res = link_detailed(d1, d2, "pca", k=1, r=1)
-        np.testing.assert_allclose(res.matrix.dist, [[0.0, 2.0], [2.0, 0.0]], atol=1e-12)
+        full = link_detailed(d1, d2, "pca", k=2, r=1)  # both columns: the whole matrix
+        assert full.neighbors_12.neighbors.tolist() == [[0, 1], [1, 0]]
+        np.testing.assert_allclose(full.neighbors_12.distances, [[0.0, 2.0], [0.0, 2.0]], atol=1e-12)
         assert res.neighbors_12.neighbors.tolist() == [[0], [1]]
         assert res.neighbors_21.neighbors.tolist() == [[0], [1]]
         np.testing.assert_allclose(res.d12.X, [[-1.0, -1.0], [1.0, 1.0]], atol=1e-12)
         np.testing.assert_allclose(res.d21.X, [[-1.0, -1.0], [1.0, 1.0]], atol=1e-12)
         assert res.d12.y.tolist() == [0, 1]
         assert res.r == 1
+
+    def test_result_holds_no_pair_matrix(self, make_dataset):
+        rng = np.random.default_rng(12)
+        d1 = make_dataset(rng.normal(size=(7, 3)), [0, 1] * 3 + [0], "d1")
+        d2 = make_dataset(rng.normal(size=(13, 2)), [0, 1] * 6 + [1], "d2")
+        res = link_detailed(d1, d2, "pca", k=3, r=2)
+        parts = [res, res.d12, res.d21, res.neighbors_12, res.neighbors_21]
+        shapes = {np.shape(v) for part in parts for v in vars(part).values() if isinstance(v, np.ndarray)}
+        assert (7, 13) not in shapes and (13, 7) not in shapes
 
     def test_base_block_is_standardized_dataset(self, make_dataset):
         rng = np.random.default_rng(10)

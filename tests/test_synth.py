@@ -43,6 +43,11 @@ class TestCalibration:
     def test_symmetric_rate_is_zero_bias(self):
         assert calibrate_bias(SIGNAL_NORM, 0.5) == pytest.approx(0.0, abs=1e-9)
 
+    def test_bias_pinned_bit_for_bit(self):
+        # the value the generator has always used for the acceptance rate;
+        # the quadrature nodes are computed once, the arithmetic is unchanged
+        assert calibrate_bias(4.0, 0.05) == -7.2201680243375
+
 
 class TestGenerator:
     def test_same_seed_bit_identical(self):
