@@ -36,8 +36,8 @@ from .linkage import (
     distance_matrix,
     k_nearest,
     link,
+    link_rows,
     median_aggregate,
-    nearest_neighbors,
     random_link,
 )
 from .reducers import (
@@ -46,7 +46,6 @@ from .reducers import (
     ReducedDataset,
     TScoreReport,
     compute_t_scores,
-    fit_feature_importance_pair,
     fit_pca,
     normalize_latent,
     project_pca,
@@ -81,14 +80,13 @@ __all__ = [
     "evaluate_conditions",
     "export_projection_2d",
     "fit_autoencoder",
-    "fit_feature_importance_pair",
     "fit_logistic",
     "fit_pca",
     "k_nearest",
     "link",
+    "link_rows",
     "load_csv",
     "median_aggregate",
-    "nearest_neighbors",
     "normalize_latent",
     "predict_proba",
     "project_pca",

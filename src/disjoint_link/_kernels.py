@@ -1,4 +1,4 @@
-"""Exact numeric kernels: distances, per-row k smallest, neighbor medians.
+"""Exact numeric kernels: distances, per-row k smallest, neighbor medians, sigmoid.
 
 `nearest` streams the query rows in blocks of about `_BLOCK_CELLS` distances:
 each block gets its exact distances from `pairwise_euclidean` and its top k
@@ -98,3 +98,13 @@ def median_over_rows(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     if idx.shape[1] % 2 == 1:
         return srt[:, h, :].copy()
     return (srt[:, h - 1, :] + srt[:, h, :]) * 0.5
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, evaluated on the side that cannot overflow exp."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out

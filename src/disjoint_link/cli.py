@@ -49,6 +49,12 @@ def _as_int(value, path: str) -> int:
     return value
 
 
+def _as_seed(value, path: str) -> int:
+    seed = _as_int(value, path)
+    _expect(seed >= 0, path, "must be >= 0")  # numpy's generators take no negative seed
+    return seed
+
+
 def _as_num(value, path: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "must be a number")
     return float(value)
@@ -129,11 +135,11 @@ def resolve_config(raw: dict, base_dir: Path) -> dict:
     _expect(cfg["k"] >= 1, "k", "must be >= 1")
     cfg["folds"] = _as_int(raw.get("folds", 5), "folds")
     _expect(cfg["folds"] >= 2, "folds", "must be >= 2")
-    cfg["seed"] = _as_int(raw.get("seed", 0), "seed")
+    cfg["seed"] = _as_seed(raw.get("seed", 0), "seed")
 
     seeds = raw.get("seeds", [0])
     _expect(isinstance(seeds, list) and seeds, "seeds", "must be a non-empty list")
-    cfg["seeds"] = [_as_int(s, f"seeds[{i}]") for i, s in enumerate(seeds)]
+    cfg["seeds"] = [_as_seed(s, f"seeds[{i}]") for i, s in enumerate(seeds)]
 
     ae = raw.get("autoencoder", {})
     _expect(isinstance(ae, dict), "autoencoder", "must be an object")
@@ -166,14 +172,14 @@ def load_config(path: str | Path) -> dict:
     return resolve_config(raw, path.parent.resolve())
 
 
-def _ae_hyper(cfg: dict, seed: int) -> AutoencoderHyper:
+def _ae_hyper(cfg: dict) -> AutoencoderHyper:
+    """The configured autoencoder; each fit sets its own seed."""
     ae = cfg["autoencoder"]
     return AutoencoderHyper(
         hidden_dims=tuple(ae["hidden_dims"]),
         epochs=ae["epochs"],
         batch_size=ae["batch_size"],
         learning_rate=ae["learning_rate"],
-        seed=seed,
     )
 
 
@@ -225,7 +231,7 @@ def cmd_link(cfg: dict, out_override: str | None = None) -> Path:
     else:
         res = link_detailed(
             d1, d2, cfg["reducer"],
-            k=cfg["k"], r=cfg["R"], ae_hyper=_ae_hyper(cfg, cfg["seed"]), seed=cfg["seed"],
+            k=cfg["k"], r=cfg["R"], ae_hyper=_ae_hyper(cfg), seed=cfg["seed"],
         )
         payload = res.reducer_payload
         linked_to_csv(res.d12, out / "D12.csv")
@@ -245,7 +251,7 @@ def cmd_evaluate(cfg: dict, out_override: str | None = None) -> Path:
     report = evaluate_conditions(
         d1, d2, conditions,
         folds=cfg["folds"], seeds=cfg["seeds"],
-        k=cfg["k"], r=cfg["R"], ae_hyper=_ae_hyper(cfg, 0),
+        k=cfg["k"], r=cfg["R"], ae_hyper=_ae_hyper(cfg),
     )
     (out / "report.json").write_text(
         json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -262,7 +268,7 @@ def cmd_evaluate(cfg: dict, out_override: str | None = None) -> Path:
         key=lambda c: (report.conditions[c].mean, -CONDITION_ORDER.index(c)),
     )
     res = link_detailed(
-        d1, d2, best, k=cfg["k"], r=cfg["R"], ae_hyper=_ae_hyper(cfg, cfg["seed"]), seed=cfg["seed"]
+        d1, d2, best, k=cfg["k"], r=cfg["R"], ae_hyper=_ae_hyper(cfg), seed=cfg["seed"]
     )
     after = export_projection_2d(res.d12)
     projection_to_csv(after, out / "after.csv")

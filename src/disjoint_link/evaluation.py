@@ -10,11 +10,11 @@ fitted transforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import _kernels
+from ._kernels import sigmoid
 from .autoencoder import AutoencoderHyper
 from .data import (
     Dataset,
@@ -23,16 +23,20 @@ from .data import (
     fit_standardization,
     stratified_kfold,
 )
-from .linkage import DEFAULT_K, DEFAULT_R, NeighborMap, random_neighbor_map
-from .reducers import (
-    TScoreReport,
-    compute_t_scores,
-    encode,
-    feature_importance_pair,
-    fit_autoencoder,
-    fit_pca,
-    project_pca,
+from .linkage import (
+    DEFAULT_K,
+    DEFAULT_R,
+    FittedReducer,
+    NeighborMap,
+    effective_r,
+    fit_reducer,
+    link_rows,
+    median_aggregate,
+    pair_reducers,
+    r_limits,
+    random_neighbor_map,
 )
+from .reducers import normalize_latent
 
 CONDITION_ORDER = ("unlinked", "random", "feature_importance", "pca", "autoencoder")
 
@@ -67,15 +71,6 @@ class LogisticModel:
     hyper: LogisticHyper
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def logistic_loss_and_grad(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float):
     """Mean cross-entropy plus (l2/2)*||w||^2; the bias is not penalized."""
     z = X @ w + b
@@ -83,7 +78,7 @@ def logistic_loss_and_grad(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray
     softplus = np.log1p(np.exp(-np.abs(z)))
     loss = float(np.mean(np.where(y == 1, softplus + np.maximum(-z, 0.0), softplus + np.maximum(z, 0.0))))
     loss += 0.5 * l2 * float(w @ w)
-    p = _sigmoid(z)
+    p = sigmoid(z)
     resid = p - y
     gw = X.T @ resid / X.shape[0] + l2 * w
     gb = float(resid.mean())
@@ -112,7 +107,7 @@ def predict_proba(m: LogisticModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != m.weights.shape[0]:
         raise DataError(f"model expects {m.weights.shape[0]} columns, got {X.shape[1]}")
-    p = _sigmoid(X @ m.weights + m.bias)
+    p = sigmoid(X @ m.weights + m.bias)
     return np.clip(p, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
 
 
@@ -179,11 +174,9 @@ def roc_curve(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
 class D2Context:
     """Per-(condition, seed) artifacts of the source dataset, shared by folds."""
 
-    condition: str
     X_std: np.ndarray
-    t_report: TScoreReport | None = None
-    latent_norm: np.ndarray | None = None  # (M, R) for pca/autoencoder
-    r_eff: int | None = None
+    reducer: FittedReducer | None = None  # None for unlinked and random
+    r: int | None = None  # the R both sides' reducers are fitted with
 
 
 @dataclass(frozen=True)
@@ -194,12 +187,11 @@ class FoldOutcome:
     model: LogisticModel
     neighbors_train: NeighborMap | None
     neighbors_test: NeighborMap | None
-    r_eff: int | None
 
 
-def _normalized(train_fit: np.ndarray, *apply_to: np.ndarray) -> list[np.ndarray]:
-    params = fit_standardization(train_fit)
-    return [apply_standardization(params, a) for a in apply_to]
+def _ae_seeded(ae_hyper: AutoencoderHyper | None, *tags: int) -> AutoencoderHyper:
+    seed = int(np.random.SeedSequence(list(tags)).generate_state(1)[0])
+    return replace(ae_hyper or AutoencoderHyper(), seed=seed)
 
 
 def prepare_d2_context(
@@ -213,29 +205,11 @@ def prepare_d2_context(
 ) -> D2Context:
     X_std = apply_standardization(fit_standardization(d2.X), d2.X)
     if condition in ("unlinked", "random"):
-        return D2Context(condition, X_std)
-    if condition == "feature_importance":
-        d2s = Dataset(d2.schema, X_std, d2.y, d2.id)
-        return D2Context(condition, X_std, t_report=compute_t_scores(d2s))
-    if condition == "pca":
-        r_eff = min(r, r_cap_from_d1, d2.n, d2.k)
-        red2 = fit_pca(X_std, r_eff)
-        z2 = project_pca(red2, X_std, d2.id).Z
-        return D2Context(condition, X_std, latent_norm=_normalized(z2, z2)[0], r_eff=r_eff)
-    if condition == "autoencoder":
-        r_eff = min(r, r_cap_from_d1, d2.k)
-        base = ae_hyper or AutoencoderHyper()
-        hyper = AutoencoderHyper(
-            base.hidden_dims,
-            base.epochs,
-            base.batch_size,
-            base.learning_rate,
-            int(np.random.SeedSequence([seed, 2]).generate_state(1)[0]),
-        )
-        red2 = fit_autoencoder(X_std, r_eff, hyper)
-        z2 = encode(red2, X_std)
-        return D2Context(condition, X_std, latent_norm=_normalized(z2, z2)[0], r_eff=r_eff)
-    raise DataError(f"unknown condition {condition!r}")
+        return D2Context(X_std)
+    r_eff = effective_r(r, r_cap_from_d1, *r_limits(condition, d2))
+    d2s = Dataset(d2.schema, X_std, d2.y, d2.id)
+    reducer = fit_reducer(condition, d2s, r_eff, _ae_seeded(ae_hyper, seed, 2))
+    return D2Context(X_std, reducer, r_eff)
 
 
 def run_fold_condition(
@@ -251,8 +225,6 @@ def run_fold_condition(
     fold: int = 0,
 ) -> FoldOutcome:
     """Evaluate one condition on one fold. Test labels touch nothing fitted."""
-    if condition != ctx.condition:
-        raise DataError(f"context prepared for {ctx.condition!r}, not {condition!r}")
     y_tr = d1.y[train_idx]
     y_te = d1.y[test_idx]
     params = fit_standardization(d1.X[train_idx])
@@ -260,7 +232,6 @@ def run_fold_condition(
     x_te = apply_standardization(params, d1.X[test_idx])
 
     nb_tr = nb_te = None
-    r_eff = ctx.r_eff
     if condition == "unlinked":
         feat_tr, feat_te = x_tr, x_te
     else:
@@ -269,39 +240,16 @@ def run_fold_condition(
             m = ctx.X_std.shape[0]
             nb_tr = random_neighbor_map(x_tr.shape[0], m, k, rng)
             nb_te = random_neighbor_map(x_te.shape[0], m, k, rng)
+            agg_tr = median_aggregate(nb_tr, ctx.X_std)
+            agg_te = median_aggregate(nb_te, ctx.X_std)
         else:
-            if condition == "feature_importance":
-                rep1 = compute_t_scores(Dataset(d1.schema, x_tr, y_tr, d1.id))
-                pair = feature_importance_pair(rep1, ctx.t_report)
-                z_tr, z_te = x_tr[:, pair.sel1], x_te[:, pair.sel1]
-                z2 = ctx.X_std[:, pair.sel2]
-                z2n = _normalized(z2, z2)[0]
-                r_eff = pair.r
-            elif condition == "pca":
-                red1 = fit_pca(x_tr, ctx.r_eff)
-                z_tr = project_pca(red1, x_tr).Z
-                z_te = project_pca(red1, x_te).Z
-                z2n = ctx.latent_norm
-            elif condition == "autoencoder":
-                base = ae_hyper or AutoencoderHyper()
-                hyper = AutoencoderHyper(
-                    base.hidden_dims,
-                    base.epochs,
-                    base.batch_size,
-                    base.learning_rate,
-                    int(np.random.SeedSequence([seed, fold, 1]).generate_state(1)[0]),
-                )
-                red1 = fit_autoencoder(x_tr, ctx.r_eff, hyper)
-                z_tr = encode(red1, x_tr)
-                z_te = encode(red1, x_te)
-                z2n = ctx.latent_norm
-            else:
-                raise DataError(f"unknown condition {condition!r}")
-            z_tr_n, z_te_n = _normalized(z_tr, z_tr, z_te)
-            nb_tr = NeighborMap(k, *_kernels.nearest(z_tr_n, z2n, k))
-            nb_te = NeighborMap(k, *_kernels.nearest(z_te_n, z2n, k))
-        agg_tr = _kernels.median_over_rows(ctx.X_std, nb_tr.neighbors)
-        agg_te = _kernels.median_over_rows(ctx.X_std, nb_te.neighbors)
+            d1_tr = Dataset(d1.schema, x_tr, y_tr, d1.id)
+            fit1 = fit_reducer(condition, d1_tr, ctx.r, _ae_seeded(ae_hyper, seed, fold, 1))
+            to_shared1, to_shared2, _ = pair_reducers(fit1, ctx.reducer)
+            z_tr, z_te = normalize_latent(to_shared1(x_tr), to_shared1(x_te))
+            (z2,) = normalize_latent(to_shared2(ctx.X_std))
+            nb_tr, agg_tr = link_rows(z_tr, z2, ctx.X_std, k)
+            nb_te, agg_te = link_rows(z_te, z2, ctx.X_std, k)
         feat_tr = np.hstack([x_tr, agg_tr])
         feat_te = np.hstack([x_te, agg_te])
 
@@ -314,7 +262,6 @@ def run_fold_condition(
         model=model,
         neighbors_train=nb_tr,
         neighbors_test=nb_te,
-        r_eff=r_eff,
     )
 
 

@@ -1,22 +1,26 @@
-"""Cross-dataset linkage: exact neighbor search, aggregation, concatenation.
+"""Cross-dataset linkage: reduce, normalize, exact neighbor search, aggregate.
 
-Every cross-dataset sample pair of two reduced datasets has an exact
-Euclidean distance. Each sample's k nearest rows in the other dataset are
-median-aggregated and concatenated onto its own (standardized) features,
-giving the linked datasets. The search streams over row blocks, so the full
-distance matrix (`distance_matrix`) is never built on the linking path.
+Both callers, `link_detailed` and the cross-validated evaluation, run one
+pipeline. `fit_reducer` fits one dataset's side of a reducer on its
+standardized rows, `pair_reducers` turns the two fitted sides into row
+transforms into one shared R-dimensional space, `normalize_latent` z-scores
+each side's latent axes, and `link_rows` gives every query row the
+feature-wise median of its k nearest reference rows. The search streams over
+row blocks, so the full distance matrix (`distance_matrix`) is never built on
+the linking path.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import _kernels
-from .autoencoder import AutoencoderHyper
+from .autoencoder import AutoencoderHyper, AutoencoderReducer, encode, fit_autoencoder
 from .data import (
     Dataset,
     DataError,
@@ -24,13 +28,16 @@ from .data import (
     standardize,
 )
 from .reducers import (
+    PcaReducer,
     ReducedDataset,
+    TScoreReport,
+    autoencoder_to_payload,
     compute_t_scores,
-    encode,
     feature_importance_pair,
-    fit_autoencoder,
     fit_pca,
     normalize_latent,
+    pair_to_payload,
+    pca_to_payload,
     project_pca,
 )
 
@@ -43,10 +50,6 @@ class LinkageMatrix:
     dist: np.ndarray  # (N, M) non-negative
     row_source: str
     col_source: str
-
-    @property
-    def transposed(self) -> "LinkageMatrix":
-        return LinkageMatrix(self.dist.T, self.col_source, self.row_source)
 
 
 @dataclass(frozen=True)
@@ -76,9 +79,9 @@ class LinkedDataset:
             raise DataError("provenance must tag every column")
 
 
-def _check_pair(a: ReducedDataset, b: ReducedDataset) -> None:
-    if a.r != b.r:
-        raise DataError(f"reduced dimensions differ: {a.r} vs {b.r}")
+def _check_dims(r_a: int, r_b: int) -> None:
+    if r_a != r_b:
+        raise DataError(f"reduced dimensions differ: {r_a} vs {r_b}")
 
 
 def _check_k(k: int, n_cols: int) -> None:
@@ -88,7 +91,7 @@ def _check_k(k: int, n_cols: int) -> None:
 
 def distance_matrix(a: ReducedDataset, b: ReducedDataset) -> LinkageMatrix:
     """Exact all-pairs Euclidean distances between two reduced datasets."""
-    _check_pair(a, b)
+    _check_dims(a.r, b.r)
     dist = _kernels.pairwise_euclidean(a.Z, b.Z)
     return LinkageMatrix(dist=dist, row_source=a.source_id, col_source=b.source_id)
 
@@ -97,15 +100,6 @@ def k_nearest(m: LinkageMatrix, k: int) -> NeighborMap:
     """Per row, the k nearest columns ascending; ties go to the lower index."""
     _check_k(k, m.dist.shape[1])
     idx, val = _kernels.k_smallest(m.dist, k)
-    return NeighborMap(k=k, neighbors=idx, distances=val)
-
-
-def nearest_neighbors(query: ReducedDataset, ref: ReducedDataset, k: int) -> NeighborMap:
-    """`k_nearest(distance_matrix(query, ref), k)` without the matrix: the
-    exact search streams over blocks of query rows."""
-    _check_pair(query, ref)
-    _check_k(k, ref.Z.shape[0])
-    idx, val = _kernels.nearest(query.Z, ref.Z, k)
     return NeighborMap(k=k, neighbors=idx, distances=val)
 
 
@@ -119,6 +113,21 @@ def median_aggregate(neighbors: NeighborMap, source_features: np.ndarray) -> np.
     if neighbors.neighbors.max() >= source_features.shape[0]:
         raise DataError("neighbor index exceeds the source dataset")
     return _kernels.median_over_rows(source_features, neighbors.neighbors)
+
+
+def link_rows(
+    z_query: np.ndarray, z_ref: np.ndarray, ref_features: np.ndarray, k: int
+) -> tuple[NeighborMap, np.ndarray]:
+    """Each query row's k nearest reference rows and the feature-wise median
+    of their `ref_features`.
+
+    The neighbors equal `k_nearest(distance_matrix(query, ref), k)`, but the
+    exact search streams over blocks of query rows, so no matrix is built.
+    """
+    _check_dims(z_query.shape[1], z_ref.shape[1])
+    _check_k(k, z_ref.shape[0])
+    nb = NeighborMap(k, *_kernels.nearest(z_query, z_ref, k))
+    return nb, median_aggregate(nb, ref_features)
 
 
 def _concat_linked(
@@ -135,11 +144,62 @@ def _concat_linked(
     return LinkedDataset(X=X, y=base.y.copy(), provenance=prov, base_id=base.id, other_id=other.id)
 
 
+# ---------------------------------------------------------------------------
+# the reducer step: fit each side, pair the sides, agree on R
+# ---------------------------------------------------------------------------
+
+FittedReducer = TScoreReport | PcaReducer | AutoencoderReducer
+RowTransform = Callable[[np.ndarray], np.ndarray]
+
+
 def effective_r(requested: int, *limits: int) -> int:
     r = min(requested, *limits)
     if r < 1:
         raise DataError(f"no valid reduced dimension (requested {requested}, limits {limits})")
     return r
+
+
+def r_limits(kind: str, d: Dataset) -> tuple[int, ...]:
+    """The caps one dataset puts on R: PCA needs R <= min(n, k), an
+    autoencoder latent only R <= k. Feature importance ignores R."""
+    return (d.k,) if kind == "autoencoder" else (d.n, d.k)
+
+
+def fit_reducer(kind: str, d: Dataset, r: int, hyper: AutoencoderHyper) -> FittedReducer:
+    """Fit one dataset's side of a reducer on its standardized rows: its
+    t-scores, its top-r PCA or its r-dimensional autoencoder, trained with
+    `hyper` (seed included)."""
+    if kind == "feature_importance":
+        return compute_t_scores(d)
+    if kind == "pca":
+        return fit_pca(d.X, r)
+    if kind == "autoencoder":
+        return fit_autoencoder(d.X, r, hyper)
+    raise DataError(f"unknown reducer kind {kind!r}")
+
+
+def pair_reducers(
+    fit1: FittedReducer, fit2: FittedReducer
+) -> tuple[RowTransform, RowTransform, int]:
+    """Row transforms of two fitted sides into one shared space, and its R.
+
+    Only feature importance pairs anything: each side keeps the columns whose
+    t-score sign and rank match a column of the other side.
+    """
+    if isinstance(fit1, TScoreReport):
+        pair = feature_importance_pair(fit1, fit2)
+        return (lambda X: X[:, pair.sel1]), (lambda X: X[:, pair.sel2]), pair.r
+    if isinstance(fit1, PcaReducer):
+        r = fit1.components.shape[0]
+        return (lambda X: project_pca(fit1, X).Z), (lambda X: project_pca(fit2, X).Z), r
+    return (lambda X: encode(fit1, X)), (lambda X: encode(fit2, X)), fit1.latent_dim
+
+
+def _reducer_payload(fit1: FittedReducer, fit2: FittedReducer) -> dict:
+    if isinstance(fit1, TScoreReport):
+        return pair_to_payload(feature_importance_pair(fit1, fit2), fit1.t, fit2.t)
+    to_payload = pca_to_payload if isinstance(fit1, PcaReducer) else autoencoder_to_payload
+    return {"d1": to_payload(fit1), "d2": to_payload(fit2)}
 
 
 @dataclass(frozen=True)
@@ -153,43 +213,6 @@ class LinkResult:
     reducer_payload: dict
 
 
-def _reduce_pair(
-    d1s: Dataset,
-    d2s: Dataset,
-    reducer_kind: str,
-    r: int,
-    ae_hyper: AutoencoderHyper | None,
-    seed: int,
-) -> tuple[ReducedDataset, ReducedDataset, int, dict]:
-    from .reducers import autoencoder_to_payload, pair_to_payload, pca_to_payload
-
-    if reducer_kind == "feature_importance":
-        rep1, rep2 = compute_t_scores(d1s), compute_t_scores(d2s)
-        pair = feature_importance_pair(rep1, rep2)
-        z1 = ReducedDataset(d1s.X[:, pair.sel1], d1s.id, reducer_kind)
-        z2 = ReducedDataset(d2s.X[:, pair.sel2], d2s.id, reducer_kind)
-        return z1, z2, pair.r, pair_to_payload(pair, rep1.t, rep2.t)
-    if reducer_kind == "pca":
-        r_eff = effective_r(r, d1s.n, d1s.k, d2s.n, d2s.k)
-        red1 = fit_pca(d1s.X, r_eff)
-        red2 = fit_pca(d2s.X, r_eff)
-        z1 = project_pca(red1, d1s.X, d1s.id)
-        z2 = project_pca(red2, d2s.X, d2s.id)
-        return z1, z2, r_eff, {"d1": pca_to_payload(red1), "d2": pca_to_payload(red2)}
-    if reducer_kind == "autoencoder":
-        r_eff = effective_r(r, d1s.k, d2s.k)
-        hyper = ae_hyper or AutoencoderHyper()
-        h1 = AutoencoderHyper(hyper.hidden_dims, hyper.epochs, hyper.batch_size, hyper.learning_rate, seed)
-        h2 = AutoencoderHyper(hyper.hidden_dims, hyper.epochs, hyper.batch_size, hyper.learning_rate, seed + 1)
-        red1 = fit_autoencoder(d1s.X, r_eff, h1)
-        red2 = fit_autoencoder(d2s.X, r_eff, h2)
-        z1 = ReducedDataset(encode(red1, d1s.X), d1s.id, reducer_kind)
-        z2 = ReducedDataset(encode(red2, d2s.X), d2s.id, reducer_kind)
-        payload = {"d1": autoencoder_to_payload(red1), "d2": autoencoder_to_payload(red2)}
-        return z1, z2, r_eff, payload
-    raise DataError(f"unknown reducer kind {reducer_kind!r}")
-
-
 def link_detailed(
     d1: Dataset,
     d2: Dataset,
@@ -201,15 +224,19 @@ def link_detailed(
     seed: int = 0,
 ) -> LinkResult:
     """Full pipeline: standardize, reduce, normalize, exact neighbors both
-    ways, median aggregation, concatenation."""
+    ways, median aggregation, concatenation. The autoencoders of D1 and D2
+    train with seeds `seed` and `seed + 1`."""
     d1s, _ = standardize(d1)
     d2s, _ = standardize(d2)
-    z1, z2, r_eff, payload = _reduce_pair(d1s, d2s, reducer_kind, r, ae_hyper, seed)
-    z1n, z2n = normalize_latent(z1), normalize_latent(z2)
-    nb12 = nearest_neighbors(z1n, z2n, k)
-    nb21 = nearest_neighbors(z2n, z1n, k)
-    agg12 = median_aggregate(nb12, d2s.X)
-    agg21 = median_aggregate(nb21, d1s.X)
+    r_fit = effective_r(r, *r_limits(reducer_kind, d1s), *r_limits(reducer_kind, d2s))
+    hyper = ae_hyper or AutoencoderHyper()
+    fit1 = fit_reducer(reducer_kind, d1s, r_fit, replace(hyper, seed=seed))
+    fit2 = fit_reducer(reducer_kind, d2s, r_fit, replace(hyper, seed=seed + 1))
+    to_shared1, to_shared2, r_eff = pair_reducers(fit1, fit2)
+    (z1,) = normalize_latent(to_shared1(d1s.X))
+    (z2,) = normalize_latent(to_shared2(d2s.X))
+    nb12, agg12 = link_rows(z1, z2, d2s.X, k)
+    nb21, agg21 = link_rows(z2, z1, d1s.X, k)
     d12 = _concat_linked(d1s.X, d1, agg12, d2)
     d21 = _concat_linked(d2s.X, d2, agg21, d1)
     return LinkResult(
@@ -219,7 +246,7 @@ def link_detailed(
         r=r_eff,
         neighbors_12=nb12,
         neighbors_21=nb21,
-        reducer_payload={"kind": reducer_kind, "R": r_eff, **payload},
+        reducer_payload={"kind": reducer_kind, "R": r_eff, **_reducer_payload(fit1, fit2)},
     )
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autoencoder import AutoencoderHyper, AutoencoderReducer, encode, fit_autoencoder
+from .autoencoder import AutoencoderReducer
 from .data import (
     Dataset,
     DataError,
@@ -110,15 +110,6 @@ def feature_importance_pair(r1: TScoreReport, r2: TScoreReport) -> FeatureImport
     return FeatureImportancePair(p_min=p_min, n_min=n_min, sel1=sel1, sel2=sel2)
 
 
-def fit_feature_importance_pair(
-    d1: Dataset, d2: Dataset
-) -> tuple[FeatureImportancePair, ReducedDataset, ReducedDataset]:
-    pair = feature_importance_pair(compute_t_scores(d1), compute_t_scores(d2))
-    z1 = ReducedDataset(d1.X[:, pair.sel1], d1.id, "feature_importance")
-    z2 = ReducedDataset(d2.X[:, pair.sel2], d2.id, "feature_importance")
-    return pair, z1, z2
-
-
 # ---------------------------------------------------------------------------
 # PCA
 # ---------------------------------------------------------------------------
@@ -165,16 +156,19 @@ def project_pca(reducer: PcaReducer, X: np.ndarray, source_id: str = "") -> Redu
 # ---------------------------------------------------------------------------
 
 
-def normalize_latent(z: ReducedDataset) -> ReducedDataset:
-    """Z-score each latent dimension within its dataset; constant dims go to 0.
+def normalize_latent(z: np.ndarray, *others: np.ndarray) -> list[np.ndarray]:
+    """Z-score each latent dimension of `z` by its own mean and spread, and
+    `others` by the same statistics; constant dims go to 0.
 
     Two independently fitted reducers put arbitrary scales on their latent
-    axes, so distances across datasets are only meaningful afterwards.
+    axes, so distances across datasets are only meaningful afterwards. In
+    cross-validation `z` holds a fold's training rows and `others` its test
+    rows, which pass through the statistics fitted on training rows only.
     """
-    if z.Z.shape[0] < 2:
+    if z.shape[0] < 2:
         raise DataError("latent normalization needs at least 2 rows")
-    params = fit_standardization(z.Z)
-    return ReducedDataset(apply_standardization(params, z.Z), z.source_id, z.reducer_kind)
+    params = fit_standardization(z)
+    return [apply_standardization(params, a) for a in (z, *others)]
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +188,6 @@ def pca_to_payload(r: PcaReducer) -> dict:
     }
 
 
-def pca_from_payload(doc: dict) -> PcaReducer:
-    return PcaReducer(
-        mean=np.array(doc["mean"], dtype=np.float64),
-        components=np.array(doc["components"], dtype=np.float64),
-        eigenvalues=np.array(doc["eigenvalues"], dtype=np.float64),
-    )
-
-
 def autoencoder_to_payload(r: AutoencoderReducer) -> dict:
     def layers(ls):
         return [{"w": _floats(w), "b": _floats(b)} for w, b in ls]
@@ -215,22 +201,6 @@ def autoencoder_to_payload(r: AutoencoderReducer) -> dict:
     }
 
 
-def autoencoder_from_payload(doc: dict) -> AutoencoderReducer:
-    def layers(ls):
-        return tuple(
-            (np.array(e["w"], dtype=np.float64), np.array(e["b"], dtype=np.float64))
-            for e in ls
-        )
-
-    return AutoencoderReducer(
-        encoder_layers=layers(doc["encoder"]),
-        decoder_layers=layers(doc["decoder"]),
-        latent_dim=doc["latent_dim"],
-        activation=doc["activation"],
-        training_log=tuple(doc["training_log"]),
-    )
-
-
 def pair_to_payload(pair: FeatureImportancePair, t1: np.ndarray, t2: np.ndarray) -> dict:
     return {
         "p_min": pair.p_min,
@@ -242,27 +212,13 @@ def pair_to_payload(pair: FeatureImportancePair, t1: np.ndarray, t2: np.ndarray)
     }
 
 
-def pair_from_payload(doc: dict) -> FeatureImportancePair:
-    return FeatureImportancePair(
-        p_min=doc["p_min"],
-        n_min=doc["n_min"],
-        sel1=np.array(doc["sel1"], dtype=np.int64),
-        sel2=np.array(doc["sel2"], dtype=np.int64),
-    )
-
-
 __all__ = [
-    "AutoencoderHyper",
-    "AutoencoderReducer",
     "FeatureImportancePair",
     "PcaReducer",
     "ReducedDataset",
     "TScoreReport",
     "compute_t_scores",
-    "encode",
     "feature_importance_pair",
-    "fit_autoencoder",
-    "fit_feature_importance_pair",
     "fit_pca",
     "normalize_latent",
     "project_pca",

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import sigmoid
 from .data import Dataset, DataError, FeatureSchema
 
 # Fixed generator geometry. The outcome signal strength is the L2 norm of the
@@ -64,15 +65,6 @@ class SynthDetails:
     z2: np.ndarray
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 @functools.cache
 def _hermite_nodes() -> tuple[np.ndarray, np.ndarray]:
     """128-point Gauss-Hermite (probabilists') nodes and weights, read-only."""
@@ -84,7 +76,7 @@ def _hermite_nodes() -> tuple[np.ndarray, np.ndarray]:
 def expected_positive_rate(bias: float, score_std: float) -> float:
     """E[sigmoid(bias + s)] for s ~ N(0, score_std^2), by Gauss-Hermite quadrature."""
     nodes, weights = _hermite_nodes()
-    vals = _sigmoid(bias + score_std * nodes)
+    vals = sigmoid(bias + score_std * nodes)
     return float(weights @ vals / np.sqrt(2.0 * np.pi))
 
 
@@ -121,7 +113,7 @@ def synthesize_disjoint_pair_detailed(
         x = z @ a.T
         if cfg.noise_sigma > 0:
             x = x + cfg.noise_sigma * rng.normal(size=(n, k))
-        p = _sigmoid(bias + z @ w)
+        p = sigmoid(bias + z @ w)
         y = (rng.uniform(size=n) < p).astype(np.int64)
         ds = Dataset(_numeric_schema(prefix, k), x, y, id=ds_id)
         return ds, z

@@ -216,6 +216,23 @@ class TestValidation:
         assert main(["link", "--config", str(cfg)]) == 2
         assert "reducer" in capsys.readouterr().err
 
+    def test_negative_link_seed_named(self, tmp_path, capsys):
+        doc = synth_config(tmp_path / "out", reducer="pca")
+        doc["seed"] = -1
+        cfg = write_config(tmp_path, doc)
+        assert main(["link", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "[config] seed:" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_evaluate_seed_named(self, tmp_path, capsys):
+        doc = synth_config(tmp_path / "out", reducers=["autoencoder"], seeds=[0, -2])
+        cfg = write_config(tmp_path, doc)
+        assert main(["evaluate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "[config] seeds[1]:" in err
+        assert not (tmp_path / "out").exists()
+
     def test_validation_happens_before_any_output(self, tmp_path):
         doc = synth_config(tmp_path / "out")
         doc["folds"] = 1

@@ -18,6 +18,7 @@ from disjoint_link.evaluation import (
     roc_curve,
     run_fold_condition,
 )
+from disjoint_link.linkage import link_detailed
 from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair
 
 from oracles import auroc_brute
@@ -242,6 +243,20 @@ class TestEvaluateConditions:
         report = evaluate_conditions(d1, d2, ["unlinked"], folds=2, seeds=[0], k=2, r=2)
         lines = [l for l in report.to_table_text().splitlines() if "|" in l and "±" in l]
         assert len(lines) == 1
+
+
+class TestOnePipeline:
+    @pytest.mark.parametrize("condition", ["feature_importance", "pca"])
+    def test_all_rows_fold_matches_link(self, condition):
+        # with every row in both training and test, a fold links D1 exactly as `link` does
+        d1, d2 = small_pair(3)
+        rows = np.arange(d1.n)
+        ctx = prepare_d2_context(condition, d2, r=3, r_cap_from_d1=min(d1.n, d1.k),
+                                 ae_hyper=None, seed=0)
+        out = run_fold_condition(condition, d1, rows, rows, ctx, k=4)
+        want = link_detailed(d1, d2, condition, k=4, r=3).neighbors_12
+        assert np.array_equal(out.neighbors_train.neighbors, want.neighbors)
+        assert np.array_equal(out.neighbors_train.distances, want.distances)
 
 
 class TestLeakageAudit:

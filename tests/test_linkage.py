@@ -10,9 +10,9 @@ from disjoint_link.linkage import (
     k_nearest,
     link,
     link_detailed,
+    link_rows,
     linked_to_csv,
     median_aggregate,
-    nearest_neighbors,
     neighbors_to_csv,
     random_link,
     random_link_detailed,
@@ -63,9 +63,11 @@ class TestDistanceMatrix:
             distance_matrix(reduced([[1.0, 2.0]]), reduced([[1.0]], "b"))
 
     def test_row_col_sources(self):
-        m = distance_matrix(reduced([[0.0]], "left"), reduced([[1.0]], "right"))
+        a, b = reduced([[0.0]], "left"), reduced([[1.0]], "right")
+        m = distance_matrix(a, b)
         assert (m.row_source, m.col_source) == ("left", "right")
-        assert (m.transposed.row_source, m.transposed.col_source) == ("right", "left")
+        back = distance_matrix(b, a)
+        assert (back.row_source, back.col_source) == ("right", "left")
 
 
 class TestKNearest:
@@ -105,29 +107,33 @@ class TestKNearest:
 
 
 class TestNearestNeighbors:
+    """The exact neighbor search of `link_rows`."""
+
     def test_equals_k_nearest_of_the_matrix(self):
         rng = np.random.default_rng(4)
         a, b = reduced(rng.integers(0, 3, size=(9, 2))), reduced(rng.integers(0, 3, size=(13, 2)), "b")
-        got = nearest_neighbors(a, b, 4)
+        ref_features = rng.normal(size=(13, 3))
+        got, agg = link_rows(a.Z, b.Z, ref_features, 4)
         want = k_nearest(distance_matrix(a, b), 4)
         np.testing.assert_array_equal(got.neighbors, want.neighbors)
         np.testing.assert_array_equal(got.distances, want.distances)
+        np.testing.assert_array_equal(agg, median_aggregate(want, ref_features))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DataError):
-            nearest_neighbors(reduced([[1.0, 2.0]]), reduced([[1.0]], "b"), 1)
+            link_rows(np.array([[1.0, 2.0]]), np.array([[1.0]]), np.zeros((1, 1)), 1)
 
     def test_k_too_large(self):
         with pytest.raises(DataError):
-            nearest_neighbors(reduced([[1.0]]), reduced([[1.0], [2.0]], "b"), 3)
+            link_rows(np.array([[1.0]]), np.array([[1.0], [2.0]]), np.zeros((2, 1)), 3)
 
     def test_memory_stays_below_half_a_matrix(self):
         n = m = 4000
         rng = np.random.default_rng(5)
-        a, b = reduced(rng.normal(size=(n, 8))), reduced(rng.normal(size=(m, 8)), "b")
+        a, b = rng.normal(size=(n, 8)), rng.normal(size=(m, 8))
         tracemalloc.start()
         try:
-            nb = nearest_neighbors(a, b, 5)
+            nb, _ = link_rows(a, b, b, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

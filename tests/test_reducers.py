@@ -1,21 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from disjoint_link.data import DataError
+from disjoint_link.linkage import fit_reducer, pair_reducers
 from disjoint_link.reducers import (
     PcaReducer,
-    ReducedDataset,
     T_CAP,
     _apply_sign_convention,
     compute_t_scores,
     feature_importance_pair,
-    fit_feature_importance_pair,
     fit_pca,
     normalize_latent,
-    pair_from_payload,
     pair_to_payload,
-    pca_from_payload,
     pca_to_payload,
     project_pca,
 )
@@ -112,9 +111,10 @@ class TestFeatureImportancePair:
         y[:2] = 1
         y[2:4] = 0
         d = make_dataset(X, y)
-        pair, z1, z2 = fit_feature_importance_pair(d, d)
-        np.testing.assert_array_equal(pair.sel1, pair.sel2)
-        np.testing.assert_array_equal(z1.Z, z2.Z)
+        fit = fit_reducer("feature_importance", d, 1, None)
+        to_shared1, to_shared2, r = pair_reducers(fit, fit)
+        assert r == 5
+        np.testing.assert_array_equal(to_shared1(d.X), to_shared2(d.X))
 
     def test_all_negative_boundary(self):
         r1 = self._report([1.0, -2.0, -1.0])
@@ -141,10 +141,10 @@ class TestFeatureImportancePair:
         r1 = self._report([1.0, -2.0])
         r2 = self._report([2.0, -1.0])
         pair = feature_importance_pair(r1, r2)
-        doc = pair_to_payload(pair, r1.t, r2.t)
-        back = pair_from_payload(doc)
-        assert back.p_min == pair.p_min and back.n_min == pair.n_min
-        np.testing.assert_array_equal(back.sel1, pair.sel1)
+        doc = json.loads(json.dumps(pair_to_payload(pair, r1.t, r2.t)))
+        assert (doc["p_min"], doc["n_min"]) == (pair.p_min, pair.n_min)
+        assert np.array_equal(doc["sel1"], pair.sel1) and np.array_equal(doc["sel2"], pair.sel2)
+        assert np.array_equal(doc["t1"], r1.t) and np.array_equal(doc["t2"], r2.t)
 
 
 class TestPca:
@@ -242,37 +242,40 @@ class TestPca:
     def test_payload_round_trip_bit_exact(self):
         rng = np.random.default_rng(11)
         red = fit_pca(rng.normal(size=(12, 5)), 3)
-        back = pca_from_payload(pca_to_payload(red))
-        assert np.array_equal(back.mean, red.mean)
-        assert np.array_equal(back.components, red.components)
-        assert np.array_equal(back.eigenvalues, red.eigenvalues)
+        doc = pca_to_payload(red)
+        assert np.array_equal(doc["mean"], red.mean)
+        assert np.array_equal(doc["components"], red.components)
+        assert np.array_equal(doc["eigenvalues"], red.eigenvalues)
 
     def test_round_trip_through_json_text_bit_exact(self):
-        import json
-
         rng = np.random.default_rng(12)
         red = fit_pca(rng.normal(size=(9, 4)) * 1e-7, 2)  # awkward magnitudes
         doc = json.loads(json.dumps(pca_to_payload(red)))
-        back = pca_from_payload(doc)
-        assert np.array_equal(back.mean, red.mean)
-        assert np.array_equal(back.components, red.components)
-        assert np.array_equal(back.eigenvalues, red.eigenvalues)
+        assert np.array_equal(doc["mean"], red.mean)
+        assert np.array_equal(doc["components"], red.components)
+        assert np.array_equal(doc["eigenvalues"], red.eigenvalues)
 
 
 class TestNormalizeLatent:
     def test_hand_case(self):
-        z = ReducedDataset(np.array([[2.0], [4.0]]), "d", "pca")
-        out = normalize_latent(z)
-        assert out.Z[:, 0].tolist() == [-1.0, 1.0]
+        (out,) = normalize_latent(np.array([[2.0], [4.0]]))
+        assert out[:, 0].tolist() == [-1.0, 1.0]
 
     def test_idempotent(self):
         rng = np.random.default_rng(12)
-        z = ReducedDataset(rng.normal(size=(15, 3)), "d", "pca")
-        once = normalize_latent(z)
-        twice = normalize_latent(once)
-        np.testing.assert_allclose(twice.Z, once.Z, atol=1e-10)
+        (once,) = normalize_latent(rng.normal(size=(15, 3)))
+        (twice,) = normalize_latent(once)
+        np.testing.assert_allclose(twice, once, atol=1e-10)
 
     def test_constant_dim_zeroed(self):
-        z = ReducedDataset(np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]]), "d", "pca")
-        out = normalize_latent(z)
-        assert out.Z[:, 1].tolist() == [0.0, 0.0, 0.0]
+        (out,) = normalize_latent(np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]]))
+        assert out[:, 1].tolist() == [0.0, 0.0, 0.0]
+
+    def test_others_use_the_statistics_of_the_first(self):
+        train, test = normalize_latent(np.array([[2.0], [4.0]]), np.array([[3.0], [6.0]]))
+        assert train[:, 0].tolist() == [-1.0, 1.0]
+        assert test[:, 0].tolist() == [0.0, 3.0]
+
+    def test_single_row_rejected(self):
+        with pytest.raises(DataError, match="at least 2 rows"):
+            normalize_latent(np.array([[1.0, 2.0]]))
