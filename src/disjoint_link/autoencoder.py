@@ -78,33 +78,52 @@ def init_layers(dims: list[int], rng: np.random.Generator) -> list[list[np.ndarr
     return layers
 
 
+def _layer_views(flat: np.ndarray, dims: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's (W, b) as reshaped views into one flat vector laid out
+    W0, b0, W1, b1, ..."""
+    views, start = [], 0
+    for din, dout in zip(dims[:-1], dims[1:]):
+        w = flat[start : start + din * dout].reshape(din, dout)
+        start += din * dout
+        views.append((w, flat[start : start + dout]))
+        start += dout
+    return views
+
+
 def forward(layers, tanh_flags, X: np.ndarray) -> list[np.ndarray]:
     """Activations per layer, with the input first; length len(layers)+1."""
     acts = [X]
     for (w, b), is_tanh in zip(layers, tanh_flags):
-        z = acts[-1] @ w + b
-        acts.append(np.tanh(z) if is_tanh else z)
+        z = acts[-1] @ w
+        z += b
+        if is_tanh:
+            np.tanh(z, out=z)
+        acts.append(z)
     return acts
+
+
+def _backward(layers, tanh_flags, acts, delta: np.ndarray, grads) -> None:
+    """Backpropagate the output delta through `forward`'s activations, writing
+    each layer's weight and bias gradient into the arrays `grads` holds."""
+    for i in range(len(layers) - 1, -1, -1):
+        gw, gb = grads[i]
+        np.matmul(acts[i].T, delta, out=gw)
+        np.add.reduce(delta, axis=0, out=gb)  # np.sum without its Python wrapper
+        if i > 0:
+            delta = delta @ layers[i][0].T
+            if tanh_flags[i - 1]:
+                delta *= 1.0 - acts[i] ** 2
 
 
 def loss_and_grads(layers, tanh_flags, X: np.ndarray):
     """Mean squared reconstruction error and its gradient per layer."""
     acts = forward(layers, tanh_flags, X)
-    out = acts[-1]
-    resid = out - X
+    resid = acts[-1] - X
     loss = float(np.mean(resid**2))
-    delta = 2.0 * resid / resid.size
-    grads = []
-    for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        gw = acts[i].T @ delta
-        gb = delta.sum(axis=0)
-        grads.append((gw, gb))
-        if i > 0:
-            delta = delta @ w.T
-            if tanh_flags[i - 1]:
-                delta = delta * (1.0 - acts[i] ** 2)
-    grads.reverse()
+    # d(mean r^2)/dr = 2 r / size, rounded once: size / 2 is exact
+    resid /= resid.size * 0.5
+    grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
+    _backward(layers, tanh_flags, acts, resid, grads)
     return loss, grads
 
 
@@ -114,7 +133,12 @@ def reconstruction_mse(layers, tanh_flags, X: np.ndarray) -> float:
 
 
 def fit_autoencoder(X: np.ndarray, r: int, hyper: AutoencoderHyper | None = None) -> AutoencoderReducer:
-    """Train the autoencoder; deterministic for a fixed seed."""
+    """Train the autoencoder; deterministic for a fixed seed.
+
+    All parameters live in one flat vector, so the momentum step is four
+    whole-vector numpy calls however many layers the net has; each step's
+    cost is dominated by the number of numpy calls, not by their size.
+    """
     hyper = hyper or AutoencoderHyper()
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -129,20 +153,27 @@ def fit_autoencoder(X: np.ndarray, r: int, hyper: AutoencoderHyper | None = None
     tanh_flags = _tanh_flags(len(dims) - 1, n_encoder)
 
     rng = np.random.default_rng(hyper.seed)
-    layers = init_layers(dims, rng)
-    velocity = [[np.zeros_like(w), np.zeros_like(b)] for w, b in layers]
+    theta = np.concatenate([a.ravel() for layer in init_layers(dims, rng) for a in layer])
+    layers = _layer_views(theta, dims)
+    grad = np.empty_like(theta)
+    grads = _layer_views(grad, dims)
+    velocity = np.zeros_like(theta)
+    step = np.empty_like(theta)
 
     log = []
     for epoch in range(hyper.epochs):
-        order = rng.permutation(n)
+        shuffled = X[rng.permutation(n)]
         for start in range(0, n, hyper.batch_size):
-            batch = X[order[start : start + hyper.batch_size]]
-            _, grads = loss_and_grads(layers, tanh_flags, batch)
-            for layer, vel, (gw, gb) in zip(layers, velocity, grads):
-                vel[0] = MOMENTUM * vel[0] + gw
-                vel[1] = MOMENTUM * vel[1] + gb
-                layer[0] = layer[0] - hyper.learning_rate * vel[0]
-                layer[1] = layer[1] - hyper.learning_rate * vel[1]
+            batch = shuffled[start : start + hyper.batch_size]
+            acts = forward(layers, tanh_flags, batch)
+            delta = acts[-1]
+            delta -= batch
+            delta /= delta.size * 0.5
+            _backward(layers, tanh_flags, acts, delta, grads)
+            velocity *= MOMENTUM
+            velocity += grad
+            np.multiply(velocity, hyper.learning_rate, out=step)
+            theta -= step
         epoch_loss = reconstruction_mse(layers, tanh_flags, X)
         if not np.isfinite(epoch_loss):
             raise TrainingDiverged(

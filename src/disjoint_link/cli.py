@@ -93,7 +93,8 @@ def resolve_config(raw: dict, base_dir: Path) -> dict:
         _expect(out["noise_sigma"] >= 0, "inputs.synthetic.noise_sigma", "must be >= 0")
         _expect(0 < out["positive_rate"] < 1, "inputs.synthetic.positive_rate", "must be in (0, 1)")
         _expect(out["n1"] >= 2 and out["n2"] >= 2, "inputs.synthetic.n1", "sample counts must be >= 2")
-        _expect(out["seed"] >= 0, "inputs.synthetic.seed", "must be >= 0")
+        seed = _as_seed(out["seed"], "inputs.synthetic.seed")
+        _expect(seed < 2**64, "inputs.synthetic.seed", "must be < 2**64")  # the generator's bound
         cfg["inputs"] = {"synthetic": out}
     else:
         f = inputs["files"]
@@ -151,6 +152,8 @@ def resolve_config(raw: dict, base_dir: Path) -> dict:
         "batch_size": _as_int(ae.get("batch_size", 32), "autoencoder.batch_size"),
         "learning_rate": _as_num(ae.get("learning_rate", 0.01), "autoencoder.learning_rate"),
     }
+    for i, h in enumerate(cfg["autoencoder"]["hidden_dims"]):
+        _expect(h >= 1, f"autoencoder.hidden_dims[{i}]", "must be >= 1")
     _expect(cfg["autoencoder"]["epochs"] >= 1, "autoencoder.epochs", "must be >= 1")
     _expect(cfg["autoencoder"]["batch_size"] >= 1, "autoencoder.batch_size", "must be >= 1")
     _expect(cfg["autoencoder"]["learning_rate"] > 0, "autoencoder.learning_rate", "must be positive")

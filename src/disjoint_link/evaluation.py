@@ -78,11 +78,15 @@ def logistic_loss_and_grad(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray
     softplus = np.log1p(np.exp(-np.abs(z)))
     loss = float(np.mean(np.where(y == 1, softplus + np.maximum(-z, 0.0), softplus + np.maximum(z, 0.0))))
     loss += 0.5 * l2 * float(w @ w)
-    p = sigmoid(z)
-    resid = p - y
+    return (loss, *_logistic_grad(w, b, X, y, l2))
+
+
+def _logistic_grad(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float):
+    """Gradient of `logistic_loss_and_grad`'s loss in (w, b), without the loss."""
+    resid = sigmoid(X @ w + b) - y
     gw = X.T @ resid / X.shape[0] + l2 * w
     gb = float(resid.mean())
-    return loss, gw, gb
+    return gw, gb
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, hyper: LogisticHyper | None = None) -> LogisticModel:
@@ -97,7 +101,7 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, hyper: LogisticHyper | None = Non
     w = np.zeros(X.shape[1])
     b = 0.0
     for _ in range(hyper.epochs):
-        _, gw, gb = logistic_loss_and_grad(w, b, X, y, hyper.l2_lambda)
+        gw, gb = _logistic_grad(w, b, X, y, hyper.l2_lambda)
         w = w - hyper.learning_rate * gw
         b = b - hyper.learning_rate * gb
     return LogisticModel(weights=w, bias=b, hyper=hyper)

@@ -111,3 +111,64 @@ def pca_components_brute(X, r):
         if comps[i, j] < 0:
             comps[i] = -comps[i]
     return np.maximum(vals[order], 0.0), comps
+
+
+def fit_autoencoder_reference(X, r, hyper):
+    """The autoencoder training loop in its plain per-layer form: allocating
+    forward and backward passes, a per-layer momentum update and a fancy-index
+    gather per batch. Returns the trained ((W, b), ...) and the epoch losses.
+
+    Deliberately independent of `disjoint_link.autoencoder` apart from the
+    hyperparameters; a training step must match it bit for bit.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n, k = X.shape
+    hidden = tuple(hyper.hidden_dims)
+    dims = [k, *hidden, r, *reversed(hidden), k]
+    tanh_flags = [True] * (len(dims) - 1)
+    tanh_flags[len(hidden)] = False  # latent layer
+    tanh_flags[-1] = False  # output layer
+
+    def forward(layers, batch):
+        acts = [batch]
+        for (w, b), is_tanh in zip(layers, tanh_flags):
+            z = acts[-1] @ w + b
+            acts.append(np.tanh(z) if is_tanh else z)
+        return acts
+
+    def loss_and_grads(layers, batch):
+        acts = forward(layers, batch)
+        resid = acts[-1] - batch
+        loss = float(np.mean(resid**2))
+        delta = 2.0 * resid / resid.size
+        grads = []
+        for i in range(len(layers) - 1, -1, -1):
+            w, _ = layers[i]
+            grads.append((acts[i].T @ delta, delta.sum(axis=0)))
+            if i > 0:
+                delta = delta @ w.T
+                if tanh_flags[i - 1]:
+                    delta = delta * (1.0 - acts[i] ** 2)
+        grads.reverse()
+        return loss, grads
+
+    rng = np.random.default_rng(hyper.seed)
+    layers = []
+    for din, dout in zip(dims[:-1], dims[1:]):
+        bound = np.sqrt(6.0 / (din + dout))
+        layers.append([rng.uniform(-bound, bound, size=(din, dout)), np.zeros(dout)])
+    velocity = [[np.zeros_like(w), np.zeros_like(b)] for w, b in layers]
+
+    log = []
+    for _ in range(hyper.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, hyper.batch_size):
+            batch = X[order[start : start + hyper.batch_size]]
+            _, grads = loss_and_grads(layers, batch)
+            for layer, vel, (gw, gb) in zip(layers, velocity, grads):
+                vel[0] = 0.9 * vel[0] + gw
+                vel[1] = 0.9 * vel[1] + gb
+                layer[0] = layer[0] - hyper.learning_rate * vel[0]
+                layer[1] = layer[1] - hyper.learning_rate * vel[1]
+        log.append(float(np.mean((forward(layers, X)[-1] - X) ** 2)))
+    return tuple((w, b) for w, b in layers), tuple(log)

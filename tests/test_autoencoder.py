@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from disjoint_link.autoencoder import (
     AutoencoderHyper,
     TrainingDiverged,
+    _backward,
     _layer_dims,
+    _layer_views,
     _tanh_flags,
     encode,
     fit_autoencoder,
@@ -16,6 +20,7 @@ from disjoint_link.autoencoder import (
 )
 from disjoint_link.data import DataError
 from disjoint_link.reducers import autoencoder_to_payload
+from oracles import fit_autoencoder_reference
 
 
 def finite_difference_grads(layers, tanh_flags, X, eps=1e-5):
@@ -74,6 +79,67 @@ class TestGradients:
         for (gw, gb), (nw, nb) in zip(analytic, numeric):
             assert relative_error(gw, nw) < 1e-4
             assert relative_error(gb, nb) < 1e-4
+
+    def test_backward_into_flat_buffers_equals_loss_and_grads(self):
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(9, 5))
+        dims = _layer_dims(5, 2, (4, 3))
+        flags = _tanh_flags(len(dims) - 1, 3)
+        layers = init_layers(dims, rng)
+        for layer in layers:
+            layer[1][:] = rng.normal(scale=0.1, size=layer[1].shape)
+        _, want = loss_and_grads(layers, flags, X)
+
+        flat = np.full(sum(din * dout + dout for din, dout in zip(dims[:-1], dims[1:])), np.nan)
+        grads = _layer_views(flat, dims)
+        acts = forward(layers, flags, X)
+        delta = acts[-1] - X
+        delta /= delta.size * 0.5
+        _backward(layers, flags, acts, delta, grads)
+        assert not np.isnan(flat).any()  # every parameter's gradient was written
+        for (gw, gb), (ww, wb) in zip(grads, want):
+            assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
+
+
+def fit_bytes(layers, log) -> bytes:
+    return b"".join(w.tobytes() + b.tobytes() for w, b in layers) + np.asarray(log).tobytes()
+
+
+class TestTrainingMatchesReference:
+    """`fit_autoencoder` is bit for bit the plain per-layer training loop."""
+
+    @pytest.mark.parametrize(
+        "hidden, n, k, r, batch_size",
+        [
+            ((), 23, 4, 2, 5),
+            ((5,), 23, 4, 2, 1),
+            ((16, 8), 23, 4, 2, 7),  # 7 does not divide 23: a short last batch
+            ((32,), 23, 4, 2, 64),  # one batch of all rows
+            ((5,), 23, 4, 4, 6),  # R == K
+            ((16, 8), 20, 3, 1, 32),
+        ],
+        ids=["linear", "batch-1", "ragged-batch", "batch-over-n", "r-equals-k", "r-1"],
+    )
+    def test_equals_reference_bit_for_bit(self, hidden, n, k, r, batch_size):
+        X = np.random.default_rng(n + k).normal(size=(n, k))
+        hyper = AutoencoderHyper(hidden_dims=hidden, epochs=4, batch_size=batch_size,
+                                 learning_rate=0.02, seed=batch_size)
+        red = fit_autoencoder(X, r, hyper)
+        ref_layers, ref_log = fit_autoencoder_reference(X, r, hyper)
+        assert [w.shape for w, _ in red.all_layers] == [w.shape for w, _ in ref_layers]
+        assert fit_bytes(red.all_layers, red.training_log) == fit_bytes(ref_layers, ref_log)
+
+    def test_pinned_digest(self):
+        # SHA-256 of one fit's weights and log, computed before the training
+        # loop took its flat-vector form; it catches a change made to both
+        # the loop and the reference
+        X = np.random.default_rng(20).normal(size=(23, 4))
+        hyper = AutoencoderHyper(hidden_dims=(3,), epochs=6, batch_size=5,
+                                 learning_rate=0.05, seed=9)
+        want = "6cbc3627c021f28155ddc406e1fae72fc3985a4e15d506ab168fe0d4b4bc9b1f"
+        red = fit_autoencoder(X, 2, hyper)
+        assert hashlib.sha256(fit_bytes(red.all_layers, red.training_log)).hexdigest() == want
+        assert hashlib.sha256(fit_bytes(*fit_autoencoder_reference(X, 2, hyper))).hexdigest() == want
 
 
 class TestTraining:

@@ -233,6 +233,20 @@ class TestValidation:
         assert "[config] seeds[1]:" in err
         assert not (tmp_path / "out").exists()
 
+    def test_synthetic_seed_beyond_64_bits_named(self, tmp_path, capsys):
+        doc = synth_config(tmp_path / "out", seed=2**64, reducer="pca")
+        cfg = write_config(tmp_path, doc)
+        assert main(["link", "--config", str(cfg)]) == 2
+        assert "[config] inputs.synthetic.seed:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_hidden_dim_named(self, tmp_path, capsys):
+        doc = synth_config(tmp_path / "out", reducer="pca", autoencoder={"hidden_dims": [4, 0]})
+        cfg = write_config(tmp_path, doc)
+        assert main(["link", "--config", str(cfg)]) == 2
+        assert "[config] autoencoder.hidden_dims[1]:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_validation_happens_before_any_output(self, tmp_path):
         doc = synth_config(tmp_path / "out")
         doc["folds"] = 1
