@@ -127,9 +127,19 @@ def loss_and_grads(layers, tanh_flags, X: np.ndarray):
     return loss, grads
 
 
-def reconstruction_mse(layers, tanh_flags, X: np.ndarray) -> float:
-    out = forward(layers, tanh_flags, X)[-1]
-    return float(np.mean((out - X) ** 2))
+def _reconstruction_mse_into(layers, tanh_flags, X: np.ndarray, bufs) -> float:
+    """Mean squared reconstruction error of X, each layer's activation
+    written into its (n, dout) buffer in `bufs`."""
+    a = X
+    for (w, b), is_tanh, z in zip(layers, tanh_flags, bufs):
+        np.matmul(a, w, out=z)
+        z += b
+        if is_tanh:
+            np.tanh(z, out=z)
+        a = z
+    a -= X
+    np.square(a, out=a)
+    return float(np.mean(a))
 
 
 def fit_autoencoder(X: np.ndarray, r: int, hyper: AutoencoderHyper | None = None) -> AutoencoderReducer:
@@ -137,7 +147,9 @@ def fit_autoencoder(X: np.ndarray, r: int, hyper: AutoencoderHyper | None = None
 
     All parameters live in one flat vector, so the momentum step is four
     whole-vector numpy calls however many layers the net has; each step's
-    cost is dominated by the number of numpy calls, not by their size.
+    cost is dominated by the number of numpy calls, not by their size. The
+    epoch-end loss over all rows goes through activation buffers allocated
+    once per fit.
     """
     hyper = hyper or AutoencoderHyper()
     X = np.asarray(X, dtype=np.float64)
@@ -159,27 +171,31 @@ def fit_autoencoder(X: np.ndarray, r: int, hyper: AutoencoderHyper | None = None
     grads = _layer_views(grad, dims)
     velocity = np.zeros_like(theta)
     step = np.empty_like(theta)
+    loss_bufs = [np.empty((n, dout)) for dout in dims[1:]]
 
     log = []
-    for epoch in range(hyper.epochs):
-        shuffled = X[rng.permutation(n)]
-        for start in range(0, n, hyper.batch_size):
-            batch = shuffled[start : start + hyper.batch_size]
-            acts = forward(layers, tanh_flags, batch)
-            delta = acts[-1]
-            delta -= batch
-            delta /= delta.size * 0.5
-            _backward(layers, tanh_flags, acts, delta, grads)
-            velocity *= MOMENTUM
-            velocity += grad
-            np.multiply(velocity, hyper.learning_rate, out=step)
-            theta -= step
-        epoch_loss = reconstruction_mse(layers, tanh_flags, X)
-        if not np.isfinite(epoch_loss):
-            raise TrainingDiverged(
-                f"non-finite reconstruction loss at epoch {epoch}; lower the learning rate"
-            )
-        log.append(epoch_loss)
+    # a diverging net overflows long before its epoch ends; TrainingDiverged
+    # reports it, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(hyper.epochs):
+            shuffled = X[rng.permutation(n)]
+            for start in range(0, n, hyper.batch_size):
+                batch = shuffled[start : start + hyper.batch_size]
+                acts = forward(layers, tanh_flags, batch)
+                delta = acts[-1]
+                delta -= batch
+                delta /= delta.size * 0.5
+                _backward(layers, tanh_flags, acts, delta, grads)
+                velocity *= MOMENTUM
+                velocity += grad
+                np.multiply(velocity, hyper.learning_rate, out=step)
+                theta -= step
+            epoch_loss = _reconstruction_mse_into(layers, tanh_flags, X, loss_bufs)
+            if not np.isfinite(epoch_loss):
+                raise TrainingDiverged(
+                    f"non-finite reconstruction loss at epoch {epoch}; lower the learning rate"
+                )
+            log.append(epoch_loss)
 
     frozen = tuple((w.copy(), b.copy()) for w, b in layers)
     return AutoencoderReducer(

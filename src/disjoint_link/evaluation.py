@@ -26,10 +26,11 @@ from .data import (
 from .linkage import (
     DEFAULT_K,
     DEFAULT_R,
+    FitJob,
     FittedReducer,
     NeighborMap,
     effective_r,
-    fit_reducer,
+    fitted_reducers,
     link_rows,
     median_aggregate,
     pair_reducers,
@@ -180,7 +181,6 @@ class D2Context:
 
     X_std: np.ndarray
     reducer: FittedReducer | None = None  # None for unlinked and random
-    r: int | None = None  # the R both sides' reducers are fitted with
 
 
 @dataclass(frozen=True)
@@ -198,22 +198,48 @@ def _ae_seeded(ae_hyper: AutoencoderHyper | None, *tags: int) -> AutoencoderHype
     return replace(ae_hyper or AutoencoderHyper(), seed=seed)
 
 
-def prepare_d2_context(
-    condition: str,
+def _standardized(X: np.ndarray) -> np.ndarray:
+    return apply_standardization(fit_standardization(X), X)
+
+
+def fit_jobs(
+    conditions: list[str],
+    d1: Dataset,
     d2: Dataset,
+    runs: list[tuple[int, list[tuple[np.ndarray, np.ndarray]]]],
     *,
     r: int,
-    r_cap_from_d1: int,
     ae_hyper: AutoencoderHyper | None,
-    seed: int,
-) -> D2Context:
-    X_std = apply_standardization(fit_standardization(d2.X), d2.X)
-    if condition in ("unlinked", "random"):
-        return D2Context(X_std)
-    r_eff = effective_r(r, r_cap_from_d1, *r_limits(condition, d2))
-    d2s = Dataset(d2.schema, X_std, d2.y, d2.id)
-    reducer = fit_reducer(condition, d2s, r_eff, _ae_seeded(ae_hyper, seed, 2))
-    return D2Context(X_std, reducer, r_eff)
+) -> dict[tuple[int, str, int | None], FitJob]:
+    """`fit_reducer`'s arguments for every reducer fit of a run, keyed by
+    (seed, condition, fold) in canonical order; fold None is D2's fit, listed
+    before D1's. `runs` pairs each CV seed with its split.
+
+    D2's side is fitted on its standardized rows, each fold's D1 side on the
+    fold's training rows standardized by their own statistics. Both sides of
+    a (seed, condition) share one R, capped by the seed's smallest training
+    fold.
+    """
+    linked = [c for c in conditions if c not in ("unlinked", "random")]
+    if not linked:
+        return {}
+    d2s = Dataset(d2.schema, _standardized(d2.X), d2.y, d2.id)
+    jobs = {}
+    for seed, split in runs:
+        r_cap = min(min(len(tr) for tr, _ in split), d1.k)
+        train = [Dataset(d1.schema, _standardized(d1.X[tr]), d1.y[tr], d1.id) for tr, _ in split]
+        for cond in linked:
+            r_eff = effective_r(r, r_cap, *r_limits(cond, d2))
+            jobs[seed, cond, None] = (cond, d2s, r_eff, _ae_seeded(ae_hyper, seed, 2))
+            for fold, d1_tr in enumerate(train):
+                jobs[seed, cond, fold] = (cond, d1_tr, r_eff, _ae_seeded(ae_hyper, seed, fold, 1))
+    return jobs
+
+
+def prepare_d2_context(d2: Dataset, reducer: FittedReducer | None = None) -> D2Context:
+    """D2's standardized rows with its fitted reducer (None for unlinked and
+    random)."""
+    return D2Context(_standardized(d2.X), reducer)
 
 
 def run_fold_condition(
@@ -222,13 +248,15 @@ def run_fold_condition(
     train_idx: np.ndarray,
     test_idx: np.ndarray,
     ctx: D2Context,
+    reducer: FittedReducer | None = None,
     *,
     k: int = DEFAULT_K,
-    ae_hyper: AutoencoderHyper | None = None,
     seed: int = 0,
     fold: int = 0,
 ) -> FoldOutcome:
-    """Evaluate one condition on one fold. Test labels touch nothing fitted."""
+    """Evaluate one condition on one fold with the D1 reducer fitted on the
+    fold's training rows (None for unlinked and random). Test labels touch
+    nothing fitted."""
     y_tr = d1.y[train_idx]
     y_te = d1.y[test_idx]
     params = fit_standardization(d1.X[train_idx])
@@ -247,9 +275,7 @@ def run_fold_condition(
             agg_tr = median_aggregate(nb_tr, ctx.X_std)
             agg_te = median_aggregate(nb_te, ctx.X_std)
         else:
-            d1_tr = Dataset(d1.schema, x_tr, y_tr, d1.id)
-            fit1 = fit_reducer(condition, d1_tr, ctx.r, _ae_seeded(ae_hyper, seed, fold, 1))
-            to_shared1, to_shared2, _ = pair_reducers(fit1, ctx.reducer)
+            to_shared1, to_shared2, *_ = pair_reducers(reducer, ctx.reducer)
             z_tr, z_te = normalize_latent(to_shared1(x_tr), to_shared1(x_te))
             (z2,) = normalize_latent(to_shared2(ctx.X_std))
             nb_tr, agg_tr = link_rows(z_tr, z2, ctx.X_std, k)
@@ -349,7 +375,9 @@ def evaluate_conditions(
     """Per-fold AUROC of every condition under stratified cross-validation.
 
     All conditions in one seed share the identical fold split, so comparisons
-    are paired.
+    are paired. The autoencoder fits of every seed train on a process pool
+    (see `fitted_reducers`) while the conditions before the autoencoder run;
+    the report does not depend on the worker count.
     """
     if folds < 2:
         raise DataError("folds must be >= 2")
@@ -361,21 +389,26 @@ def evaluate_conditions(
     d1.require_both_classes()
     d2.require_both_classes()
     ordered = [c for c in CONDITION_ORDER if c in set(conditions)]
+    runs = [(seed, stratified_kfold(d1, folds, seed)) for seed in seeds]
+    jobs = fit_jobs(ordered, d1, d2, runs, r=r, ae_hyper=ae_hyper)
+    keys = sorted(jobs, key=lambda key: key[2] is not None)  # D2's fits, the longest, start first
     results: dict[str, list[list[float]]] = {c: [] for c in ordered}
-    for seed in seeds:
-        split = stratified_kfold(d1, folds, seed)
-        min_train = min(len(tr) for tr, _ in split)
-        r_cap = min(min_train, d1.k)
-        for cond in ordered:
-            ctx = prepare_d2_context(cond, d2, r=r, r_cap_from_d1=r_cap, ae_hyper=ae_hyper, seed=seed)
-            fold_values = []
-            for fold, (tr, te) in enumerate(split):
-                out = run_fold_condition(
-                    cond, d1, tr, te, ctx,
-                    k=k, ae_hyper=ae_hyper, seed=seed, fold=fold,
-                )
-                fold_values.append(out.auroc)
-            results[cond].append(fold_values)
+    with fitted_reducers([jobs[key] for key in keys]) as fitted:
+        fit = dict(zip(keys, fitted))
+
+        def reducer(*key):
+            return fit[key]() if key in fit else None
+
+        for seed, split in runs:
+            for cond in ordered:
+                ctx = prepare_d2_context(d2, reducer(seed, cond, None))
+                results[cond].append([
+                    run_fold_condition(
+                        cond, d1, tr, te, ctx, reducer(seed, cond, fold),
+                        k=k, seed=seed, fold=fold,
+                    ).auroc
+                    for fold, (tr, te) in enumerate(split)
+                ])
     return EvaluationReport(
         d1_id=d1.id,
         d2_id=d2.id,

@@ -7,15 +7,19 @@ transforms into one shared R-dimensional space, `normalize_latent` z-scores
 each side's latent axes, and `link_rows` gives every query row the
 feature-wise median of its k nearest reference rows. The search streams over
 row blocks, so the full distance matrix (`distance_matrix`) is never built on
-the linking path.
+the linking path. `fitted_reducers` runs a command's autoencoder fits on a
+process pool.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -28,6 +32,7 @@ from .data import (
     standardize,
 )
 from .reducers import (
+    FeatureImportancePair,
     PcaReducer,
     ReducedDataset,
     TScoreReport,
@@ -150,6 +155,7 @@ def _concat_linked(
 
 FittedReducer = TScoreReport | PcaReducer | AutoencoderReducer
 RowTransform = Callable[[np.ndarray], np.ndarray]
+FitJob = tuple[str, Dataset, int, AutoencoderHyper]  # fit_reducer's arguments
 
 
 def effective_r(requested: int, *limits: int) -> int:
@@ -178,26 +184,62 @@ def fit_reducer(kind: str, d: Dataset, r: int, hyper: AutoencoderHyper) -> Fitte
     raise DataError(f"unknown reducer kind {kind!r}")
 
 
+@contextmanager
+def fitted_reducers(jobs: list[FitJob]) -> Iterator[list[Callable[[], FittedReducer]]]:
+    """One callable per job, in order, that returns the job's fitted reducer.
+
+    Autoencoder fits, the slow ones, start on entry as their own jobs on a
+    fork pool of at most one worker per usable core, in the order given; every
+    other fit runs inline when its callable is called. The fitted bytes do not
+    depend on the worker count. On exit, fits not yet started are cancelled
+    and the workers joined, so no child process outlives the block.
+    """
+    n_pooled = sum(kind == "autoencoder" for kind, *_ in jobs)
+    if not n_pooled:
+        yield [partial(fit_reducer, *job) for job in jobs]
+        return
+    # imported here: at module level they add 20-25 ms to the start-up of
+    # every command, including those that fit no autoencoder
+    import concurrent.futures
+    import multiprocessing
+
+    pool = concurrent.futures.ProcessPoolExecutor(
+        min(n_pooled, len(os.sched_getaffinity(0))),
+        # fork, not spawn: a spawned worker imports numpy and the package
+        # again, about 0.3 s each. The package runs no threads, and a fork
+        # pool forks every worker before it starts its own
+        mp_context=multiprocessing.get_context("fork"),
+    )
+    try:
+        yield [
+            pool.submit(fit_reducer, *job).result if job[0] == "autoencoder" else partial(fit_reducer, *job)
+            for job in jobs
+        ]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def pair_reducers(
     fit1: FittedReducer, fit2: FittedReducer
-) -> tuple[RowTransform, RowTransform, int]:
-    """Row transforms of two fitted sides into one shared space, and its R.
+) -> tuple[RowTransform, RowTransform, int, FeatureImportancePair | None]:
+    """Row transforms of two fitted sides into one shared space, its R, and
+    the feature-importance pairing (None for the other reducers).
 
     Only feature importance pairs anything: each side keeps the columns whose
     t-score sign and rank match a column of the other side.
     """
     if isinstance(fit1, TScoreReport):
         pair = feature_importance_pair(fit1, fit2)
-        return (lambda X: X[:, pair.sel1]), (lambda X: X[:, pair.sel2]), pair.r
+        return (lambda X: X[:, pair.sel1]), (lambda X: X[:, pair.sel2]), pair.r, pair
     if isinstance(fit1, PcaReducer):
         r = fit1.components.shape[0]
-        return (lambda X: project_pca(fit1, X).Z), (lambda X: project_pca(fit2, X).Z), r
-    return (lambda X: encode(fit1, X)), (lambda X: encode(fit2, X)), fit1.latent_dim
+        return (lambda X: project_pca(fit1, X).Z), (lambda X: project_pca(fit2, X).Z), r, None
+    return (lambda X: encode(fit1, X)), (lambda X: encode(fit2, X)), fit1.latent_dim, None
 
 
-def _reducer_payload(fit1: FittedReducer, fit2: FittedReducer) -> dict:
-    if isinstance(fit1, TScoreReport):
-        return pair_to_payload(feature_importance_pair(fit1, fit2), fit1.t, fit2.t)
+def _reducer_payload(fit1: FittedReducer, fit2: FittedReducer, pair: FeatureImportancePair | None) -> dict:
+    if pair is not None:
+        return pair_to_payload(pair, fit1.t, fit2.t)
     to_payload = pca_to_payload if isinstance(fit1, PcaReducer) else autoencoder_to_payload
     return {"d1": to_payload(fit1), "d2": to_payload(fit2)}
 
@@ -225,14 +267,18 @@ def link_detailed(
 ) -> LinkResult:
     """Full pipeline: standardize, reduce, normalize, exact neighbors both
     ways, median aggregation, concatenation. The autoencoders of D1 and D2
-    train with seeds `seed` and `seed + 1`."""
+    train concurrently with seeds `seed` and `seed + 1`."""
     d1s, _ = standardize(d1)
     d2s, _ = standardize(d2)
     r_fit = effective_r(r, *r_limits(reducer_kind, d1s), *r_limits(reducer_kind, d2s))
     hyper = ae_hyper or AutoencoderHyper()
-    fit1 = fit_reducer(reducer_kind, d1s, r_fit, replace(hyper, seed=seed))
-    fit2 = fit_reducer(reducer_kind, d2s, r_fit, replace(hyper, seed=seed + 1))
-    to_shared1, to_shared2, r_eff = pair_reducers(fit1, fit2)
+    jobs = [
+        (reducer_kind, d1s, r_fit, replace(hyper, seed=seed)),
+        (reducer_kind, d2s, r_fit, replace(hyper, seed=seed + 1)),
+    ]
+    with fitted_reducers(jobs) as fitted:
+        fit1, fit2 = [result() for result in fitted]  # D1 first: its error is the one raised
+    to_shared1, to_shared2, r_eff, pair = pair_reducers(fit1, fit2)
     (z1,) = normalize_latent(to_shared1(d1s.X))
     (z2,) = normalize_latent(to_shared2(d2s.X))
     nb12, agg12 = link_rows(z1, z2, d2s.X, k)
@@ -246,7 +292,7 @@ def link_detailed(
         r=r_eff,
         neighbors_12=nb12,
         neighbors_21=nb21,
-        reducer_payload={"kind": reducer_kind, "R": r_eff, **_reducer_payload(fit1, fit2)},
+        reducer_payload={"kind": reducer_kind, "R": r_eff, **_reducer_payload(fit1, fit2, pair)},
     )
 
 

@@ -113,6 +113,17 @@ def pca_components_brute(X, r):
     return np.maximum(vals[order], 0.0), comps
 
 
+def reconstruction_mse(layers, tanh_flags, X):
+    """Mean squared reconstruction error through an allocating forward pass."""
+    X = np.asarray(X, dtype=np.float64)
+    a = X
+    for (w, b), is_tanh in zip(layers, tanh_flags):
+        a = a @ w + b
+        if is_tanh:
+            a = np.tanh(a)
+    return float(np.mean((a - X) ** 2))
+
+
 def fit_autoencoder_reference(X, r, hyper):
     """The autoencoder training loop in its plain per-layer form: allocating
     forward and backward passes, a per-layer momentum update and a fancy-index

@@ -28,9 +28,10 @@ from disjoint_link.evaluation import (
     auroc,
     evaluate_conditions,
     prepare_d2_context,
+    fit_jobs,
     run_fold_condition,
 )
-from disjoint_link.linkage import LinkageMatrix, k_nearest, link, median_aggregate
+from disjoint_link.linkage import LinkageMatrix, fit_reducer, k_nearest, link, median_aggregate
 from disjoint_link.reducers import fit_pca, project_pca
 from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair
 
@@ -256,14 +257,19 @@ def test_criterion_7_pipeline_invariant_suite(tmp_path):
     e1, e2 = synthesize_disjoint_pair(pair_cfg)
     hyper = AutoencoderHyper(epochs=5)
     tr, te = stratified_kfold(e1, 3, 0)[0]
+
+    def run_fold(condition, d):
+        jobs = fit_jobs([condition], d, e2, [(0, [(tr, te)])], r=2, ae_hyper=hyper)
+        fits = {fold: fit_reducer(*job) for (_, _, fold), job in jobs.items()}
+        ctx = prepare_d2_context(e2, fits.get(None))
+        return run_fold_condition(condition, d, tr, te, ctx, fits.get(0), k=3, seed=0, fold=0)
+
     for condition in ("unlinked", "random", "feature_importance", "pca", "autoencoder"):
-        ctx = prepare_d2_context(condition, e2, r=2, r_cap_from_d1=min(len(tr), e1.k),
-                                 ae_hyper=hyper, seed=0)
         y_mut = e1.y.copy()
         y_mut[te] = np.roll(y_mut[te], 1)
         e1_mut = Dataset(e1.schema, e1.X, y_mut, e1.id)
-        out_a = run_fold_condition(condition, e1, tr, te, ctx, k=3, ae_hyper=hyper, seed=0, fold=0)
-        out_b = run_fold_condition(condition, e1_mut, tr, te, ctx, k=3, ae_hyper=hyper, seed=0, fold=0)
+        out_a = run_fold(condition, e1)
+        out_b = run_fold(condition, e1_mut)
         assert np.array_equal(out_a.model.weights, out_b.model.weights)
         assert np.array_equal(out_a.scores, out_b.scores)
 

@@ -1,4 +1,7 @@
+import concurrent.futures
 import json
+import multiprocessing
+import os
 
 from disjoint_link.cli import main
 
@@ -176,6 +179,54 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "chosen")]) == 0
         assert (tmp_path / "chosen" / "report.json").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+class TestPooledFits:
+    def test_outputs_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
+        workers = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        outputs = []
+        for cores in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+            out = tmp_path / str(len(cores))
+            evaluate = TestEvaluateCommand().evaluate_config(out / "evaluate")
+            link = synth_config(out / "link", reducer="autoencoder", k=2, R=2,
+                                autoencoder={"hidden_dims": [4], "epochs": 3,
+                                             "batch_size": 16, "learning_rate": 0.01})
+            assert main(["evaluate", "--config", str(write_config(tmp_path, evaluate))]) == 0
+            assert main(["link", "--config", str(write_config(tmp_path, link))]) == 0
+            outputs.append(((out / "evaluate" / "report.json").read_bytes(),
+                            (out / "link" / "reducer.json").read_bytes()))
+        assert sorted(set(workers)) == [1, 2]
+        assert outputs[0] == outputs[1]
+        assert b"training_log" in outputs[0][1]
+
+    def test_divergence_reports_the_first_failing_fit(self, tmp_path, capsys):
+        # the acceptance pair with a learning rate that overflows every fit:
+        # the error is the serial run's first one, D2's fit for evaluate and
+        # D1's for link
+        doc = {
+            "inputs": {"synthetic": {
+                "latent_dim": 3, "n1": 300, "k1": 6, "n2": 3000, "k2": 10,
+                "noise_sigma": 1.0, "positive_rate": 0.05, "seed": 11,
+            }},
+            "reducer": "autoencoder",
+            "seeds": [0],
+            "autoencoder": {"learning_rate": 1e6},
+            "output_dir": str(tmp_path / "out"),
+        }
+        cfg = write_config(tmp_path, doc)
+        for command, epoch in (("evaluate", 0), ("link", 2)):
+            assert main([command, "--config", str(cfg)]) == 1
+            err = capsys.readouterr().err
+            assert f"error: [{command}] non-finite reconstruction loss at epoch {epoch};" in err
+            assert multiprocessing.active_children() == []
 
 
 class TestValidation:

@@ -1,6 +1,10 @@
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+from disjoint_link.autoencoder import AutoencoderHyper
 from disjoint_link.data import (
     DataError,
     apply_standardization,
@@ -15,10 +19,11 @@ from disjoint_link.evaluation import (
     logistic_loss_and_grad,
     predict_proba,
     prepare_d2_context,
+    fit_jobs,
     roc_curve,
     run_fold_condition,
 )
-from disjoint_link.linkage import link_detailed
+from disjoint_link.linkage import fit_reducer, link_detailed
 from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair
 
 from oracles import auroc_brute
@@ -245,15 +250,58 @@ class TestEvaluateConditions:
         assert len(lines) == 1
 
 
+class TestPooledFits:
+    def test_report_equals_the_serial_pipeline(self):
+        # every pooled fit reaches the (seed, fold) it was listed for
+        d1, d2 = small_pair(4)
+        hyper = AutoencoderHyper(hidden_dims=(4,), epochs=5)
+        seeds = [0, 1]
+        report = evaluate_conditions(d1, d2, ["autoencoder"], folds=3, seeds=seeds, k=3, r=2,
+                                     ae_hyper=hyper)
+        assert multiprocessing.active_children() == []
+
+        runs = [(seed, stratified_kfold(d1, 3, seed)) for seed in seeds]
+        jobs = fit_jobs(["autoencoder"], d1, d2, runs, r=2, ae_hyper=hyper)
+        want = []
+        for seed, split in runs:
+            ctx = prepare_d2_context(d2, fit_reducer(*jobs[seed, "autoencoder", None]))
+            fold_values = []
+            for fold, (tr, te) in enumerate(split):
+                d1_tr = jobs[seed, "autoencoder", fold][1]
+                assert np.array_equal(d1_tr.X, apply_standardization(fit_standardization(d1.X[tr]), d1.X[tr]))
+                fit1 = fit_reducer(*jobs[seed, "autoencoder", fold])
+                out = run_fold_condition("autoencoder", d1, tr, te, ctx, fit1, k=3, seed=seed, fold=fold)
+                fold_values.append(out.auroc)
+            want.append(tuple(fold_values))
+        assert report.conditions["autoencoder"].per_seed == tuple(want)
+
+    def test_divergence_leaves_no_worker(self):
+        d1, d2 = small_pair(4)
+        hyper = AutoencoderHyper(hidden_dims=(), epochs=50, learning_rate=50.0)
+        with pytest.raises(RuntimeError, match="non-finite reconstruction loss at epoch"):
+            evaluate_conditions(d1, d2, ["autoencoder"], folds=3, seeds=[0], k=3, r=2, ae_hyper=hyper)
+        assert multiprocessing.active_children() == []
+
+    def test_no_autoencoder_starts_no_process(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        d1, d2 = small_pair()
+        report = evaluate_conditions(d1, d2, ["unlinked", "random", "feature_importance", "pca"],
+                                     folds=2, seeds=[0], k=3, r=2)
+        assert set(report.conditions) == {"unlinked", "random", "feature_importance", "pca"}
+
+
 class TestOnePipeline:
     @pytest.mark.parametrize("condition", ["feature_importance", "pca"])
     def test_all_rows_fold_matches_link(self, condition):
         # with every row in both training and test, a fold links D1 exactly as `link` does
         d1, d2 = small_pair(3)
         rows = np.arange(d1.n)
-        ctx = prepare_d2_context(condition, d2, r=3, r_cap_from_d1=min(d1.n, d1.k),
-                                 ae_hyper=None, seed=0)
-        out = run_fold_condition(condition, d1, rows, rows, ctx, k=4)
+        jobs = fit_jobs([condition], d1, d2, [(0, [(rows, rows)])], r=3, ae_hyper=None)
+        ctx = prepare_d2_context(d2, fit_reducer(*jobs[0, condition, None]))
+        out = run_fold_condition(condition, d1, rows, rows, ctx, fit_reducer(*jobs[0, condition, 0]), k=4)
         want = link_detailed(d1, d2, condition, k=4, r=3).neighbors_12
         assert np.array_equal(out.neighbors_train.neighbors, want.neighbors)
         assert np.array_equal(out.neighbors_train.distances, want.distances)
@@ -269,16 +317,20 @@ class TestLeakageAudit:
         hyper = AutoencoderHyper(epochs=5)
         splits = stratified_kfold(d1, 3, 0)
         tr, te = splits[0]
-        ctx = prepare_d2_context(condition, d2, r=2, r_cap_from_d1=min(len(tr), d1.k),
-                                 ae_hyper=hyper, seed=0)
+
+        def run(d):
+            jobs = fit_jobs([condition], d, d2, [(0, [(tr, te)])], r=2, ae_hyper=hyper)
+            fits = {fold: fit_reducer(*job) for (_, _, fold), job in jobs.items()}
+            ctx = prepare_d2_context(d2, fits.get(None))
+            return run_fold_condition(condition, d, tr, te, ctx, fits.get(0), k=3, seed=0, fold=0)
 
         y_mut = d1.y.copy()
         y_mut[te] = np.roll(y_mut[te], 1)  # permute only the test fold's labels
         assert not np.array_equal(y_mut, d1.y)
         d1_mut = Dataset(d1.schema, d1.X, y_mut, d1.id)
 
-        a = run_fold_condition(condition, d1, tr, te, ctx, k=3, ae_hyper=hyper, seed=0, fold=0)
-        b = run_fold_condition(condition, d1_mut, tr, te, ctx, k=3, ae_hyper=hyper, seed=0, fold=0)
+        a = run(d1)
+        b = run(d1_mut)
 
         assert np.array_equal(a.model.weights, b.model.weights)
         assert a.model.bias == b.model.bias

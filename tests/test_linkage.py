@@ -1,8 +1,12 @@
+import multiprocessing
+import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from disjoint_link.autoencoder import AutoencoderHyper, fit_autoencoder
 from disjoint_link.data import DataError, standardize
 from disjoint_link.linkage import (
     LinkageMatrix,
@@ -17,7 +21,7 @@ from disjoint_link.linkage import (
     random_link,
     random_link_detailed,
 )
-from disjoint_link.reducers import ReducedDataset
+from disjoint_link.reducers import ReducedDataset, autoencoder_to_payload
 
 from oracles import pairwise_dist_brute
 
@@ -255,6 +259,32 @@ class TestLink:
         d1 = make_dataset([[0.0], [1.0]], [0, 1], "d1")
         with pytest.raises(DataError, match="unknown reducer"):
             link(d1, d1, "umap")
+
+
+class TestPooledFits:
+    def test_autoencoder_sides_keep_their_rows_and_seeds(self, make_dataset):
+        # D1 trains with `seed` and D2 with `seed + 1`, however the pool
+        # schedules them, and no worker outlives the call
+        rng = np.random.default_rng(13)
+        d1 = make_dataset(rng.normal(size=(12, 3)), [0, 1] * 6, "d1")
+        d2 = make_dataset(rng.normal(size=(16, 3)), [0, 1] * 8, "d2")
+        hyper = AutoencoderHyper(hidden_dims=(4,), epochs=3)
+        res = link_detailed(d1, d2, "autoencoder", k=2, r=2, ae_hyper=hyper, seed=4)
+        assert multiprocessing.active_children() == []
+        for side, d, seed in (("d1", d1, 4), ("d2", d2, 5)):
+            want = fit_autoencoder(standardize(d)[0].X, 2, replace(hyper, seed=seed))
+            assert res.reducer_payload[side] == autoencoder_to_payload(want), side
+
+    def test_no_autoencoder_starts_no_process(self, make_dataset, monkeypatch):
+        def no_fork():
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        rng = np.random.default_rng(14)
+        d1 = make_dataset(rng.normal(size=(12, 3)), [0, 1] * 6, "d1")
+        d2 = make_dataset(rng.normal(size=(16, 4)), [0, 1] * 8, "d2")
+        for kind in ("pca", "feature_importance"):
+            link_detailed(d1, d2, kind, k=2, r=2)
 
 
 class TestRandomLink:
