@@ -30,11 +30,8 @@ from .evaluation import (
 )
 from .figures import export_projection_2d
 from .linkage import (
-    LinkageMatrix,
     LinkedDataset,
     NeighborMap,
-    distance_matrix,
-    k_nearest,
     link,
     link_rows,
     median_aggregate,
@@ -63,7 +60,6 @@ __all__ = [
     "EvaluationReport",
     "FeatureImportancePair",
     "FeatureSchema",
-    "LinkageMatrix",
     "LinkedDataset",
     "LogisticHyper",
     "LogisticModel",
@@ -75,14 +71,12 @@ __all__ = [
     "TScoreReport",
     "auroc",
     "compute_t_scores",
-    "distance_matrix",
     "encode",
     "evaluate_conditions",
     "export_projection_2d",
     "fit_autoencoder",
     "fit_logistic",
     "fit_pca",
-    "k_nearest",
     "link",
     "link_rows",
     "load_csv",

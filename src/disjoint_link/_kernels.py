@@ -1,14 +1,28 @@
 """Exact numeric kernels: distances, per-row k smallest, neighbor medians, sigmoid.
 
-`nearest` streams the query rows in blocks of about `_BLOCK_CELLS` distances:
-each block gets its exact distances from `pairwise_euclidean` and its top k
-from `k_smallest`, so memory stays at O(block + (N + M) k) and no N x M
-matrix is ever held. Both kernels are looked up as module globals on every
-block, which lets a caller wrap them to time each layer.
+`pairwise_euclidean` accumulates squared differences in ascending order of
+the reduced axis; its bits define every distance the package reports, and
+`k_smallest` orders a row by (distance, column), so ties go to the lower
+index.
 
-Distances accumulate squared differences in ascending order of the reduced
-axis. The GEMM form |a|^2 + |b|^2 - 2ab is not used: it is faster but off by
-about 1e-15, which breaks exact ties and so the lower-index tie rule.
+`nearest` gives the same answer as the two of them on the full N x M matrix,
+bit for bit, in three steps over blocks of about `_BLOCK_CELLS` cells:
+
+- filter: one GEMM per block gives approximate squared distances on centred
+  coordinates, and `argpartition` keeps the k + 1 smallest of each row;
+- certify: a rigorous bound M on the GEMM's error decides whether a row's k
+  candidates are certainly its k nearest, with no tie across the boundary;
+- refine: the candidates' distances are recomputed with the exact ufunc
+  sequence and ordered by (distance, column).
+
+The GEMM only prunes: every distance and every ordering decision comes from
+the exact arithmetic. A row the bound cannot settle (a tie or near-tie at
+the k-th place) refines every column within 2M of its k-th candidate; a row
+with non-finite or overflowing values, or whose candidate set is too large
+to pay off, takes `k_smallest(pairwise_euclidean(...))` on its own.
+Memory stays at O(block + (N + M) k). `pairwise_euclidean` and `k_smallest`
+are looked up as module globals, which lets a caller wrap them to time each
+layer; since the filter, they see only the rows that take the exact path.
 """
 
 from __future__ import annotations
@@ -68,20 +82,143 @@ def nearest(query: np.ndarray, ref: np.ndarray, k: int) -> tuple[np.ndarray, np.
     """For each query row, the k nearest `ref` rows and their exact distances.
 
     Equal to `k_smallest(pairwise_euclidean(query, ref), k)` bit for bit, but
-    computed over blocks of query rows so the full matrix never exists.
+    computed over blocks of query rows by filter, certify and refine (see the
+    module docstring), so the full matrix never exists.
     """
     query = np.ascontiguousarray(query, dtype=np.float64)
     ref = np.ascontiguousarray(ref, dtype=np.float64)
+    if query.ndim != 2 or ref.ndim != 2:
+        raise ValueError("inputs must be 2-D")
+    if query.shape[1] != ref.shape[1]:
+        raise ValueError(f"dimension mismatch: {query.shape[1]} vs {ref.shape[1]}")
     n, m = query.shape[0], ref.shape[0]
     if not 1 <= k <= m:
         raise ValueError(f"k={k} out of range for {m} reference rows")
     idx = np.empty((n, k), dtype=np.int64)
     dist = np.empty((n, k))
     step = max(1, _BLOCK_CELLS // m)
-    for lo in range(0, n, step):
-        block = pairwise_euclidean(query[lo : lo + step], ref)
-        idx[lo : lo + step], dist[lo : lo + step] = k_smallest(block, k)
+    # k == m keeps every column, so the full stable sort is the whole answer
+    exact = np.arange(n) if k == m else _filter_refine(query, ref, k, step, idx, dist)
+    for lo in range(0, len(exact), step):
+        rows = exact[lo : lo + step]
+        idx[rows], dist[rows] = k_smallest(pairwise_euclidean(query[rows], ref), k)
     return idx, dist
+
+
+def _filter_refine(
+    query: np.ndarray, ref: np.ndarray, k: int, step: int, idx: np.ndarray, dist: np.ndarray
+) -> np.ndarray:
+    """Fill the rows of `idx`/`dist` that the GEMM filter can settle; return
+    the rows left for the exact full-row path.
+
+    Filter. With c = ref's column mean, a = fl(q - c) and b = fl(r - c), one
+    GEMM of [a, 1] against [-2b, |b|^2] gives A = |b|^2 - 2 a.b, which is the
+    squared distance less the row constant |a|^2. `argpartition` takes each
+    row's k + 1 smallest A. Centring keeps |a| and |b| at the data's spread,
+    so a common offset does not inflate the bound.
+
+    Certify. Let E be the squared distance `pairwise_euclidean` computes (its
+    sqrt is the reported distance), u = 2^-53, eta = 2^-1074 (the smallest
+    subnormal) and s_i = |a_i|^2 + max_j |b_j|^2. For every column j,
+    |A_ij + |a_i|^2 - E_ij| + slack_i <= M_i with
+
+        M_i = (8R + 32) u s_i + 8 (R + 2) eta.
+
+    The terms hold for any summation order, FMA or not (gamma_n = nu/(1-nu)):
+    - the GEMM and |b|^2, each a sum of at most R + 1 terms: (3R + 4) u s_i;
+    - the centring rounds a and b, which moves |a - b|^2 off |q - r|^2 by at
+      most (4 + 10u) u s_i;
+    - E's own rounding, subtract, square and add in R-order: (2R + 4) u s_i;
+    - slack_i = 4.01 u s_i + 6 eta: two squared distances more than 2 slack
+      apart keep their order through the correctly rounded sqrt, subnormal
+      ones included;
+    - products that underflow: (3R + 2) eta.
+    That is (5R + 16.1) u s_i + (3R + 8) eta; M_i takes 1.6 times as much so
+    that the rounding of M and of the comparisons below cannot eat into it.
+    A row is certified when A_(k+1) - A_(k) > 2 M_i (its (k+1)-th smallest
+    A against the largest of its first k): then every pruned column is
+    farther than every candidate after the sqrt, so the candidates are the
+    k nearest with no tie across the boundary. A row whose s_i is not finite
+    or above 2^1000, where E, the GEMM or the norms could overflow, skips
+    the filter.
+
+    Refine. A certified row refines its k candidates. Any other row refines
+    the superset {j : A_j <= A_(k) + 2 M_i}, which holds every column that
+    can be among its k nearest; a superset of more than a quarter of the row
+    costs more than the row, so that row takes the exact path instead.
+    """
+    r = query.shape[1]
+    m = ref.shape[0]
+    u, eta = 2.0**-53, 2.0**-1074
+    # non-finite or overflowing inputs make nan and inf here; their rows fail
+    # the bounds check and take the exact path, which warns as it always has
+    with np.errstate(all="ignore"):
+        c = ref.mean(axis=0)
+        a = query - c
+        b = ref - c
+        na = np.einsum("ij,ij->i", a, a)
+        nb = np.einsum("ij,ij->i", b, b)
+        scale = na + nb.max()
+        bound = 2.0 * ((8 * r + 32) * u * scale + 8 * (r + 2) * eta)  # 2 M
+        ok = scale <= 2.0**1000
+        qa = np.hstack([a, np.ones((len(a), 1))])
+        bt = np.vstack([-2.0 * b.T, nb])
+    rows_ok = np.flatnonzero(ok)
+    exact = [np.flatnonzero(~ok)]
+    query_t, ref_t = query.T.copy(), ref.T.copy()
+    sure_rows, sure_cand = [], []
+    buf = np.empty((min(step, len(rows_ok)), m))
+    for lo in range(0, len(rows_ok), step):
+        rows = rows_ok[lo : lo + step]
+        A = np.matmul(qa[rows], bt, out=buf[: len(rows)])
+        part = np.argpartition(A, k, axis=1)[:, : k + 1]
+        vals = np.take_along_axis(A, part, axis=1)
+        kth = vals[:, :k].max(axis=1)
+        sure = vals[:, k] - kth > bound[rows]
+        sure_rows.append(rows[sure])
+        sure_cand.append(np.sort(part[sure, :k], axis=1))
+        if sure.all():
+            continue
+        unsure = rows[~sure]
+        inside = A[~sure] <= (kth[~sure] + bound[unsure])[:, None]
+        counts = inside.sum(axis=1)
+        big = counts > m // 4
+        exact.append(unsure[big])
+        if not big.all():
+            inside, counts = inside[~big], counts[~big]
+            i, j = np.nonzero(inside)  # row by row, columns ascending
+            cand = np.full((len(counts), counts.max()), m)  # m pads the shorter rows
+            cand[i, np.arange(len(j)) - np.repeat(np.cumsum(counts) - counts, counts)] = j
+            _refine(query_t, ref_t, k, unsure[~big], cand, idx, dist)
+    if sure_rows:
+        _refine(query_t, ref_t, k, np.concatenate(sure_rows), np.concatenate(sure_cand), idx, dist)
+    return np.concatenate(exact)
+
+
+def _refine(
+    query_t: np.ndarray, ref_t: np.ndarray, k: int, rows: np.ndarray, cand: np.ndarray,
+    idx: np.ndarray, dist: np.ndarray,
+) -> None:
+    """Write the k nearest of each of `rows` among its candidate columns
+    `cand` (one row each, ascending, padded with m), ordered by (distance,
+    column).
+
+    The distances are `pairwise_euclidean`'s ufunc sequence on the same
+    operands, so they have its bits.
+    """
+    pad = cand == ref_t.shape[1]
+    gather = np.where(pad, 0, cand)
+    acc = np.zeros(cand.shape)
+    diff = np.empty_like(acc)
+    for qt, rt in zip(query_t, ref_t):
+        np.subtract(qt[rows, None], rt[gather], out=diff)
+        np.multiply(diff, diff, out=diff)
+        acc += diff
+    np.sqrt(acc, out=acc)
+    acc[pad] = np.inf
+    order = np.argsort(acc, axis=1, kind="stable")[:, :k]
+    idx[rows] = np.take_along_axis(cand, order, axis=1)
+    dist[rows] = np.take_along_axis(acc, order, axis=1)
 
 
 def median_over_rows(values: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from .data import (
     DataError,
     apply_standardization,
     fit_standardization,
+    standardize,
     stratified_kfold,
 )
 from .linkage import (
@@ -205,7 +206,7 @@ def _standardized(X: np.ndarray) -> np.ndarray:
 def fit_jobs(
     conditions: list[str],
     d1: Dataset,
-    d2: Dataset,
+    d2s: Dataset,
     runs: list[tuple[int, list[tuple[np.ndarray, np.ndarray]]]],
     *,
     r: int,
@@ -215,31 +216,30 @@ def fit_jobs(
     (seed, condition, fold) in canonical order; fold None is D2's fit, listed
     before D1's. `runs` pairs each CV seed with its split.
 
-    D2's side is fitted on its standardized rows, each fold's D1 side on the
-    fold's training rows standardized by their own statistics. Both sides of
-    a (seed, condition) share one R, capped by the seed's smallest training
-    fold.
+    D2's side is fitted on `d2s`, D2 with its rows standardized, each fold's
+    D1 side on the fold's training rows standardized by their own statistics.
+    Both sides of a (seed, condition) share one R, capped by the seed's
+    smallest training fold.
     """
     linked = [c for c in conditions if c not in ("unlinked", "random")]
     if not linked:
         return {}
-    d2s = Dataset(d2.schema, _standardized(d2.X), d2.y, d2.id)
     jobs = {}
     for seed, split in runs:
         r_cap = min(min(len(tr) for tr, _ in split), d1.k)
         train = [Dataset(d1.schema, _standardized(d1.X[tr]), d1.y[tr], d1.id) for tr, _ in split]
         for cond in linked:
-            r_eff = effective_r(r, r_cap, *r_limits(cond, d2))
+            r_eff = effective_r(r, r_cap, *r_limits(cond, d2s))
             jobs[seed, cond, None] = (cond, d2s, r_eff, _ae_seeded(ae_hyper, seed, 2))
             for fold, d1_tr in enumerate(train):
                 jobs[seed, cond, fold] = (cond, d1_tr, r_eff, _ae_seeded(ae_hyper, seed, fold, 1))
     return jobs
 
 
-def prepare_d2_context(d2: Dataset, reducer: FittedReducer | None = None) -> D2Context:
-    """D2's standardized rows with its fitted reducer (None for unlinked and
-    random)."""
-    return D2Context(_standardized(d2.X), reducer)
+def prepare_d2_context(d2s: Dataset, reducer: FittedReducer | None = None) -> D2Context:
+    """D2's standardized rows, those of `d2s`, with its fitted reducer (None
+    for unlinked and random)."""
+    return D2Context(d2s.X, reducer)
 
 
 def run_fold_condition(
@@ -390,7 +390,8 @@ def evaluate_conditions(
     d2.require_both_classes()
     ordered = [c for c in CONDITION_ORDER if c in set(conditions)]
     runs = [(seed, stratified_kfold(d1, folds, seed)) for seed in seeds]
-    jobs = fit_jobs(ordered, d1, d2, runs, r=r, ae_hyper=ae_hyper)
+    d2s, _ = standardize(d2)  # once: every seed and condition shares D2's rows
+    jobs = fit_jobs(ordered, d1, d2s, runs, r=r, ae_hyper=ae_hyper)
     keys = sorted(jobs, key=lambda key: key[2] is not None)  # D2's fits, the longest, start first
     results: dict[str, list[list[float]]] = {c: [] for c in ordered}
     with fitted_reducers([jobs[key] for key in keys]) as fitted:
@@ -401,7 +402,7 @@ def evaluate_conditions(
 
         for seed, split in runs:
             for cond in ordered:
-                ctx = prepare_d2_context(d2, reducer(seed, cond, None))
+                ctx = prepare_d2_context(d2s, reducer(seed, cond, None))
                 results[cond].append([
                     run_fold_condition(
                         cond, d1, tr, te, ctx, reducer(seed, cond, fold),

@@ -43,14 +43,15 @@ def scatter_svg(p: Projection2D, title: str = "") -> str:
     """Self-contained SVG scatter, one marker color per class."""
     width, height, margin = 640.0, 480.0, 48.0
     xs, ys = p.points[:, 0], p.points[:, 1]
-    xspan = max(xs.max() - xs.min(), 1e-12)
-    yspan = max(ys.max() - ys.min(), 1e-12)
+    xmin, ymin = xs.min(), ys.min()
+    xspan = max(xs.max() - xmin, 1e-12)
+    yspan = max(ys.max() - ymin, 1e-12)
 
     def sx(v):
-        return margin + (v - xs.min()) / xspan * (width - 2 * margin)
+        return margin + (v - xmin) / xspan * (width - 2 * margin)
 
     def sy(v):
-        return height - margin - (v - ys.min()) / yspan * (height - 2 * margin)
+        return height - margin - (v - ymin) / yspan * (height - 2 * margin)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '

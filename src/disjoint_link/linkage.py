@@ -6,9 +6,8 @@ standardized rows, `pair_reducers` turns the two fitted sides into row
 transforms into one shared R-dimensional space, `normalize_latent` z-scores
 each side's latent axes, and `link_rows` gives every query row the
 feature-wise median of its k nearest reference rows. The search streams over
-row blocks, so the full distance matrix (`distance_matrix`) is never built on
-the linking path. `fitted_reducers` runs a command's autoencoder fits on a
-process pool.
+row blocks, so the full distance matrix is never built. `fitted_reducers`
+runs a command's autoencoder fits on a process pool.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .data import (
 from .reducers import (
     FeatureImportancePair,
     PcaReducer,
-    ReducedDataset,
     TScoreReport,
     autoencoder_to_payload,
     compute_t_scores,
@@ -48,13 +46,6 @@ from .reducers import (
 
 DEFAULT_K = 5
 DEFAULT_R = 8
-
-
-@dataclass(frozen=True)
-class LinkageMatrix:
-    dist: np.ndarray  # (N, M) non-negative
-    row_source: str
-    col_source: str
 
 
 @dataclass(frozen=True)
@@ -94,20 +85,6 @@ def _check_k(k: int, n_cols: int) -> None:
         raise DataError(f"k={k} must lie in [1, {n_cols}]")
 
 
-def distance_matrix(a: ReducedDataset, b: ReducedDataset) -> LinkageMatrix:
-    """Exact all-pairs Euclidean distances between two reduced datasets."""
-    _check_dims(a.r, b.r)
-    dist = _kernels.pairwise_euclidean(a.Z, b.Z)
-    return LinkageMatrix(dist=dist, row_source=a.source_id, col_source=b.source_id)
-
-
-def k_nearest(m: LinkageMatrix, k: int) -> NeighborMap:
-    """Per row, the k nearest columns ascending; ties go to the lower index."""
-    _check_k(k, m.dist.shape[1])
-    idx, val = _kernels.k_smallest(m.dist, k)
-    return NeighborMap(k=k, neighbors=idx, distances=val)
-
-
 def median_aggregate(neighbors: NeighborMap, source_features: np.ndarray) -> np.ndarray:
     """Feature-wise median over each row's neighbors in the source dataset.
 
@@ -126,8 +103,9 @@ def link_rows(
     """Each query row's k nearest reference rows and the feature-wise median
     of their `ref_features`.
 
-    The neighbors equal `k_nearest(distance_matrix(query, ref), k)`, but the
-    exact search streams over blocks of query rows, so no matrix is built.
+    The neighbors are the k smallest of each row of the exact distance
+    matrix, ties to the lower index, but the search streams over blocks of
+    query rows, so no matrix is built.
     """
     _check_dims(z_query.shape[1], z_ref.shape[1])
     _check_k(k, z_ref.shape[0])

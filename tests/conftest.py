@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from disjoint_link.data import Dataset, FeatureSchema
+
+# a failing property test prints the blob that replays its example with
+# @reproduce_failure; example counts and deadlines stay each test's own
+settings.register_profile("disjoint-link", print_blob=True)
+settings.load_profile("disjoint-link")
 
 
 def numeric_dataset(X, y, ds_id="test"):

@@ -2,13 +2,20 @@
 
 Everything here is deliberately written in the most literal way possible
 (scalar loops, textbook formulas) and stays independent of the code paths it
-verifies.
+verifies. The full-matrix forms (`distance_matrix`, `k_nearest`) are the
+exception: they hold the whole N x M matrix from the exact kernels, the form
+the streaming search `link_rows` must equal.
 """
 
 import math
 import statistics
+from dataclasses import dataclass
 
 import numpy as np
+
+from disjoint_link import _kernels
+from disjoint_link.data import DataError
+from disjoint_link.linkage import NeighborMap
 
 
 def welch_t_brute(values0, values1):
@@ -27,13 +34,23 @@ def welch_t_brute(values0, values1):
 
 
 def pairwise_dist_brute(a, b):
-    """Scalar-loop Euclidean distance matrix."""
+    """Scalar-loop Euclidean distance matrix.
+
+    Each square is a product and the sum runs left to right, so every entry
+    is the correctly rounded textbook value: `** 2` goes through the C
+    library's pow, which need not round correctly, and `sum` of floats is
+    compensated from Python 3.12 on.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     out = np.zeros((a.shape[0], b.shape[0]))
     for i in range(a.shape[0]):
         for j in range(b.shape[0]):
-            out[i, j] = math.sqrt(sum((a[i, t] - b[j, t]) ** 2 for t in range(a.shape[1])))
+            acc = 0.0
+            for t in range(a.shape[1]):
+                d = float(a[i, t]) - float(b[j, t])
+                acc += d * d
+            out[i, j] = math.sqrt(acc)
     return out
 
 
@@ -47,6 +64,28 @@ def k_smallest_brute(dist, k):
 def k_nearest_brute(a, b, k):
     """The full scalar-loop distance matrix, then a stable argsort per row."""
     return k_smallest_brute(pairwise_dist_brute(a, b), k)
+
+
+@dataclass(frozen=True)
+class LinkageMatrix:
+    dist: np.ndarray  # (N, M) non-negative
+    row_source: str
+    col_source: str
+
+
+def distance_matrix(a, b):
+    """Exact all-pairs Euclidean distances between two reduced datasets."""
+    if a.r != b.r:
+        raise DataError(f"reduced dimensions differ: {a.r} vs {b.r}")
+    return LinkageMatrix(_kernels.pairwise_euclidean(a.Z, b.Z), a.source_id, b.source_id)
+
+
+def k_nearest(m, k):
+    """Per row, the k nearest columns ascending; ties go to the lower index."""
+    if not 1 <= k <= m.dist.shape[1]:
+        raise DataError(f"k={k} must lie in [1, {m.dist.shape[1]}]")
+    idx, val = _kernels.k_smallest(m.dist, k)
+    return NeighborMap(k=k, neighbors=idx, distances=val)
 
 
 def auroc_brute(scores, labels):

@@ -23,7 +23,7 @@ from disjoint_link.autoencoder import (
     loss_and_grads,
 )
 from disjoint_link.cli import main
-from disjoint_link.data import Dataset, stratified_kfold
+from disjoint_link.data import Dataset, standardize, stratified_kfold
 from disjoint_link.evaluation import (
     auroc,
     evaluate_conditions,
@@ -31,11 +31,11 @@ from disjoint_link.evaluation import (
     fit_jobs,
     run_fold_condition,
 )
-from disjoint_link.linkage import LinkageMatrix, fit_reducer, k_nearest, link, median_aggregate
+from disjoint_link.linkage import fit_reducer, link, median_aggregate
 from disjoint_link.reducers import fit_pca, project_pca
 from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair
 
-from oracles import auroc_brute, pca_components_brute
+from oracles import LinkageMatrix, auroc_brute, distance_matrix, k_nearest, pca_components_brute
 
 RUNTIME_BUDGET_SECONDS = 300.0
 
@@ -207,7 +207,6 @@ def test_criterion_7_pipeline_invariant_suite(tmp_path):
 
     # distance transpose symmetry at 1e-12
     from disjoint_link.reducers import ReducedDataset
-    from disjoint_link.linkage import distance_matrix
 
     a = ReducedDataset(rng.normal(size=(12, 4)), "a", "pca")
     b = ReducedDataset(rng.normal(size=(15, 4)), "b", "pca")
@@ -257,11 +256,12 @@ def test_criterion_7_pipeline_invariant_suite(tmp_path):
     e1, e2 = synthesize_disjoint_pair(pair_cfg)
     hyper = AutoencoderHyper(epochs=5)
     tr, te = stratified_kfold(e1, 3, 0)[0]
+    e2s, _ = standardize(e2)
 
     def run_fold(condition, d):
-        jobs = fit_jobs([condition], d, e2, [(0, [(tr, te)])], r=2, ae_hyper=hyper)
+        jobs = fit_jobs([condition], d, e2s, [(0, [(tr, te)])], r=2, ae_hyper=hyper)
         fits = {fold: fit_reducer(*job) for (_, _, fold), job in jobs.items()}
-        ctx = prepare_d2_context(e2, fits.get(None))
+        ctx = prepare_d2_context(e2s, fits.get(None))
         return run_fold_condition(condition, d, tr, te, ctx, fits.get(0), k=3, seed=0, fold=0)
 
     for condition in ("unlinked", "random", "feature_importance", "pca", "autoencoder"):

@@ -9,6 +9,7 @@ from disjoint_link.data import (
     DataError,
     apply_standardization,
     fit_standardization,
+    standardize,
     stratified_kfold,
 )
 from disjoint_link.evaluation import (
@@ -261,10 +262,11 @@ class TestPooledFits:
         assert multiprocessing.active_children() == []
 
         runs = [(seed, stratified_kfold(d1, 3, seed)) for seed in seeds]
-        jobs = fit_jobs(["autoencoder"], d1, d2, runs, r=2, ae_hyper=hyper)
+        d2s, _ = standardize(d2)
+        jobs = fit_jobs(["autoencoder"], d1, d2s, runs, r=2, ae_hyper=hyper)
         want = []
         for seed, split in runs:
-            ctx = prepare_d2_context(d2, fit_reducer(*jobs[seed, "autoencoder", None]))
+            ctx = prepare_d2_context(d2s, fit_reducer(*jobs[seed, "autoencoder", None]))
             fold_values = []
             for fold, (tr, te) in enumerate(split):
                 d1_tr = jobs[seed, "autoencoder", fold][1]
@@ -299,8 +301,9 @@ class TestOnePipeline:
         # with every row in both training and test, a fold links D1 exactly as `link` does
         d1, d2 = small_pair(3)
         rows = np.arange(d1.n)
-        jobs = fit_jobs([condition], d1, d2, [(0, [(rows, rows)])], r=3, ae_hyper=None)
-        ctx = prepare_d2_context(d2, fit_reducer(*jobs[0, condition, None]))
+        d2s, _ = standardize(d2)
+        jobs = fit_jobs([condition], d1, d2s, [(0, [(rows, rows)])], r=3, ae_hyper=None)
+        ctx = prepare_d2_context(d2s, fit_reducer(*jobs[0, condition, None]))
         out = run_fold_condition(condition, d1, rows, rows, ctx, fit_reducer(*jobs[0, condition, 0]), k=4)
         want = link_detailed(d1, d2, condition, k=4, r=3).neighbors_12
         assert np.array_equal(out.neighbors_train.neighbors, want.neighbors)
@@ -318,10 +321,12 @@ class TestLeakageAudit:
         splits = stratified_kfold(d1, 3, 0)
         tr, te = splits[0]
 
+        d2s, _ = standardize(d2)
+
         def run(d):
-            jobs = fit_jobs([condition], d, d2, [(0, [(tr, te)])], r=2, ae_hyper=hyper)
+            jobs = fit_jobs([condition], d, d2s, [(0, [(tr, te)])], r=2, ae_hyper=hyper)
             fits = {fold: fit_reducer(*job) for (_, _, fold), job in jobs.items()}
-            ctx = prepare_d2_context(d2, fits.get(None))
+            ctx = prepare_d2_context(d2s, fits.get(None))
             return run_fold_condition(condition, d, tr, te, ctx, fits.get(0), k=3, seed=0, fold=0)
 
         y_mut = d1.y.copy()

@@ -115,6 +115,71 @@ def block_rows(rule, n, extra):
     return n + extra
 
 
+def count_exact_rows(mp):
+    """Patch `pairwise_euclidean` to count the query rows that reach the
+    exact full-row path; returns the one-element counter."""
+    seen = [0]
+    full_rows = _kernels.pairwise_euclidean
+
+    def counted(a, b):
+        seen[0] += len(a)
+        return full_rows(a, b)
+
+    mp.setattr(_kernels, "pairwise_euclidean", counted)
+    return seen
+
+
+def non_finite_query(rng):
+    query, ref = rng.normal(size=(120, 6)), rng.normal(size=(160, 6))
+    query[3, 1], query[8, 4], query[11] = np.nan, np.inf, 1e200  # 1e200 overflows its norm
+    query[15] = 1e153  # a finite squared norm, too large for the bound
+    query[19] = 1e140  # within the bound, but no column stands out
+    return query, ref
+
+
+def non_finite_ref(rng):
+    query, ref = rng.normal(size=(120, 6)), rng.normal(size=(160, 6))
+    ref[7, 2], ref[40, 0] = -np.inf, np.nan
+    return query, ref
+
+
+def duplicated(rng):
+    ref = np.repeat(rng.normal(size=(40, 6)), 4, axis=0)
+    query = np.vstack([ref[::3], rng.normal(size=(40, 6))])
+    return query, ref
+
+
+# input families that defeat a naive GEMM filter; each gives (query, ref)
+HARD_INPUTS = {
+    "continuous": lambda rng: (rng.normal(size=(200, 8)), rng.normal(size=(300, 8))),
+    "offset_1e7": lambda rng: (rng.normal(size=(200, 6)) + 1e7, rng.normal(size=(300, 6)) + 1e7),
+    "scale_1e-160": lambda rng: (rng.normal(size=(150, 6)) * 1e-160, rng.normal(size=(200, 6)) * 1e-160),
+    "non_finite_query": non_finite_query,
+    "non_finite_ref": non_finite_ref,
+    "duplicated": duplicated,
+}
+
+
+def one_ulp_near_ties(rng, rows, r, k):
+    """Query rows far apart, each owning k + 2 consecutive reference rows: k - 1
+    clearly nearest, then two whose distances differ by one ulp, the farther
+    at the lower index. The pair's gap is far below the GEMM's rounding."""
+    query = rng.normal(scale=10.0, size=(rows, r))
+    steps = np.arange(-12, 13)
+    nudges = np.stack(np.meshgrid(steps, steps, steps, indexing="ij"), axis=-1).reshape(-1, 3)
+    ref = []
+    for q in query:
+        near = q + rng.normal(scale=0.15, size=r)
+        # move three coordinates by whole ulps until a distance is 1 ulp longer
+        cand = np.repeat(near[None], len(nudges), axis=0)
+        cand[:, :3] += nudges * np.spacing(near[:3])
+        target = np.nextafter(_kernels.pairwise_euclidean(q[None], near[None])[0, 0], np.inf)
+        far = cand[np.flatnonzero(_kernels.pairwise_euclidean(q[None], cand)[0] == target)[0]]
+        closer = q + rng.normal(scale=0.01, size=(k - 1, r))
+        ref += [*closer, far, near, q + 1.0]
+    return query, np.array(ref)
+
+
 class TestNearest:
     @pytest.mark.parametrize("k_rule", ["one", "all", "any"])
     @pytest.mark.parametrize("block_rule", ["one_row", "non_divisor", "whole"])
@@ -149,6 +214,32 @@ class TestNearest:
             mp.setattr(_kernels, "_BLOCK_CELLS", data.draw(st.integers(1, 2 * n * m), label="cells"))
             idx, dist = _kernels.nearest(b, a, k)
         want_idx, want_dist = _kernels.k_smallest(_kernels.pairwise_euclidean(a, b).T, k)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(bits(dist), bits(want_dist))
+
+    @pytest.mark.parametrize("family", sorted(HARD_INPUTS))
+    def test_hard_inputs_match_full_matrix_oracle(self, family):
+        query, ref = HARD_INPUTS[family](np.random.default_rng(9))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_BLOCK_CELLS", 50 * len(ref))  # several blocks
+            exact = count_exact_rows(mp)
+            with np.errstate(all="ignore"):
+                idx, dist = _kernels.nearest(query, ref, 5)
+        want_idx, want_dist = k_nearest_brute(query, ref, 5)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(bits(dist), bits(want_dist))
+        if family in ("continuous", "offset_1e7"):
+            assert exact[0] < 0.01 * len(query)  # the filter, not the full rows, answered
+
+    def test_one_ulp_near_tie_at_the_kth_place(self):
+        query, ref = one_ulp_near_ties(np.random.default_rng(21), rows=60, r=4, k=3)
+        d = pairwise_dist_brute(query, ref)
+        for i in range(len(query)):  # rows 5i + 2 and 5i + 3: the farther comes first
+            assert d[i, 5 * i + 2] == np.nextafter(d[i, 5 * i + 3], np.inf)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_BLOCK_CELLS", 7 * len(ref))
+            idx, dist = _kernels.nearest(query, ref, 3)
+        want_idx, want_dist = k_nearest_brute(query, ref, 3)
         np.testing.assert_array_equal(idx, want_idx)
         np.testing.assert_array_equal(bits(dist), bits(want_dist))
 

@@ -9,9 +9,6 @@ import pytest
 from disjoint_link.autoencoder import AutoencoderHyper, fit_autoencoder
 from disjoint_link.data import DataError, standardize
 from disjoint_link.linkage import (
-    LinkageMatrix,
-    distance_matrix,
-    k_nearest,
     link,
     link_detailed,
     link_rows,
@@ -23,7 +20,7 @@ from disjoint_link.linkage import (
 )
 from disjoint_link.reducers import ReducedDataset, autoencoder_to_payload
 
-from oracles import pairwise_dist_brute
+from oracles import LinkageMatrix, distance_matrix, k_nearest, pairwise_dist_brute
 
 
 def reduced(a, ds_id="a", kind="pca"):
