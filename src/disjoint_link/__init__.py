@@ -26,7 +26,6 @@ from .evaluation import (
     evaluate_conditions,
     fit_logistic,
     predict_proba,
-    roc_curve,
 )
 from .figures import export_projection_2d
 from .linkage import (
@@ -35,12 +34,10 @@ from .linkage import (
     link,
     link_rows,
     median_aggregate,
-    random_link,
 )
 from .reducers import (
     FeatureImportancePair,
     PcaReducer,
-    ReducedDataset,
     TScoreReport,
     compute_t_scores,
     fit_pca,
@@ -65,7 +62,6 @@ __all__ = [
     "LogisticModel",
     "NeighborMap",
     "PcaReducer",
-    "ReducedDataset",
     "StandardizationParams",
     "SyntheticPairConfig",
     "TScoreReport",
@@ -84,8 +80,6 @@ __all__ = [
     "normalize_latent",
     "predict_proba",
     "project_pca",
-    "random_link",
-    "roc_curve",
     "standardize",
     "stratified_kfold",
     "synthesize_disjoint_pair",

@@ -218,8 +218,3 @@ def encode(reducer: AutoencoderReducer, X: np.ndarray) -> np.ndarray:
         raise DataError(f"encoder expects {din} columns, got {X.shape[1]}")
     return forward(reducer.encoder_layers, _encoder_flags(reducer), X)[-1]
 
-
-def reconstruct(reducer: AutoencoderReducer, X: np.ndarray) -> np.ndarray:
-    layers = reducer.all_layers
-    flags = _tanh_flags(len(layers), len(reducer.encoder_layers))
-    return forward(layers, flags, np.asarray(X, dtype=np.float64))[-1]

@@ -13,20 +13,21 @@ import sys
 from pathlib import Path
 
 from .autoencoder import AutoencoderHyper
-from .data import Dataset, DataError, dataset_to_csv, load_csv, write_schema
+from .data import Dataset, DataError, dataset_to_csv, load_csv, standardize, write_schema
 from .evaluation import CONDITION_ORDER, evaluate_conditions
 from .figures import export_projection_2d, projection_to_csv, write_projection_svg
 from .linkage import (
     DEFAULT_K,
     DEFAULT_R,
+    LINK_KINDS,
+    fit_jobs,
+    fit_reducer,
     link_detailed,
+    link_fitted,
     linked_to_csv,
     neighbors_to_csv,
-    random_link_detailed,
 )
 from .synth import SyntheticPairConfig, synthesize_disjoint_pair
-
-REDUCER_CHOICES = ("feature_importance", "pca", "autoencoder", "random")
 
 
 class ConfigError(ValueError):
@@ -117,7 +118,7 @@ def resolve_config(raw: dict, base_dir: Path) -> dict:
         cfg["inputs"] = {"files": out}
 
     reducer = raw.get("reducer", "autoencoder")
-    _expect(reducer in REDUCER_CHOICES, "reducer", f"must be one of {list(REDUCER_CHOICES)}")
+    _expect(reducer in LINK_KINDS, "reducer", f"must be one of {list(LINK_KINDS)}")
     cfg["reducer"] = reducer
 
     reducers = raw.get("reducers", ["feature_importance", "pca", "autoencoder"])
@@ -225,23 +226,15 @@ def cmd_synth(cfg: dict, out_override: str | None = None) -> Path:
 def cmd_link(cfg: dict, out_override: str | None = None) -> Path:
     out = _out_dir(cfg, out_override)
     d1, d2 = _load_pair(cfg)
-    if cfg["reducer"] == "random":
-        d12, d21, nb12, _ = random_link_detailed(d1, d2, k=cfg["k"], seed=cfg["seed"])
-        payload = {"kind": "random", "k": cfg["k"], "seed": cfg["seed"]}
-        linked_to_csv(d12, out / "D12.csv")
-        linked_to_csv(d21, out / "D21.csv")
-        neighbors_to_csv(nb12, out / "neighbors.csv")
-    else:
-        res = link_detailed(
-            d1, d2, cfg["reducer"],
-            k=cfg["k"], r=cfg["R"], ae_hyper=_ae_hyper(cfg), seed=cfg["seed"],
-        )
-        payload = res.reducer_payload
-        linked_to_csv(res.d12, out / "D12.csv")
-        linked_to_csv(res.d21, out / "D21.csv")
-        neighbors_to_csv(res.neighbors_12, out / "neighbors.csv")
+    res = link_detailed(
+        d1, d2, cfg["reducer"],
+        k=cfg["k"], r=cfg["R"], ae_hyper=_ae_hyper(cfg), seed=cfg["seed"],
+    )
+    linked_to_csv(res.d12, out / "D12.csv")
+    linked_to_csv(res.d21, out / "D21.csv")
+    neighbors_to_csv(res.neighbors_12, out / "neighbors.csv")
     (out / "reducer.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(res.reducer_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     _write_manifest(out, "link", cfg)
     return out
@@ -270,9 +263,13 @@ def cmd_evaluate(cfg: dict, out_override: str | None = None) -> Path:
         linked_conditions,
         key=lambda c: (report.conditions[c].mean, -CONDITION_ORDER.index(c)),
     )
-    res = link_detailed(
-        d1, d2, best, k=cfg["k"], r=cfg["R"], ae_hyper=_ae_hyper(cfg), seed=cfg["seed"]
-    )
+    # `link` of the first CV seed, reusing that seed's evaluated D2 fit and its
+    # R: only D1 is fitted again, on all rows
+    seed = cfg["seeds"][0]
+    (_, d2s, r_fit, _), fit2 = report.d2_fits[best]
+    d1s, _ = standardize(d1)
+    job1 = fit_jobs([best], d2s, [(seed, [d1s])], r=r_fit, ae_hyper=_ae_hyper(cfg))[seed, best, 0]
+    res = link_fitted(best, d1s, d2s, fit_reducer(*job1), fit2, k=cfg["k"], seed=seed)
     after = export_projection_2d(res.d12)
     projection_to_csv(after, out / "after.csv")
     write_projection_svg(after, out / "after.svg", title=f"{d1.id} after {best} linkage")

@@ -10,7 +10,7 @@ fitted transforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,13 +30,12 @@ from .linkage import (
     FitJob,
     FittedReducer,
     NeighborMap,
-    effective_r,
+    fit_jobs,
     fitted_reducers,
     link_rows,
-    median_aggregate,
     pair_reducers,
-    r_limits,
-    random_neighbor_map,
+    random_rng,
+    random_rows,
 )
 from .reducers import normalize_latent
 
@@ -49,8 +48,6 @@ DISPLAY_NAMES = {
     "pca": "Principal component analysis",
     "autoencoder": "Autoencoder",
 }
-
-_RANDOM_TAG = 7919  # namespaces the random-baseline rng away from other draws
 
 
 # ---------------------------------------------------------------------------
@@ -143,34 +140,6 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-@dataclass(frozen=True)
-class RocCurve:
-    thresholds: np.ndarray  # descending; first entry +inf
-    fpr: np.ndarray
-    tpr: np.ndarray
-    auroc: float
-
-
-def roc_curve(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
-    """Step curve over the distinct score thresholds, from (0,0) to (1,1)."""
-    area = auroc(scores, labels)
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    y = labels[order]
-    n_pos = int(np.sum(labels == 1))
-    n_neg = int(np.sum(labels == 0))
-    boundaries = np.flatnonzero(np.diff(s)) + 1
-    cut = np.concatenate([boundaries, [len(s)]])
-    tp = np.cumsum(y == 1)[cut - 1]
-    fp = np.cumsum(y == 0)[cut - 1]
-    thresholds = np.concatenate([[np.inf], s[cut - 1]])
-    fpr = np.concatenate([[0.0], fp / n_neg])
-    tpr = np.concatenate([[0.0], tp / n_pos])
-    return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr, auroc=area)
-
-
 # ---------------------------------------------------------------------------
 # cross-validated condition comparison
 # ---------------------------------------------------------------------------
@@ -194,46 +163,20 @@ class FoldOutcome:
     neighbors_test: NeighborMap | None
 
 
-def _ae_seeded(ae_hyper: AutoencoderHyper | None, *tags: int) -> AutoencoderHyper:
-    seed = int(np.random.SeedSequence(list(tags)).generate_state(1)[0])
-    return replace(ae_hyper or AutoencoderHyper(), seed=seed)
-
-
-def _standardized(X: np.ndarray) -> np.ndarray:
-    return apply_standardization(fit_standardization(X), X)
-
-
-def fit_jobs(
-    conditions: list[str],
-    d1: Dataset,
-    d2s: Dataset,
-    runs: list[tuple[int, list[tuple[np.ndarray, np.ndarray]]]],
-    *,
-    r: int,
-    ae_hyper: AutoencoderHyper | None,
-) -> dict[tuple[int, str, int | None], FitJob]:
-    """`fit_reducer`'s arguments for every reducer fit of a run, keyed by
-    (seed, condition, fold) in canonical order; fold None is D2's fit, listed
-    before D1's. `runs` pairs each CV seed with its split.
-
-    D2's side is fitted on `d2s`, D2 with its rows standardized, each fold's
-    D1 side on the fold's training rows standardized by their own statistics.
-    Both sides of a (seed, condition) share one R, capped by the seed's
-    smallest training fold.
-    """
-    linked = [c for c in conditions if c not in ("unlinked", "random")]
-    if not linked:
-        return {}
-    jobs = {}
-    for seed, split in runs:
-        r_cap = min(min(len(tr) for tr, _ in split), d1.k)
-        train = [Dataset(d1.schema, _standardized(d1.X[tr]), d1.y[tr], d1.id) for tr, _ in split]
-        for cond in linked:
-            r_eff = effective_r(r, r_cap, *r_limits(cond, d2s))
-            jobs[seed, cond, None] = (cond, d2s, r_eff, _ae_seeded(ae_hyper, seed, 2))
-            for fold, d1_tr in enumerate(train):
-                jobs[seed, cond, fold] = (cond, d1_tr, r_eff, _ae_seeded(ae_hyper, seed, fold, 1))
-    return jobs
+def standardized_folds(
+    d1: Dataset, split: list[tuple[np.ndarray, np.ndarray]]
+) -> list[tuple[Dataset, Dataset]]:
+    """Each fold's D1 training and test rows, both standardized by the
+    training rows' statistics. One CV seed's reducer fits and every
+    condition's folds share them."""
+    folds = []
+    for tr, te in split:
+        params = fit_standardization(d1.X[tr])
+        folds.append(tuple(
+            Dataset(d1.schema, apply_standardization(params, d1.X[rows]), d1.y[rows], d1.id)
+            for rows in (tr, te)
+        ))
+    return folds
 
 
 def prepare_d2_context(d2s: Dataset, reducer: FittedReducer | None = None) -> D2Context:
@@ -244,9 +187,8 @@ def prepare_d2_context(d2s: Dataset, reducer: FittedReducer | None = None) -> D2
 
 def run_fold_condition(
     condition: str,
-    d1: Dataset,
-    train_idx: np.ndarray,
-    test_idx: np.ndarray,
+    train: Dataset,
+    test: Dataset,
     ctx: D2Context,
     reducer: FittedReducer | None = None,
     *,
@@ -254,26 +196,19 @@ def run_fold_condition(
     seed: int = 0,
     fold: int = 0,
 ) -> FoldOutcome:
-    """Evaluate one condition on one fold with the D1 reducer fitted on the
-    fold's training rows (None for unlinked and random). Test labels touch
-    nothing fitted."""
-    y_tr = d1.y[train_idx]
-    y_te = d1.y[test_idx]
-    params = fit_standardization(d1.X[train_idx])
-    x_tr = apply_standardization(params, d1.X[train_idx])
-    x_te = apply_standardization(params, d1.X[test_idx])
-
+    """Evaluate one condition on one fold: `train` and `test` are the fold's
+    D1 rows from `standardized_folds`, `reducer` the D1 side fitted on
+    `train` (None for unlinked and random). Test labels touch nothing
+    fitted."""
+    x_tr, x_te = train.X, test.X
     nb_tr = nb_te = None
     if condition == "unlinked":
         feat_tr, feat_te = x_tr, x_te
     else:
         if condition == "random":
-            rng = np.random.default_rng(np.random.SeedSequence([seed, fold, _RANDOM_TAG]))
-            m = ctx.X_std.shape[0]
-            nb_tr = random_neighbor_map(x_tr.shape[0], m, k, rng)
-            nb_te = random_neighbor_map(x_te.shape[0], m, k, rng)
-            agg_tr = median_aggregate(nb_tr, ctx.X_std)
-            agg_te = median_aggregate(nb_te, ctx.X_std)
+            rng = random_rng(seed, fold)
+            nb_tr, agg_tr = random_rows(x_tr.shape[0], ctx.X_std, k, rng)
+            nb_te, agg_te = random_rows(x_te.shape[0], ctx.X_std, k, rng)
         else:
             to_shared1, to_shared2, *_ = pair_reducers(reducer, ctx.reducer)
             z_tr, z_te = normalize_latent(to_shared1(x_tr), to_shared1(x_te))
@@ -283,11 +218,11 @@ def run_fold_condition(
         feat_tr = np.hstack([x_tr, agg_tr])
         feat_te = np.hstack([x_te, agg_te])
 
-    model = fit_logistic(feat_tr, y_tr)
+    model = fit_logistic(feat_tr, train.y)
     scores = predict_proba(model, feat_te)
     return FoldOutcome(
         condition=condition,
-        auroc=auroc(scores, y_te),
+        auroc=auroc(scores, test.y),
         scores=scores,
         model=model,
         neighbors_train=nb_tr,
@@ -316,6 +251,8 @@ class EvaluationReport:
     k: int
     r: int
     conditions: dict[str, ConditionSummary] = field(default_factory=dict)
+    # the first CV seed's D2 fits, condition -> (fit job, fitted side); not in the JSON
+    d2_fits: dict[str, tuple[FitJob, FittedReducer]] = field(default_factory=dict, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -377,7 +314,8 @@ def evaluate_conditions(
     All conditions in one seed share the identical fold split, so comparisons
     are paired. The autoencoder fits of every seed train on a process pool
     (see `fitted_reducers`) while the conditions before the autoencoder run;
-    the report does not depend on the worker count.
+    the report does not depend on the worker count. The report also hands
+    back the first CV seed's D2 fits, which `cmd_evaluate` links with.
     """
     if folds < 2:
         raise DataError("folds must be >= 2")
@@ -389,11 +327,13 @@ def evaluate_conditions(
     d1.require_both_classes()
     d2.require_both_classes()
     ordered = [c for c in CONDITION_ORDER if c in set(conditions)]
-    runs = [(seed, stratified_kfold(d1, folds, seed)) for seed in seeds]
+    runs = [(seed, standardized_folds(d1, stratified_kfold(d1, folds, seed))) for seed in seeds]
     d2s, _ = standardize(d2)  # once: every seed and condition shares D2's rows
-    jobs = fit_jobs(ordered, d1, d2s, runs, r=r, ae_hyper=ae_hyper)
+    jobs = fit_jobs(ordered, d2s, [(seed, [tr for tr, _ in split]) for seed, split in runs],
+                    r=r, ae_hyper=ae_hyper)
     keys = sorted(jobs, key=lambda key: key[2] is not None)  # D2's fits, the longest, start first
     results: dict[str, list[list[float]]] = {c: [] for c in ordered}
+    d2_fits: dict[str, tuple[FitJob, FittedReducer]] = {}
     with fitted_reducers([jobs[key] for key in keys]) as fitted:
         fit = dict(zip(keys, fitted))
 
@@ -403,9 +343,11 @@ def evaluate_conditions(
         for seed, split in runs:
             for cond in ordered:
                 ctx = prepare_d2_context(d2s, reducer(seed, cond, None))
+                if ctx.reducer is not None:
+                    d2_fits.setdefault(cond, (jobs[seed, cond, None], ctx.reducer))
                 results[cond].append([
                     run_fold_condition(
-                        cond, d1, tr, te, ctx, reducer(seed, cond, fold),
+                        cond, tr, te, ctx, reducer(seed, cond, fold),
                         k=k, seed=seed, fold=fold,
                     ).auroc
                     for fold, (tr, te) in enumerate(split)
@@ -418,4 +360,5 @@ def evaluate_conditions(
         k=k,
         r=r,
         conditions={c: _summary(c, results[c]) for c in ordered},
+        d2_fits=d2_fits,
     )

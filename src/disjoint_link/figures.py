@@ -27,7 +27,7 @@ def export_projection_2d(d) -> Projection2D:
     if X.shape[1] < 2:
         raise DataError("2-D projection needs at least 2 features")
     reducer = fit_pca(X, 2)
-    z = project_pca(reducer, X).Z
+    z = project_pca(reducer, X)
     return Projection2D(points=z, labels=np.asarray(d.y))
 
 

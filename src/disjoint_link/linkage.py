@@ -1,13 +1,15 @@
 """Cross-dataset linkage: reduce, normalize, exact neighbor search, aggregate.
 
 Both callers, `link_detailed` and the cross-validated evaluation, run one
-pipeline. `fit_reducer` fits one dataset's side of a reducer on its
-standardized rows, `pair_reducers` turns the two fitted sides into row
-transforms into one shared R-dimensional space, `normalize_latent` z-scores
-each side's latent axes, and `link_rows` gives every query row the
-feature-wise median of its k nearest reference rows. The search streams over
-row blocks, so the full distance matrix is never built. `fitted_reducers`
-runs a command's autoencoder fits on a process pool.
+pipeline, and `link_detailed` is the evaluation's fold whose training rows
+are all of D1. `fit_jobs` lists a run's reducer fits with their seeds and R,
+`fit_reducer` fits one dataset's side of a reducer on its standardized rows,
+`pair_reducers` turns the two fitted sides into row transforms into one
+shared R-dimensional space, `normalize_latent` z-scores each side's latent
+axes, and `link_rows` gives every query row the feature-wise median of its k
+nearest reference rows; `random_rows` is the random baseline's counterpart.
+The search streams over row blocks, so the full distance matrix is never
+built. `fitted_reducers` runs a command's autoencoder fits on a process pool.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ from .reducers import (
 
 DEFAULT_K = 5
 DEFAULT_R = 8
+LINK_KINDS = ("feature_importance", "pca", "autoencoder", "random")
+_RANDOM_TAG = 7919  # namespaces the random-baseline rng away from the fits' seeds
 
 
 @dataclass(frozen=True)
@@ -113,13 +117,34 @@ def link_rows(
     return nb, median_aggregate(nb, ref_features)
 
 
-def _concat_linked(
-    base_std: np.ndarray,
-    base: Dataset,
-    agg: np.ndarray,
-    other: Dataset,
-) -> LinkedDataset:
-    X = np.hstack([base_std, agg])
+def random_neighbor_map(n_rows: int, n_cols: int, k: int, rng: np.random.Generator) -> NeighborMap:
+    if k > n_cols:
+        raise DataError(f"k={k} exceeds the {n_cols} available samples")
+    idx = np.empty((n_rows, k), dtype=np.int64)
+    for i in range(n_rows):
+        idx[i] = rng.choice(n_cols, size=k, replace=False)
+    return NeighborMap(k=k, neighbors=idx, distances=np.full((n_rows, k), np.nan))
+
+
+def random_rows(
+    n_query: int, ref_features: np.ndarray, k: int, rng: np.random.Generator
+) -> tuple[NeighborMap, np.ndarray]:
+    """The random baseline's `link_rows`: each of `n_query` rows gets k
+    reference rows drawn uniformly without replacement, and their
+    feature-wise median."""
+    nb = random_neighbor_map(n_query, ref_features.shape[0], k, rng)
+    return nb, median_aggregate(nb, ref_features)
+
+
+def random_rng(seed: int, fold: int) -> np.random.Generator:
+    """The random baseline's draws for fold `fold` of CV seed `seed`."""
+    return np.random.default_rng(np.random.SeedSequence([seed, fold, _RANDOM_TAG]))
+
+
+def _concat_linked(base: Dataset, agg: np.ndarray, other: Dataset) -> LinkedDataset:
+    """`base`'s standardized rows with `agg` appended; `other` names the
+    aggregated columns."""
+    X = np.hstack([base.X, agg])
     prov = tuple(
         [ColumnProvenance("own", base.id, name) for name in base.feature_names]
         + [ColumnProvenance("aggregated", other.id, name) for name in other.feature_names]
@@ -147,6 +172,41 @@ def r_limits(kind: str, d: Dataset) -> tuple[int, ...]:
     """The caps one dataset puts on R: PCA needs R <= min(n, k), an
     autoencoder latent only R <= k. Feature importance ignores R."""
     return (d.k,) if kind == "autoencoder" else (d.n, d.k)
+
+
+def _ae_seeded(ae_hyper: AutoencoderHyper | None, *tags: int) -> AutoencoderHyper:
+    seed = int(np.random.SeedSequence(list(tags)).generate_state(1)[0])
+    return replace(ae_hyper or AutoencoderHyper(), seed=seed)
+
+
+def fit_jobs(
+    conditions: list[str],
+    d2s: Dataset,
+    runs: list[tuple[int, list[Dataset]]],
+    *,
+    r: int,
+    ae_hyper: AutoencoderHyper | None,
+) -> dict[tuple[int, str, int | None], FitJob]:
+    """`fit_reducer`'s arguments for every reducer fit of a run, keyed by
+    (seed, condition, fold) in canonical order; fold None is D2's fit, listed
+    before D1's. `runs` pairs each CV seed with its folds' D1 training rows,
+    each fold standardized by its own statistics; D2's side is fitted on
+    `d2s`, D2 with its rows standardized.
+
+    The one seed rule: D2's autoencoder of CV seed s trains with
+    SeedSequence([s, 2]) and fold f's D1 autoencoder with
+    SeedSequence([s, f, 1]). The one R rule: both sides of a (seed,
+    condition) share one R, capped by the seed's smallest training fold.
+    """
+    linked = [c for c in conditions if c not in ("unlinked", "random")]
+    jobs = {}
+    for seed, train in runs:
+        for cond in linked:
+            r_eff = effective_r(r, min(d.n for d in train), train[0].k, *r_limits(cond, d2s))
+            jobs[seed, cond, None] = (cond, d2s, r_eff, _ae_seeded(ae_hyper, seed, 2))
+            for fold, d1_tr in enumerate(train):
+                jobs[seed, cond, fold] = (cond, d1_tr, r_eff, _ae_seeded(ae_hyper, seed, fold, 1))
+    return jobs
 
 
 def fit_reducer(kind: str, d: Dataset, r: int, hyper: AutoencoderHyper) -> FittedReducer:
@@ -211,7 +271,7 @@ def pair_reducers(
         return (lambda X: X[:, pair.sel1]), (lambda X: X[:, pair.sel2]), pair.r, pair
     if isinstance(fit1, PcaReducer):
         r = fit1.components.shape[0]
-        return (lambda X: project_pca(fit1, X).Z), (lambda X: project_pca(fit2, X).Z), r, None
+        return (lambda X: project_pca(fit1, X)), (lambda X: project_pca(fit2, X)), r, None
     return (lambda X: encode(fit1, X)), (lambda X: encode(fit2, X)), fit1.latent_dim, None
 
 
@@ -227,10 +287,49 @@ class LinkResult:
     d12: LinkedDataset
     d21: LinkedDataset
     reducer_kind: str
-    r: int
+    r: int | None  # None for the random baseline
     neighbors_12: NeighborMap
     neighbors_21: NeighborMap
     reducer_payload: dict
+
+
+def link_fitted(
+    kind: str,
+    d1s: Dataset,
+    d2s: Dataset,
+    fit1: FittedReducer | None,
+    fit2: FittedReducer | None,
+    *,
+    k: int,
+    seed: int,
+) -> LinkResult:
+    """The steps of `link_detailed` after the fit: link the standardized pair
+    both ways through its two fitted sides, aggregate, concatenate.
+
+    The random baseline has no fitted sides (None); it draws D12's neighbors,
+    then D21's, from the rng of the all-rows fold of CV seed `seed`.
+    """
+    if kind == "random":
+        rng = random_rng(seed, 0)
+        nb12, agg12 = random_rows(d1s.n, d2s.X, k, rng)
+        nb21, agg21 = random_rows(d2s.n, d1s.X, k, rng)
+        r_eff, payload = None, {"k": k, "seed": seed}
+    else:
+        to_shared1, to_shared2, r_eff, pair = pair_reducers(fit1, fit2)
+        (z1,) = normalize_latent(to_shared1(d1s.X))
+        (z2,) = normalize_latent(to_shared2(d2s.X))
+        nb12, agg12 = link_rows(z1, z2, d2s.X, k)
+        nb21, agg21 = link_rows(z2, z1, d1s.X, k)
+        payload = {"R": r_eff, **_reducer_payload(fit1, fit2, pair)}
+    return LinkResult(
+        d12=_concat_linked(d1s, agg12, d2s),
+        d21=_concat_linked(d2s, agg21, d1s),
+        reducer_kind=kind,
+        r=r_eff,
+        neighbors_12=nb12,
+        neighbors_21=nb21,
+        reducer_payload={"kind": kind, **payload},
+    )
 
 
 def link_detailed(
@@ -244,34 +343,22 @@ def link_detailed(
     seed: int = 0,
 ) -> LinkResult:
     """Full pipeline: standardize, reduce, normalize, exact neighbors both
-    ways, median aggregation, concatenation. The autoencoders of D1 and D2
-    train concurrently with seeds `seed` and `seed + 1`."""
+    ways, median aggregation, concatenation.
+
+    This is CV seed `seed` of the evaluation with one fold whose training
+    rows are all of D1: the same seeds and R (`fit_jobs`) and, for
+    "random", the same draws. The autoencoders of D1 and D2 train
+    concurrently.
+    """
+    if reducer_kind not in LINK_KINDS:
+        raise DataError(f"unknown reducer kind {reducer_kind!r}")
     d1s, _ = standardize(d1)
     d2s, _ = standardize(d2)
-    r_fit = effective_r(r, *r_limits(reducer_kind, d1s), *r_limits(reducer_kind, d2s))
-    hyper = ae_hyper or AutoencoderHyper()
-    jobs = [
-        (reducer_kind, d1s, r_fit, replace(hyper, seed=seed)),
-        (reducer_kind, d2s, r_fit, replace(hyper, seed=seed + 1)),
-    ]
-    with fitted_reducers(jobs) as fitted:
-        fit1, fit2 = [result() for result in fitted]  # D1 first: its error is the one raised
-    to_shared1, to_shared2, r_eff, pair = pair_reducers(fit1, fit2)
-    (z1,) = normalize_latent(to_shared1(d1s.X))
-    (z2,) = normalize_latent(to_shared2(d2s.X))
-    nb12, agg12 = link_rows(z1, z2, d2s.X, k)
-    nb21, agg21 = link_rows(z2, z1, d1s.X, k)
-    d12 = _concat_linked(d1s.X, d1, agg12, d2)
-    d21 = _concat_linked(d2s.X, d2, agg21, d1)
-    return LinkResult(
-        d12=d12,
-        d21=d21,
-        reducer_kind=reducer_kind,
-        r=r_eff,
-        neighbors_12=nb12,
-        neighbors_21=nb21,
-        reducer_payload={"kind": reducer_kind, "R": r_eff, **_reducer_payload(fit1, fit2, pair)},
-    )
+    jobs = fit_jobs([reducer_kind], d2s, [(seed, [d1s])], r=r, ae_hyper=ae_hyper)
+    keys = [(seed, reducer_kind, 0), (seed, reducer_kind, None)]  # D1 first: its error is the one raised
+    with fitted_reducers([jobs[key] for key in keys if key in jobs]) as fitted:
+        fit1, fit2 = [result() for result in fitted] or (None, None)  # random fits nothing
+    return link_fitted(reducer_kind, d1s, d2s, fit1, fit2, k=k, seed=seed)
 
 
 def link(
@@ -286,38 +373,6 @@ def link(
 ) -> tuple[LinkedDataset, LinkedDataset]:
     res = link_detailed(d1, d2, reducer_kind, k=k, r=r, ae_hyper=ae_hyper, seed=seed)
     return res.d12, res.d21
-
-
-def random_neighbor_map(n_rows: int, n_cols: int, k: int, rng: np.random.Generator) -> NeighborMap:
-    if k > n_cols:
-        raise DataError(f"k={k} exceeds the {n_cols} available samples")
-    idx = np.empty((n_rows, k), dtype=np.int64)
-    for i in range(n_rows):
-        idx[i] = rng.choice(n_cols, size=k, replace=False)
-    return NeighborMap(k=k, neighbors=idx, distances=np.full((n_rows, k), np.nan))
-
-
-def random_link_detailed(
-    d1: Dataset, d2: Dataset, k: int = DEFAULT_K, seed: int = 0
-) -> tuple[LinkedDataset, LinkedDataset, NeighborMap, NeighborMap]:
-    if k > d2.n or k > d1.n:
-        raise DataError(f"k={k} exceeds a dataset size ({d1.n}, {d2.n})")
-    d1s, _ = standardize(d1)
-    d2s, _ = standardize(d2)
-    rng = np.random.default_rng(seed)
-    nb12 = random_neighbor_map(d1.n, d2.n, k, rng)
-    nb21 = random_neighbor_map(d2.n, d1.n, k, rng)
-    d12 = _concat_linked(d1s.X, d1, median_aggregate(nb12, d2s.X), d2)
-    d21 = _concat_linked(d2s.X, d2, median_aggregate(nb21, d1s.X), d1)
-    return d12, d21, nb12, nb21
-
-
-def random_link(
-    d1: Dataset, d2: Dataset, k: int = DEFAULT_K, seed: int = 0
-) -> tuple[LinkedDataset, LinkedDataset]:
-    """Baseline: aggregate k uniformly drawn rows instead of nearest neighbors."""
-    d12, d21, _, _ = random_link_detailed(d1, d2, k, seed)
-    return d12, d21
 
 
 # ---------------------------------------------------------------------------

@@ -52,23 +52,6 @@ class PcaReducer:
     eigenvalues: np.ndarray
 
 
-@dataclass(frozen=True)
-class ReducedDataset:
-    Z: np.ndarray
-    source_id: str
-    reducer_kind: str
-
-    def __post_init__(self):
-        Z = np.asarray(self.Z, dtype=np.float64)
-        if not np.all(np.isfinite(Z)):
-            raise DataError("reduced representation contains non-finite entries")
-        object.__setattr__(self, "Z", Z)
-
-    @property
-    def r(self) -> int:
-        return self.Z.shape[1]
-
-
 def compute_t_scores(d: Dataset) -> TScoreReport:
     """Per-feature two-sample Welch t-statistic of class 1 against class 0.
 
@@ -142,13 +125,16 @@ def fit_pca(X: np.ndarray, r: int) -> PcaReducer:
     return PcaReducer(mean=mean, components=components, eigenvalues=values)
 
 
-def project_pca(reducer: PcaReducer, X: np.ndarray, source_id: str = "") -> ReducedDataset:
+def project_pca(reducer: PcaReducer, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != reducer.mean.shape[0]:
         raise DataError(
             f"PCA expects {reducer.mean.shape[0]} columns, got {X.shape[1]}"
         )
-    return ReducedDataset((X - reducer.mean) @ reducer.components.T, source_id, "pca")
+    Z = (X - reducer.mean) @ reducer.components.T
+    if not np.all(np.isfinite(Z)):
+        raise DataError("reduced representation contains non-finite entries")
+    return Z
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +201,6 @@ def pair_to_payload(pair: FeatureImportancePair, t1: np.ndarray, t2: np.ndarray)
 __all__ = [
     "FeatureImportancePair",
     "PcaReducer",
-    "ReducedDataset",
     "TScoreReport",
     "compute_t_scores",
     "feature_importance_pair",

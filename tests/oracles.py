@@ -4,7 +4,8 @@ Everything here is deliberately written in the most literal way possible
 (scalar loops, textbook formulas) and stays independent of the code paths it
 verifies. The full-matrix forms (`distance_matrix`, `k_nearest`) are the
 exception: they hold the whole N x M matrix from the exact kernels, the form
-the streaming search `link_rows` must equal.
+the streaming search `link_rows` must equal. `roc_curve` and `reconstruct`
+are plain forms the pipeline does not need.
 """
 
 import math
@@ -73,11 +74,14 @@ class LinkageMatrix:
     col_source: str
 
 
-def distance_matrix(a, b):
-    """Exact all-pairs Euclidean distances between two reduced datasets."""
-    if a.r != b.r:
-        raise DataError(f"reduced dimensions differ: {a.r} vs {b.r}")
-    return LinkageMatrix(_kernels.pairwise_euclidean(a.Z, b.Z), a.source_id, b.source_id)
+def distance_matrix(a, b, row_source="a", col_source="b"):
+    """Exact all-pairs Euclidean distances between the rows of two reduced
+    datasets, tagged with the datasets' names."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape[1] != b.shape[1]:
+        raise DataError(f"reduced dimensions differ: {a.shape[1]} vs {b.shape[1]}")
+    return LinkageMatrix(_kernels.pairwise_euclidean(a, b), row_source, col_source)
 
 
 def k_nearest(m, k):
@@ -100,6 +104,32 @@ def auroc_brute(scores, labels):
             elif sp == sn:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+@dataclass(frozen=True)
+class RocCurve:
+    thresholds: np.ndarray  # descending; first entry +inf
+    fpr: np.ndarray
+    tpr: np.ndarray
+
+
+def roc_curve(scores, labels):
+    """Step curve over the distinct score thresholds, from (0,0) to (1,1)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    y = labels[order]
+    n_pos = int(np.sum(labels == 1))
+    n_neg = int(np.sum(labels == 0))
+    boundaries = np.flatnonzero(np.diff(s)) + 1
+    cut = np.concatenate([boundaries, [len(s)]])
+    tp = np.cumsum(y == 1)[cut - 1]
+    fp = np.cumsum(y == 0)[cut - 1]
+    thresholds = np.concatenate([[np.inf], s[cut - 1]])
+    fpr = np.concatenate([[0.0], fp / n_neg])
+    tpr = np.concatenate([[0.0], tp / n_pos])
+    return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr)
 
 
 def median_brute(values):
@@ -161,6 +191,19 @@ def reconstruction_mse(layers, tanh_flags, X):
         if is_tanh:
             a = np.tanh(a)
     return float(np.mean((a - X) ** 2))
+
+
+def reconstruct(reducer, X):
+    """An autoencoder's output for X through an allocating forward pass: tanh
+    on every hidden layer, identity on the latent and output layers."""
+    layers = reducer.all_layers
+    latent = len(reducer.encoder_layers) - 1
+    a = np.asarray(X, dtype=np.float64)
+    for i, (w, b) in enumerate(layers):
+        a = a @ w + b
+        if i not in (latent, len(layers) - 1):
+            a = np.tanh(a)
+    return a
 
 
 def fit_autoencoder_reference(X, r, hyper):

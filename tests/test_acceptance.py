@@ -28,10 +28,10 @@ from disjoint_link.evaluation import (
     auroc,
     evaluate_conditions,
     prepare_d2_context,
-    fit_jobs,
     run_fold_condition,
+    standardized_folds,
 )
-from disjoint_link.linkage import fit_reducer, link, median_aggregate
+from disjoint_link.linkage import fit_jobs, fit_reducer, link, median_aggregate
 from disjoint_link.reducers import fit_pca, project_pca
 from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair
 
@@ -143,7 +143,7 @@ def test_criterion_5_pca_oracle():
     for _ in range(10):
         X = rng.normal(size=(8, 5))
         red = fit_pca(X, 5)
-        back = project_pca(red, X).Z @ red.components + red.mean
+        back = project_pca(red, X) @ red.components + red.mean
         recon_worst = max(recon_worst, float(np.abs(back - X).max()))
         assert np.allclose(back, X, atol=1e-8)
     report_line(
@@ -191,7 +191,7 @@ def test_criterion_6_autoencoder_gradients_and_linear_optimum():
                                learning_rate=0.02, seed=1),
     )
     pca_red = fit_pca(X, 2)
-    pca_recon = project_pca(pca_red, X).Z @ pca_red.components + pca_red.mean
+    pca_recon = project_pca(pca_red, X) @ pca_red.components + pca_red.mean
     pca_mse = float(np.mean((pca_recon - X) ** 2))
     gap = red.training_log[-1] - pca_mse
     assert gap < 1e-3
@@ -206,10 +206,8 @@ def test_criterion_7_pipeline_invariant_suite(tmp_path):
     rng = np.random.default_rng(3)
 
     # distance transpose symmetry at 1e-12
-    from disjoint_link.reducers import ReducedDataset
-
-    a = ReducedDataset(rng.normal(size=(12, 4)), "a", "pca")
-    b = ReducedDataset(rng.normal(size=(15, 4)), "b", "pca")
+    a = rng.normal(size=(12, 4))
+    b = rng.normal(size=(15, 4))
     fwd = distance_matrix(a, b).dist
     rev = distance_matrix(b, a).dist
     assert np.abs(fwd - rev.T).max() <= 1e-12
@@ -259,10 +257,11 @@ def test_criterion_7_pipeline_invariant_suite(tmp_path):
     e2s, _ = standardize(e2)
 
     def run_fold(condition, d):
-        jobs = fit_jobs([condition], d, e2s, [(0, [(tr, te)])], r=2, ae_hyper=hyper)
+        ((d_tr, d_te),) = standardized_folds(d, [(tr, te)])
+        jobs = fit_jobs([condition], e2s, [(0, [d_tr])], r=2, ae_hyper=hyper)
         fits = {fold: fit_reducer(*job) for (_, _, fold), job in jobs.items()}
         ctx = prepare_d2_context(e2s, fits.get(None))
-        return run_fold_condition(condition, d, tr, te, ctx, fits.get(0), k=3, seed=0, fold=0)
+        return run_fold_condition(condition, d_tr, d_te, ctx, fits.get(0), k=3, seed=0, fold=0)
 
     for condition in ("unlinked", "random", "feature_importance", "pca", "autoencoder"):
         y_mut = e1.y.copy()

@@ -16,11 +16,10 @@ from disjoint_link.autoencoder import (
     forward,
     init_layers,
     loss_and_grads,
-    reconstruct,
 )
 from disjoint_link.data import DataError
 from disjoint_link.reducers import autoencoder_to_payload
-from oracles import fit_autoencoder_reference, reconstruction_mse
+from oracles import fit_autoencoder_reference, reconstruct, reconstruction_mse
 
 
 def finite_difference_grads(layers, tanh_flags, X, eps=1e-5):

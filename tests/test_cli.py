@@ -3,7 +3,14 @@ import json
 import multiprocessing
 import os
 
+import pytest
+
+from disjoint_link import cli, evaluation, linkage
+from disjoint_link.autoencoder import AutoencoderHyper
 from disjoint_link.cli import main
+from disjoint_link.evaluation import CONDITION_ORDER
+from disjoint_link.figures import export_projection_2d, projection_to_csv
+from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -173,6 +180,51 @@ class TestEvaluateCommand:
         first = read_all_bytes(tmp_path / "out")
         assert main(["evaluate", "--config", str(tmp_path / "out" / "manifest.json")]) == 0
         assert read_all_bytes(tmp_path / "out") == first
+
+    @pytest.mark.parametrize("reducers", [["autoencoder"], ["feature_importance", "pca"]])
+    def test_after_projection_is_the_first_cv_seeds_link(self, tmp_path, reducers):
+        doc = self.evaluate_config(tmp_path / "out")
+        doc.update(reducers=reducers, seeds=[3, 0], seed=9)
+        assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        best = max(reducers, key=lambda c: (report["conditions"][c]["mean"], -CONDITION_ORDER.index(c)))
+        d1, d2 = synthesize_disjoint_pair(SyntheticPairConfig(**doc["inputs"]["synthetic"]))
+        hyper = AutoencoderHyper(hidden_dims=(4,), epochs=5, batch_size=16, learning_rate=0.01)
+        res = linkage.link_detailed(d1, d2, best, k=3, r=2, ae_hyper=hyper, seed=3)
+        projection_to_csv(export_projection_2d(res.d12), tmp_path / "want.csv")
+        assert (tmp_path / "out" / "after.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_d2_is_fitted_once_per_cv_seed_and_condition(self, tmp_path, monkeypatch):
+        # every fit goes through `fitted_reducers` or, for after.svg's D1,
+        # through the command's own `fit_reducer` call
+        listed = []
+        pool = linkage.fitted_reducers
+
+        def recording_pool(jobs):
+            listed.extend(jobs)
+            return pool(jobs)
+
+        def recording_fit(*job):
+            listed.append(job)
+            return linkage.fit_reducer(*job)
+
+        for module in (linkage, evaluation):
+            monkeypatch.setattr(module, "fitted_reducers", recording_pool)
+        monkeypatch.setattr(cli, "fit_reducer", recording_fit)
+        doc = self.evaluate_config(tmp_path / "out")
+        doc["seeds"] = [0, 1]
+        assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
+        d2_fits = [(kind, hyper.seed) for kind, d, _, hyper in listed if d.n == 60]
+        assert len(d2_fits) == len(set(d2_fits)) == 2 * 3
+        assert [d.n for _, d, _, _ in listed].count(40) == 1  # after.svg's D1, on all rows
+
+    def test_training_folds_cap_r_below_the_all_rows_fold(self, tmp_path):
+        # 10 rows in 2 folds: the smallest training fold caps the evaluated R
+        # below the all-rows fold's 6, so after.svg's D1 fit must take the
+        # evaluated D2 fit's R
+        doc = synth_config(tmp_path / "out", n1=10, k1=6, k2=8, seed=6, reducers=["pca"], folds=2, R=6)
+        assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
+        assert (tmp_path / "out" / "after.csv").read_text().count("\n") == 1 + 10
 
     def test_out_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, self.evaluate_config(tmp_path / "ignored"))

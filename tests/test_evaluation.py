@@ -20,14 +20,13 @@ from disjoint_link.evaluation import (
     logistic_loss_and_grad,
     predict_proba,
     prepare_d2_context,
-    fit_jobs,
-    roc_curve,
     run_fold_condition,
+    standardized_folds,
 )
-from disjoint_link.linkage import fit_reducer, link_detailed
+from disjoint_link.linkage import fit_jobs, fit_reducer, link_detailed
 from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair
 
-from oracles import auroc_brute
+from oracles import auroc_brute, roc_curve
 
 
 class TestLogistic:
@@ -173,7 +172,7 @@ class TestRocCurve:
         labels[0], labels[1] = 0, 1
         curve = roc_curve(scores, labels)
         area = np.trapezoid(curve.tpr, curve.fpr)
-        assert area == pytest.approx(curve.auroc, abs=1e-12)
+        assert area == pytest.approx(auroc(scores, labels), abs=1e-12)
 
     def test_thresholds_descending(self):
         scores = np.array([0.1, 0.5, 0.5, 0.9])
@@ -261,18 +260,22 @@ class TestPooledFits:
                                      ae_hyper=hyper)
         assert multiprocessing.active_children() == []
 
-        runs = [(seed, stratified_kfold(d1, 3, seed)) for seed in seeds]
+        splits = {seed: stratified_kfold(d1, 3, seed) for seed in seeds}
+        runs = [(seed, standardized_folds(d1, splits[seed])) for seed in seeds]
         d2s, _ = standardize(d2)
-        jobs = fit_jobs(["autoencoder"], d1, d2s, runs, r=2, ae_hyper=hyper)
+        jobs = fit_jobs(["autoencoder"], d2s, [(seed, [tr for tr, _ in folds]) for seed, folds in runs],
+                        r=2, ae_hyper=hyper)
         want = []
-        for seed, split in runs:
+        for seed, folds in runs:
             ctx = prepare_d2_context(d2s, fit_reducer(*jobs[seed, "autoencoder", None]))
             fold_values = []
-            for fold, (tr, te) in enumerate(split):
-                d1_tr = jobs[seed, "autoencoder", fold][1]
-                assert np.array_equal(d1_tr.X, apply_standardization(fit_standardization(d1.X[tr]), d1.X[tr]))
+            for fold, ((tr, te), (d1_tr, d1_te)) in enumerate(zip(splits[seed], folds)):
+                params = fit_standardization(d1.X[tr])
+                assert np.array_equal(d1_tr.X, apply_standardization(params, d1.X[tr]))
+                assert np.array_equal(d1_te.X, apply_standardization(params, d1.X[te]))
+                assert jobs[seed, "autoencoder", fold][1] is d1_tr
                 fit1 = fit_reducer(*jobs[seed, "autoencoder", fold])
-                out = run_fold_condition("autoencoder", d1, tr, te, ctx, fit1, k=3, seed=seed, fold=fold)
+                out = run_fold_condition("autoencoder", d1_tr, d1_te, ctx, fit1, k=3, seed=seed, fold=fold)
                 fold_values.append(out.auroc)
             want.append(tuple(fold_values))
         assert report.conditions["autoencoder"].per_seed == tuple(want)
@@ -296,18 +299,21 @@ class TestPooledFits:
 
 
 class TestOnePipeline:
-    @pytest.mark.parametrize("condition", ["feature_importance", "pca"])
+    @pytest.mark.parametrize("condition", ["feature_importance", "pca", "autoencoder", "random"])
     def test_all_rows_fold_matches_link(self, condition):
-        # with every row in both training and test, a fold links D1 exactly as `link` does
+        # with every row in both training and test, a fold links D1 exactly as
+        # `link` does: the same seeds, R and random draws
         d1, d2 = small_pair(3)
         rows = np.arange(d1.n)
         d2s, _ = standardize(d2)
-        jobs = fit_jobs([condition], d1, d2s, [(0, [(rows, rows)])], r=3, ae_hyper=None)
-        ctx = prepare_d2_context(d2s, fit_reducer(*jobs[0, condition, None]))
-        out = run_fold_condition(condition, d1, rows, rows, ctx, fit_reducer(*jobs[0, condition, 0]), k=4)
+        ((train, test),) = standardized_folds(d1, [(rows, rows)])
+        jobs = fit_jobs([condition], d2s, [(0, [train])], r=3, ae_hyper=None)
+        fits = {fold: fit_reducer(*job) for (_, _, fold), job in jobs.items()}
+        ctx = prepare_d2_context(d2s, fits.get(None))
+        out = run_fold_condition(condition, train, test, ctx, fits.get(0), k=4)
         want = link_detailed(d1, d2, condition, k=4, r=3).neighbors_12
         assert np.array_equal(out.neighbors_train.neighbors, want.neighbors)
-        assert np.array_equal(out.neighbors_train.distances, want.distances)
+        assert np.array_equal(out.neighbors_train.distances, want.distances, equal_nan=True)
 
 
 class TestLeakageAudit:
@@ -324,10 +330,11 @@ class TestLeakageAudit:
         d2s, _ = standardize(d2)
 
         def run(d):
-            jobs = fit_jobs([condition], d, d2s, [(0, [(tr, te)])], r=2, ae_hyper=hyper)
+            ((d_tr, d_te),) = standardized_folds(d, [(tr, te)])
+            jobs = fit_jobs([condition], d2s, [(0, [d_tr])], r=2, ae_hyper=hyper)
             fits = {fold: fit_reducer(*job) for (_, _, fold), job in jobs.items()}
             ctx = prepare_d2_context(d2s, fits.get(None))
-            return run_fold_condition(condition, d, tr, te, ctx, fits.get(0), k=3, seed=0, fold=0)
+            return run_fold_condition(condition, d_tr, d_te, ctx, fits.get(0), k=3, seed=0, fold=0)
 
         y_mut = d1.y.copy()
         y_mut[te] = np.roll(y_mut[te], 1)  # permute only the test fold's labels

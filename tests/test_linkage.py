@@ -15,44 +15,42 @@ from disjoint_link.linkage import (
     linked_to_csv,
     median_aggregate,
     neighbors_to_csv,
-    random_link,
-    random_link_detailed,
 )
-from disjoint_link.reducers import ReducedDataset, autoencoder_to_payload
+from disjoint_link.reducers import autoencoder_to_payload
 
 from oracles import LinkageMatrix, distance_matrix, k_nearest, pairwise_dist_brute
 
 
-def reduced(a, ds_id="a", kind="pca"):
-    return ReducedDataset(np.asarray(a, dtype=float), ds_id, kind)
+def reduced(a):
+    return np.asarray(a, dtype=float)
 
 
 class TestDistanceMatrix:
     def test_identity(self):
-        m = distance_matrix(reduced([[1.0, 2.0]]), reduced([[1.0, 2.0]], "b"))
+        m = distance_matrix(reduced([[1.0, 2.0]]), reduced([[1.0, 2.0]]))
         assert m.dist.tolist() == [[0.0]]
 
     def test_3_4_5(self):
-        m = distance_matrix(reduced([[0.0, 0.0]]), reduced([[3.0, 4.0]], "b"))
+        m = distance_matrix(reduced([[0.0, 0.0]]), reduced([[3.0, 4.0]]))
         assert m.dist[0, 0] == 5.0
 
     def test_bruteforce_oracle(self):
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
-        m = distance_matrix(reduced(a), reduced(b, "b"))
+        m = distance_matrix(reduced(a), reduced(b))
         np.testing.assert_allclose(m.dist, pairwise_dist_brute(a, b), atol=1e-12)
 
     def test_transpose_symmetry(self):
         rng = np.random.default_rng(1)
         a, b = rng.normal(size=(6, 3)), rng.normal(size=(9, 3))
-        fwd = distance_matrix(reduced(a), reduced(b, "b")).dist
-        rev = distance_matrix(reduced(b, "b"), reduced(a)).dist
+        fwd = distance_matrix(reduced(a), reduced(b)).dist
+        rev = distance_matrix(reduced(b), reduced(a)).dist
         np.testing.assert_allclose(fwd, rev.T, atol=1e-12)
 
     def test_triangle_inequality_sampled(self):
         rng = np.random.default_rng(2)
         a, b = rng.normal(size=(5, 4)), rng.normal(size=(7, 4))
-        d_ab = distance_matrix(reduced(a), reduced(b, "b")).dist
+        d_ab = distance_matrix(reduced(a), reduced(b)).dist
         d_bb = pairwise_dist_brute(b, b)
         for i in range(5):
             for j in range(7):
@@ -61,13 +59,13 @@ class TestDistanceMatrix:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DataError):
-            distance_matrix(reduced([[1.0, 2.0]]), reduced([[1.0]], "b"))
+            distance_matrix(reduced([[1.0, 2.0]]), reduced([[1.0]]))
 
     def test_row_col_sources(self):
-        a, b = reduced([[0.0]], "left"), reduced([[1.0]], "right")
-        m = distance_matrix(a, b)
+        a, b = reduced([[0.0]]), reduced([[1.0]])
+        m = distance_matrix(a, b, "left", "right")
         assert (m.row_source, m.col_source) == ("left", "right")
-        back = distance_matrix(b, a)
+        back = distance_matrix(b, a, "right", "left")
         assert (back.row_source, back.col_source) == ("right", "left")
 
 
@@ -112,9 +110,9 @@ class TestNearestNeighbors:
 
     def test_equals_k_nearest_of_the_matrix(self):
         rng = np.random.default_rng(4)
-        a, b = reduced(rng.integers(0, 3, size=(9, 2))), reduced(rng.integers(0, 3, size=(13, 2)), "b")
+        a, b = reduced(rng.integers(0, 3, size=(9, 2))), reduced(rng.integers(0, 3, size=(13, 2)))
         ref_features = rng.normal(size=(13, 3))
-        got, agg = link_rows(a.Z, b.Z, ref_features, 4)
+        got, agg = link_rows(a, b, ref_features, 4)
         want = k_nearest(distance_matrix(a, b), 4)
         np.testing.assert_array_equal(got.neighbors, want.neighbors)
         np.testing.assert_array_equal(got.distances, want.distances)
@@ -260,15 +258,17 @@ class TestLink:
 
 class TestPooledFits:
     def test_autoencoder_sides_keep_their_rows_and_seeds(self, make_dataset):
-        # D1 trains with `seed` and D2 with `seed + 1`, however the pool
-        # schedules them, and no worker outlives the call
+        # the evaluation's seeds for the fold of all D1 rows: D1 trains with
+        # SeedSequence([seed, 0, 1]) and D2 with SeedSequence([seed, 2]),
+        # however the pool schedules them, and no worker outlives the call
         rng = np.random.default_rng(13)
         d1 = make_dataset(rng.normal(size=(12, 3)), [0, 1] * 6, "d1")
         d2 = make_dataset(rng.normal(size=(16, 3)), [0, 1] * 8, "d2")
         hyper = AutoencoderHyper(hidden_dims=(4,), epochs=3)
         res = link_detailed(d1, d2, "autoencoder", k=2, r=2, ae_hyper=hyper, seed=4)
         assert multiprocessing.active_children() == []
-        for side, d, seed in (("d1", d1, 4), ("d2", d2, 5)):
+        for side, d, tags in (("d1", d1, [4, 0, 1]), ("d2", d2, [4, 2])):
+            seed = int(np.random.SeedSequence(tags).generate_state(1)[0])
             want = fit_autoencoder(standardize(d)[0].X, 2, replace(hyper, seed=seed))
             assert res.reducer_payload[side] == autoencoder_to_payload(want), side
 
@@ -289,15 +289,15 @@ class TestRandomLink:
         rng = np.random.default_rng(13)
         d1 = make_dataset(rng.normal(size=(8, 2)), [0, 1] * 4, "d1")
         d2 = make_dataset(rng.normal(size=(9, 3)), [0, 1, 0] * 3, "d2")
-        a12, a21 = random_link(d1, d2, k=2, seed=5)
-        b12, b21 = random_link(d1, d2, k=2, seed=5)
+        a12, a21 = link(d1, d2, "random", k=2, seed=5)
+        b12, b21 = link(d1, d2, "random", k=2, seed=5)
         assert np.array_equal(a12.X, b12.X) and np.array_equal(a21.X, b21.X)
 
     def test_k_equals_m_matches_true_linkage(self, make_dataset):
         rng = np.random.default_rng(14)
         d1 = make_dataset(rng.normal(size=(6, 2)), [0, 1] * 3, "d1")
         d2 = make_dataset(rng.normal(size=(6, 3)), [0, 1] * 3, "d2")
-        r12, r21 = random_link(d1, d2, k=6, seed=0)
+        r12, r21 = link(d1, d2, "random", k=6, seed=0)
         t12, t21 = link(d1, d2, "pca", k=6, r=2)
         np.testing.assert_allclose(r12.X, t12.X, atol=1e-12)
         np.testing.assert_allclose(r21.X, t21.X, atol=1e-12)
@@ -305,7 +305,7 @@ class TestRandomLink:
     def test_k_too_large(self, make_dataset):
         d1 = make_dataset([[0.0], [1.0]], [0, 1], "d1")
         with pytest.raises(DataError):
-            random_link(d1, d1, k=3, seed=0)
+            link(d1, d1, "random", k=3, seed=0)
 
     def test_uniform_selection_frequency(self, make_dataset):
         # 10 rows x 1000 seeds with k=1: each column expected at rate 0.1,
@@ -315,17 +315,24 @@ class TestRandomLink:
         d2 = make_dataset(rng.normal(size=(10, 2)), [0, 1] * 5, "d2")
         counts = np.zeros(10)
         for seed in range(1000):
-            _, _, nb12, _ = random_link_detailed(d1, d2, k=1, seed=seed)
+            nb12 = link_detailed(d1, d2, "random", k=1, seed=seed).neighbors_12
             for j in nb12.neighbors[:, 0]:
                 counts[j] += 1
         freq = counts / 10000.0
         assert (np.abs(freq - 0.1) <= 0.03).all()
 
+    def test_payload_names_kind_k_seed(self, make_dataset):
+        rng = np.random.default_rng(13)
+        d1 = make_dataset(rng.normal(size=(8, 2)), [0, 1] * 4, "d1")
+        d2 = make_dataset(rng.normal(size=(9, 3)), [0, 1, 0] * 3, "d2")
+        res = link_detailed(d1, d2, "random", k=2, seed=5)
+        assert res.reducer_payload == {"kind": "random", "k": 2, "seed": 5}
+
     def test_no_duplicate_neighbors_per_row(self, make_dataset):
         rng = np.random.default_rng(16)
         d1 = make_dataset(rng.normal(size=(5, 2)), [0, 1, 0, 1, 0], "d1")
         d2 = make_dataset(rng.normal(size=(7, 2)), [0, 1] * 3 + [0], "d2")
-        _, _, nb12, nb21 = random_link_detailed(d1, d2, k=4, seed=2)
+        nb12 = link_detailed(d1, d2, "random", k=4, seed=2).neighbors_12
         for row in nb12.neighbors:
             assert len(set(row.tolist())) == 4
 

@@ -166,7 +166,7 @@ class TestPca:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(6, 4))
         red = fit_pca(X, 4)
-        z = project_pca(red, X).Z
+        z = project_pca(red, X)
         np.testing.assert_allclose(z @ red.components + red.mean, X, atol=1e-8)
 
     def test_matches_jacobi_oracle(self):
@@ -191,7 +191,7 @@ class TestPca:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(40, 5)) @ rng.normal(size=(5, 5))
         red = fit_pca(X, 3)
-        z = project_pca(red, X).Z
+        z = project_pca(red, X)
         cov = (z - z.mean(axis=0)).T @ (z - z.mean(axis=0)) / z.shape[0]
         np.testing.assert_allclose(cov - np.diag(np.diag(cov)), 0.0, atol=1e-8)
         assert np.trace(cov) == pytest.approx(red.eigenvalues.sum(), abs=1e-8)
@@ -218,19 +218,19 @@ class TestPca:
         rng = np.random.default_rng(10)
         X = rng.normal(size=(9, 3))
         red = fit_pca(X, 2)
-        z = project_pca(red, X.mean(axis=0, keepdims=True)).Z
+        z = project_pca(red, X.mean(axis=0, keepdims=True))
         np.testing.assert_allclose(z, 0.0, atol=1e-12)
 
     def test_identity_components_give_centered_data(self):
         X = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 0.0]])
         red = PcaReducer(mean=X.mean(axis=0), components=np.eye(2), eigenvalues=np.ones(2))
-        z = project_pca(red, X).Z
+        z = project_pca(red, X)
         np.testing.assert_allclose(z, X - X.mean(axis=0), atol=1e-12)
 
     def test_hand_projection(self):
         X = np.array([[2.0, 1.0], [-2.0, -1.0], [0.0, np.sqrt(3)], [0.0, -np.sqrt(3)]])
         red = fit_pca(X, 2)
-        z = project_pca(red, np.array([[1.0, 1.0]])).Z
+        z = project_pca(red, np.array([[1.0, 1.0]]))
         s = 1.0 / np.sqrt(2.0)
         np.testing.assert_allclose(z, [[2 * s, 0.0]], atol=1e-12)
 
