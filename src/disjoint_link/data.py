@@ -129,10 +129,6 @@ def apply_standardization(params: StandardizationParams, X: np.ndarray) -> np.nd
     return out
 
 
-def invert_standardization(params: StandardizationParams, X: np.ndarray) -> np.ndarray:
-    return np.asarray(X, dtype=np.float64) * params.stddevs + params.means
-
-
 def standardize(d: Dataset) -> tuple[Dataset, StandardizationParams]:
     """Z-score every column (population stddev); constant columns become zero."""
     params = fit_standardization(d.X)
@@ -179,9 +175,12 @@ def _parse_float(cell: str) -> float | None:
         return None
 
 
-def _column_is_numeric(cells: list[str]) -> bool:
-    present = [c for c in cells if c != ""]
-    return all(_parse_float(c) is not None for c in present)
+def _parse_column(cells: tuple[str, ...]) -> np.ndarray | None:
+    """Every cell through `float` once; None if any cell is not a number."""
+    try:
+        return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    except ValueError:
+        return None
 
 
 def load_csv(
@@ -193,17 +192,21 @@ def load_csv(
 
     Numeric gaps are filled with the column median, categorical gaps with the
     column mode (ties broken lexicographically). Labels must coerce to {0,1}.
+    A leading UTF-8 byte-order mark is skipped. A column whose cells all parse
+    as numbers is parsed in one pass; any other column goes cell by cell.
     """
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise DataError(f"{path} is empty")
     header, body = rows[0], rows[1:]
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise DataError(f"duplicate column {name!r} in {path}")
     if label_column not in header:
         raise DataError(f"label column {label_column!r} not found in {path}")
     if len(body) < 2:
@@ -212,15 +215,14 @@ def load_csv(
         if len(row) != len(header):
             raise DataError(f"{path} row {i + 2} has {len(row)} cells, expected {len(header)}")
 
-    columns = {name: [row[j] for row in body] for j, name in enumerate(header)}
+    columns = dict(zip(header, zip(*body)))
 
-    labels = []
-    for i, cell in enumerate(columns[label_column]):
-        v = _parse_float(cell)
-        if v is None or v not in (0.0, 1.0):
-            raise DataError(f"non-binary label {cell!r} at row {i + 2} of {path}")
-        labels.append(int(v))
-    y = np.array(labels, dtype=np.int64)
+    labels = _parse_column(columns[label_column])
+    if labels is None or not np.all((labels == 0.0) | (labels == 1.0)):
+        for i, cell in enumerate(columns[label_column]):  # raises at the first bad cell
+            if _parse_float(cell) not in (0.0, 1.0):
+                raise DataError(f"non-binary label {cell!r} at row {i + 2} of {path}")
+    y = labels.astype(np.int64)
 
     hints = {h.name: h for h in (schema_hints or [])}
     schema: list[FeatureSchema] = []
@@ -229,15 +231,17 @@ def load_csv(
         if name == label_column:
             continue
         cells = columns[name]
-        present = [c for c in cells if c != ""]
+        hint = hints.get(name)
+        col = None if hint and hint.kind == "categorical" else _parse_column(cells)
+        present = cells if col is not None else [c for c in cells if c != ""]
         if not present:
             raise DataError(f"column {name!r} has no values to impute from")
-        hint = hints.get(name)
-        numeric = hint.kind == "numeric" if hint else _column_is_numeric(cells)
-        if numeric:
+        if col is None and (hint.kind == "numeric" if hint
+                            else all(_parse_float(c) is not None for c in present)):
             vals = [_parse_float(c) for c in cells]
             med = float(np.median([v for v in vals if v is not None]))
             col = np.array([med if v is None else v for v in vals], dtype=np.float64)
+        if col is not None:
             if not np.all(np.isfinite(col)):
                 raise DataError(f"column {name!r} contains non-finite values")
             schema.append(FeatureSchema(name, "numeric"))
@@ -274,13 +278,23 @@ def load_csv(
 # serialization
 # ---------------------------------------------------------------------------
 
+CSV_BLOCK_ROWS = 4096  # rows formatted per write: bounds the text held at once
+
+
+def write_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """`header` through `csv.writer` (quoted where a name needs it), then one
+    line per row of the equal-length 1-D `columns`: each cell the repr of its
+    value (a float's shortest round-trip form, an int's digits), comma-joined,
+    with csv's CRLF line end."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            rows = zip(*(col[lo:lo + CSV_BLOCK_ROWS].tolist() for col in columns))
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+
 
 def dataset_to_csv(d: Dataset, path: str | Path, label_column: str = LABEL_COLUMN) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(d.feature_names + [label_column])
-        for i in range(d.n):
-            writer.writerow([repr(float(v)) for v in d.X[i]] + [int(d.y[i])])
+    write_csv(path, d.feature_names + [label_column], [*d.X.T, d.y])
 
 
 def schema_to_json(schema: tuple[FeatureSchema, ...] | list[FeatureSchema]) -> list[dict]:
@@ -288,12 +302,6 @@ def schema_to_json(schema: tuple[FeatureSchema, ...] | list[FeatureSchema]) -> l
         {"name": s.name, "kind": s.kind, "categories": list(s.categories)}
         for s in schema
     ]
-
-
-def schema_from_json(doc: list[dict]) -> tuple[FeatureSchema, ...]:
-    return tuple(
-        FeatureSchema(e["name"], e["kind"], tuple(e.get("categories", ()))) for e in doc
-    )
 
 
 def write_schema(schema, path: str | Path) -> None:

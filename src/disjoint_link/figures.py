@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, write_csv
 from .reducers import fit_pca, project_pca
 
 NEGATIVE_COLOR = "#4477aa"
@@ -32,11 +31,7 @@ def export_projection_2d(d) -> Projection2D:
 
 
 def projection_to_csv(p: Projection2D, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pc1", "pc2", "label"])
-        for (x, y), lab in zip(p.points, p.labels):
-            writer.writerow([repr(float(x)), repr(float(y)), int(lab)])
+    write_csv(path, ["pc1", "pc2", "label"], [*p.points.T, p.labels.astype(np.int64)])
 
 
 def scatter_svg(p: Projection2D, title: str = "") -> str:

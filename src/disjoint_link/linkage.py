@@ -14,7 +14,6 @@ built. `fitted_reducers` runs a command's autoencoder fits on a process pool.
 
 from __future__ import annotations
 
-import csv
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -31,6 +30,7 @@ from .data import (
     DataError,
     LABEL_COLUMN,
     standardize,
+    write_csv,
 )
 from .reducers import (
     FeatureImportancePair,
@@ -386,17 +386,11 @@ def linked_to_csv(d: LinkedDataset, path: str | Path) -> None:
         f"own.{p.feature}" if p.tag == "own" else f"agg.{p.source_id}.{p.feature}"
         for p in d.provenance
     ] + [LABEL_COLUMN]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(d.X.shape[0]):
-            writer.writerow([repr(float(v)) for v in d.X[i]] + [int(d.y[i])])
+    write_csv(path, header, [*d.X.T, d.y])
 
 
 def neighbors_to_csv(nb: NeighborMap, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row_index", "rank", "col_index", "distance"])
-        for i in range(nb.neighbors.shape[0]):
-            for rank in range(nb.k):
-                writer.writerow([i, rank, int(nb.neighbors[i, rank]), repr(float(nb.distances[i, rank]))])
+    n = nb.neighbors.shape[0]
+    write_csv(path, ["row_index", "rank", "col_index", "distance"], [
+        np.repeat(np.arange(n), nb.k), np.tile(np.arange(nb.k), n),
+        nb.neighbors.ravel(), nb.distances.ravel()])

@@ -4,18 +4,24 @@ Everything here is deliberately written in the most literal way possible
 (scalar loops, textbook formulas) and stays independent of the code paths it
 verifies. The full-matrix forms (`distance_matrix`, `k_nearest`) are the
 exception: they hold the whole N x M matrix from the exact kernels, the form
-the streaming search `link_rows` must equal. `roc_curve` and `reconstruct`
-are plain forms the pipeline does not need.
+the streaming search `link_rows` must equal. `roc_curve`, `reconstruct`,
+`invert_standardization` and `schema_from_json` are plain forms the pipeline
+does not need. The CSV references are the cell-by-cell loader and the
+row-by-row `csv.writer` writers the package's one-pass forms must equal byte
+for byte.
 """
+
+import csv
 
 import math
 import statistics
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from disjoint_link import _kernels
-from disjoint_link.data import DataError
+from disjoint_link.data import DataError, Dataset, FeatureSchema
 from disjoint_link.linkage import NeighborMap
 
 
@@ -265,3 +271,129 @@ def fit_autoencoder_reference(X, r, hyper):
                 layer[1] = layer[1] - hyper.learning_rate * vel[1]
         log.append(float(np.mean((forward(layers, X)[-1] - X) ** 2)))
     return tuple((w, b) for w, b in layers), tuple(log)
+
+
+def invert_standardization(params, X):
+    """Undo `apply_standardization`: constant columns come back as their mean."""
+    return np.asarray(X, dtype=np.float64) * params.stddevs + params.means
+
+
+def schema_from_json(doc):
+    """The inverse of `data.schema_to_json`."""
+    return tuple(FeatureSchema(e["name"], e["kind"], tuple(e.get("categories", ()))) for e in doc)
+
+
+# ---------------------------------------------------------------------------
+# CSV references: every cell parsed and written on its own
+# ---------------------------------------------------------------------------
+
+
+def _parse_float(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def load_csv_reference(
+    path: str | Path,
+    label_column: str,
+    schema_hints: list[FeatureSchema] | None = None,
+) -> Dataset:
+    """The cell-by-cell loader: each numeric cell parsed once to classify its
+    column and again to read it. Plain UTF-8, no duplicate-header check."""
+    path = Path(path)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            rows = list(reader)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path} is empty")
+    header, body = rows[0], rows[1:]
+    if label_column not in header:
+        raise DataError(f"label column {label_column!r} not found in {path}")
+    if len(body) < 2:
+        raise DataError(f"{path} has fewer than 2 data rows")
+    for i, row in enumerate(body):
+        if len(row) != len(header):
+            raise DataError(f"{path} row {i + 2} has {len(row)} cells, expected {len(header)}")
+
+    columns = {name: [row[j] for row in body] for j, name in enumerate(header)}
+
+    labels = []
+    for i, cell in enumerate(columns[label_column]):
+        v = _parse_float(cell)
+        if v is None or v not in (0.0, 1.0):
+            raise DataError(f"non-binary label {cell!r} at row {i + 2} of {path}")
+        labels.append(int(v))
+    y = np.array(labels, dtype=np.int64)
+
+    hints = {h.name: h for h in (schema_hints or [])}
+    schema: list[FeatureSchema] = []
+    blocks: list[np.ndarray] = []
+    for name in header:
+        if name == label_column:
+            continue
+        cells = columns[name]
+        present = [c for c in cells if c != ""]
+        if not present:
+            raise DataError(f"column {name!r} has no values to impute from")
+        hint = hints.get(name)
+        numeric = hint.kind == "numeric" if hint else all(_parse_float(c) is not None for c in present)
+        if numeric:
+            vals = [_parse_float(c) for c in cells]
+            med = float(np.median([v for v in vals if v is not None]))
+            col = np.array([med if v is None else v for v in vals], dtype=np.float64)
+            if not np.all(np.isfinite(col)):
+                raise DataError(f"column {name!r} contains non-finite values")
+            schema.append(FeatureSchema(name, "numeric"))
+            blocks.append(col[:, None])
+        else:
+            if hint and hint.categories:
+                cats = list(hint.categories)
+                unknown = sorted(set(present) - set(cats))
+                if unknown:
+                    raise DataError(f"column {name!r} has values outside hinted categories: {unknown}")
+            else:
+                cats = sorted(set(present))
+            if len(cats) < 2:
+                raise DataError(f"categorical column {name!r} has a single category {cats[0]!r}")
+            counts = {c: 0 for c in cats}
+            for c in present:
+                counts[c] += 1
+            # mode, ties broken lexicographically
+            best = max(counts.values())
+            mode = min(c for c in cats if counts[c] == best)
+            onehot = np.zeros((len(cells), len(cats)), dtype=np.float64)
+            pos = {c: j for j, c in enumerate(cats)}
+            for i, cell in enumerate(cells):
+                onehot[i, pos[cell if cell != "" else mode]] = 1.0
+            schema.append(FeatureSchema(name, "categorical", tuple(cats)))
+            blocks.append(onehot)
+    if not blocks:
+        raise DataError(f"{path} has no feature columns besides the label")
+    X = np.hstack(blocks)
+    return Dataset(tuple(schema), X, y, id=path.stem)
+
+
+def write_rows_reference(path, header, rows):
+    """One `csv.writer.writerow` per row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+def labelled_rows_reference(X, y):
+    """Rows of float cells, each `repr(float(v))` of a numpy scalar, then the label."""
+    return ([repr(float(v)) for v in X[i]] + [int(y[i])] for i in range(len(X)))
+
+
+def neighbors_rows_reference(nb):
+    """`neighbors.csv` rows: row index, rank, column index, distance."""
+    for i in range(nb.neighbors.shape[0]):
+        for rank in range(nb.k):
+            yield [i, rank, int(nb.neighbors[i, rank]), repr(float(nb.distances[i, rank]))]

@@ -1,0 +1,216 @@
+"""CSV ingestion and output against the cell-by-cell references in oracles.py.
+
+The package parses a column of numbers in one pass and formats whole blocks
+of rows at a time; the references parse and write one cell and one row at a
+time. Files must come out byte for byte the same, and every input must load
+to the same Dataset or fail with the same message.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from disjoint_link import data
+from disjoint_link.data import DataError, Dataset, FeatureSchema, dataset_to_csv, load_csv
+from disjoint_link.figures import Projection2D, projection_to_csv
+from disjoint_link.linkage import (
+    ColumnProvenance,
+    LinkedDataset,
+    NeighborMap,
+    linked_to_csv,
+    neighbors_to_csv,
+    random_neighbor_map,
+)
+from oracles import (
+    labelled_rows_reference,
+    load_csv_reference,
+    neighbors_rows_reference,
+    write_rows_reference,
+)
+
+# values around the points where repr switches notation (1e16, 1e-5), the
+# subnormal range and both zeros
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    1e16, -1e16, np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf), 9999999999999998.0,
+    1e-5, -1e-5, np.nextafter(1e-5, 0.0), np.nextafter(1e-5, 1.0), 0.0001, 1e22, 1.7976931348623157e308,
+    0.1, 1 / 3, 123456789.0,
+]
+
+cell_floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-300, max_value=1e-300, allow_subnormal=True),
+)
+# names a header must quote: comma, quote, newline, carriage return
+names = st.text(alphabet=st.sampled_from(list('ab ,"\n\r=é')), min_size=1, max_size=6)
+
+
+@st.composite
+def labelled_matrices(draw):
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 4))
+    X = np.array(draw(st.lists(cell_floats, min_size=n * k, max_size=n * k)), dtype=np.float64)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    header = draw(st.lists(names, min_size=k, max_size=k, unique=True))
+    return X.reshape(n, k), y, header
+
+
+def same_bytes(tmp, write, write_reference):
+    write(tmp / "new.csv")
+    write_reference(tmp / "ref.csv")
+    assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+
+class TestWriterBytes:
+    @given(case=labelled_matrices(), block_rows=st.sampled_from([1, 2, 4096]))
+    @settings(max_examples=150, deadline=None)
+    def test_labelled_writers_match_row_by_row(self, tmp_path_factory, case, block_rows):
+        X, y, header = case
+        tmp = tmp_path_factory.mktemp("w")
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(data, "CSV_BLOCK_ROWS", block_rows)
+            rows = lambda: labelled_rows_reference(X, y)  # noqa: E731
+            same_bytes(tmp, lambda p: data.write_csv(p, header + ["label"], [*X.T, y]),
+                       lambda p: write_rows_reference(p, header + ["label"], rows()))
+            p2 = Projection2D(points=np.column_stack([X[:, 0], X[:, -1]]), labels=y)
+            same_bytes(tmp, lambda p: projection_to_csv(p2, p),
+                       lambda p: write_rows_reference(p, ["pc1", "pc2", "label"],
+                                                      labelled_rows_reference(p2.points, y)))
+            prov = tuple(ColumnProvenance("own" if j % 2 else "aggregated", "src,1", name)
+                         for j, name in enumerate(header))
+            linked = LinkedDataset(X=X, y=y, provenance=prov, base_id="b", other_id="src,1")
+            linked_header = [f"own.{n}" if j % 2 else f"agg.src,1.{n}" for j, n in enumerate(header)]
+            same_bytes(tmp, lambda p: linked_to_csv(linked, p),
+                       lambda p: write_rows_reference(p, linked_header + ["label"], rows()))
+
+    @given(case=labelled_matrices())
+    @settings(max_examples=50, deadline=None)
+    def test_dataset_to_csv_matches_row_by_row(self, tmp_path_factory, case):
+        X, y, header = case
+        if len(X) < 2:
+            X, y = np.vstack([X, X]), np.concatenate([y, y])
+        d = Dataset(tuple(FeatureSchema(n, "numeric") for n in header), X, y, "d")
+        same_bytes(tmp_path_factory.mktemp("d"), lambda p: dataset_to_csv(d, p, "died, y"),
+                   lambda p: write_rows_reference(p, header + ["died, y"], labelled_rows_reference(X, y)))
+
+    @given(n=st.integers(1, 12), extra=st.integers(0, 5), seed=st.integers(0, 2**32 - 1),
+           block_rows=st.sampled_from([1, 3, 4096]))
+    @settings(max_examples=50, deadline=None)
+    def test_neighbors_match_row_by_row(self, tmp_path_factory, n, extra, seed, block_rows):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 4))
+        tmp = tmp_path_factory.mktemp("nb")
+        nan_map = random_neighbor_map(n, k + extra, k, rng)  # NaN distances
+        finite = NeighborMap(k=k, neighbors=nan_map.neighbors,
+                             distances=rng.choice(EDGE_FLOATS, size=(n, k)) * rng.random((n, k)))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(data, "CSV_BLOCK_ROWS", block_rows)
+            for nb in (nan_map, finite):
+                same_bytes(tmp, lambda p: neighbors_to_csv(nb, p),
+                           lambda p: write_rows_reference(p, ["row_index", "rank", "col_index", "distance"],
+                                                          neighbors_rows_reference(nb)))
+
+    def test_header_quoting_and_line_ends(self, tmp_path):
+        path = tmp_path / "q.csv"
+        data.write_csv(path, ['a,b', 'say "hi"', "two\nlines", "label"],
+                       [np.array([1e16, -0.0]), np.array([1e-5, 5e-324]), np.array([0.1, 2.0]),
+                        np.array([0, 1])])
+        assert path.read_bytes() == (
+            b'"a,b","say ""hi""","two\nlines",label\r\n'
+            b"1e+16,1e-05,0.1,0\r\n-0.0,5e-324,2.0,1\r\n"
+        )
+
+
+def load_outcome(load, path, hints):
+    try:
+        d = load(path, "label", hints)
+    except DataError as exc:
+        return "error", str(exc)
+    return d.schema, d.X.dtype, d.X.shape, d.X.tobytes(), d.y.dtype, d.y.tobytes(), d.id
+
+
+LOADER_CASES = {
+    "gaps": ("x,z,label\n1,,0\n,2.5,1\n3,4,0\n", None),
+    "categoricals": ("c,x,label\nB,1,0\nA,2,1\n,3,0\nB,4,1\n", None),
+    "mixed cells make a categorical": ("x,label\n1,0\nA,1\n2,0\n", None),
+    "numeric hint on gaps": ("x,label\n1,0\n,1\n4,0\nabc,1\n", [FeatureSchema("x", "numeric")]),
+    "numeric hint on a full column": ("x,label\n1,0\n2,1\n", [FeatureSchema("x", "numeric")]),
+    "categorical hint on numbers": ("x,label\n1,0\n2,1\n1,0\n",
+                                    [FeatureSchema("x", "categorical", ("1", "2", "3"))]),
+    "categorical hint, unknown value": ("x,label\n1,0\n2,1\n", [FeatureSchema("x", "categorical", ("1", "3"))]),
+    "whitespace and underscores": ("x,z,label\n 1.5 ,1_000,0\n\t2,-0.0,1\n3e-320, 7 ,0\n", None),
+    "nan cell": ("x,label\n1,0\nnan,1\n", None),
+    "inf cell": ("x,label\n1,0\n-Infinity,1\n", None),
+    "nan beside a gap": ("x,label\nnan,0\n,1\n2,0\n", None),
+    "float labels": ("x,label\n1,1.0\n2,0.0\n3, 1 \n4,-0.0\n", None),
+    "non-binary label in row 7": ("x,label\n1,0\n2,1\n3,0\n4,1\n5,0\n6,2\n7,1\n", None),
+    "text label in row 7": ("x,label\n1,0\n2,1\n3,0\n4,1\n5,0\n6,yes\n7,1\n", None),
+    "fractional label": ("x,label\n1,0\n2,0.5\n3,1\n", None),
+    "nan label": ("x,label\n1,0\n2,nan\n", None),
+    "empty label": ("x,label\n1,0\n2,\n", None),
+    "empty column": ("x,e,label\n1,,0\n2,,1\n", None),
+    "single category": ("c,label\nA,0\nA,1\n", None),
+    "label only": ("label\n0\n1\n", None),
+    "ragged row": ("x,label\n1,0\n2\n", None),
+    "one data row": ("x,label\n1,0\n", None),
+    "empty file": ("", None),
+    "missing label column": ("x,y\n1,0\n2,1\n", None),
+}
+
+
+class TestLoaderParity:
+    @pytest.mark.parametrize("name", sorted(LOADER_CASES))
+    def test_same_dataset_or_same_error(self, tmp_path, name):
+        text, hints = LOADER_CASES[name]
+        path = tmp_path / "in.csv"
+        path.write_text(text, encoding="utf-8")
+        assert load_outcome(load_csv, path, hints) == load_outcome(load_csv_reference, path, hints)
+
+    @given(
+        grid=st.lists(
+            st.lists(st.sampled_from(["", "1", "2.5", " 3 ", "1_000", "-0.0", "1e-320", "nan", "inf", "A", "B"]),
+                     min_size=3, max_size=3),
+            min_size=2, max_size=8),
+        labels=st.lists(st.sampled_from(["0", "1", "0.0", "1.0", " 1", "2", "0.5"]), min_size=8, max_size=8),
+        hint=st.sampled_from([None, "numeric", "categorical"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_grids(self, tmp_path_factory, grid, labels, hint):
+        hints = None
+        if hint == "numeric":
+            hints = [FeatureSchema("a", "numeric")]
+        elif hint == "categorical":
+            hints = [FeatureSchema("a", "categorical", tuple(sorted({r[0] for r in grid} - {""} | {"A", "B"})))]
+        text = "a,b,label,c\n" + "".join(f"{r[0]},{r[1]},{lab},{r[2]}\n" for r, lab in zip(grid, labels))
+        path = tmp_path_factory.mktemp("g") / "grid.csv"
+        path.write_text(text, encoding="utf-8")
+        assert load_outcome(load_csv, path, hints) == load_outcome(load_csv_reference, path, hints)
+
+
+    def test_label_error_names_the_row(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(LOADER_CASES["non-binary label in row 7"][0], encoding="utf-8")
+        with pytest.raises(DataError, match="non-binary label '2' at row 7 of"):
+            load_csv(path, "label")
+
+
+class TestHeaderFaults:
+    @pytest.mark.parametrize("header,dup", [("label,a,label", "label"), ("a,a,label", "a"), ("a,label,b,b", "b")])
+    def test_duplicate_column_is_named(self, tmp_path, header, dup):
+        path = tmp_path / "dup.csv"
+        width = header.count(",") + 1
+        path.write_text(header + "\n" + ("0," * width)[:-1] + "\n" + ("1," * width)[:-1] + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=rf"duplicate column '{dup}' in .*dup\.csv"):
+            load_csv(path, "label")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        text = "label,x,c\n0,1.5,A\n1,2,B\n0,,A\n"
+        (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.csv").write_text(text, encoding="utf-8-sig")
+        assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        plain = load_csv(tmp_path / "plain.csv", "label")
+        bom = load_csv(tmp_path / "bom.csv", "label")
+        assert bom.schema == plain.schema
+        assert bom.X.tobytes() == plain.X.tobytes() and bom.y.tobytes() == plain.y.tobytes()

@@ -10,13 +10,12 @@ from disjoint_link.data import (
     apply_standardization,
     dataset_to_csv,
     fit_standardization,
-    invert_standardization,
     load_csv,
-    schema_from_json,
     schema_to_json,
     standardize,
     stratified_kfold,
 )
+from oracles import invert_standardization, schema_from_json
 
 
 def write_csv(tmp_path, text, name="data.csv"):
