@@ -238,10 +238,7 @@ def median_over_rows(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function, evaluated on the side that cannot overflow exp."""
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function through e = exp(-|z|), which cannot overflow:
+    1 / (1 + e) for z >= 0, e / (1 + e) below."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)

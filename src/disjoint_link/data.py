@@ -191,7 +191,8 @@ def load_csv(
     """Read a CSV into a Dataset: infer column kinds, impute, one-hot encode.
 
     Numeric gaps are filled with the column median, categorical gaps with the
-    column mode (ties broken lexicographically). Labels must coerce to {0,1}.
+    column mode (ties broken lexicographically). A column hinted numeric must
+    hold a number or nothing in every cell. Labels must coerce to {0,1}.
     A leading UTF-8 byte-order mark is skipped. A column whose cells all parse
     as numbers is parsed in one pass; any other column goes cell by cell.
     """
@@ -239,7 +240,13 @@ def load_csv(
         if col is None and (hint.kind == "numeric" if hint
                             else all(_parse_float(c) is not None for c in present)):
             vals = [_parse_float(c) for c in cells]
-            med = float(np.median([v for v in vals if v is not None]))
+            known = [v for v in vals if v is not None]
+            if not known:
+                raise DataError(f"column {name!r} has no values to impute from")
+            for i, (cell, v) in enumerate(zip(cells, vals)):  # a hinted column's text is no gap
+                if v is None and cell != "":
+                    raise DataError(f"non-numeric value {cell!r} in column {name!r} at row {i + 2} of {path}")
+            med = float(np.median(known))
             col = np.array([med if v is None else v for v in vals], dtype=np.float64)
         if col is not None:
             if not np.all(np.isfinite(col)):

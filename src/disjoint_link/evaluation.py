@@ -6,11 +6,18 @@ training rows drive every fitted artifact — standardization, t-scores,
 reducers, latent normalization, neighbor search — while the other dataset is
 treated as fully available context. Test rows only ever pass through already
 fitted transforms.
+
+A cell is one (seed, condition, fold): link the fold's rows, fit the logistic
+model, score the test rows. The cells are independent, so `evaluate_conditions`
+runs them on the package's fork pool next to the autoencoder fits, and reads
+their AUROCs back in the serial order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
@@ -31,9 +38,10 @@ from .linkage import (
     FittedReducer,
     NeighborMap,
     fit_jobs,
-    fitted_reducers,
+    fit_reducer,
     link_rows,
     pair_reducers,
+    pooled,
     random_rng,
     random_rows,
 )
@@ -82,9 +90,10 @@ def logistic_loss_and_grad(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray
 
 def _logistic_grad(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float):
     """Gradient of `logistic_loss_and_grad`'s loss in (w, b), without the loss."""
+    n = X.shape[0]
     resid = sigmoid(X @ w + b) - y
-    gw = X.T @ resid / X.shape[0] + l2 * w
-    gb = float(resid.mean())
+    gw = X.T @ resid / n + l2 * w
+    gb = float(np.add.reduce(resid) / n)  # resid.mean()'s bits, without its overhead
     return gw, gb
 
 
@@ -298,6 +307,18 @@ def _summary(name: str, per_seed: list[list[float]]) -> ConditionSummary:
     )
 
 
+def _settled(fn: Callable[..., Any], *args) -> Callable[[], Any]:
+    """Run `fn(*args)` now; a callable that returns its result or raises its
+    error, so the error surfaces where the serial loop would have raised it."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        def reraise(error=exc):  # bound now: `exc` is unset once the except block ends
+            raise error
+        return reraise
+    return lambda: value
+
+
 def evaluate_conditions(
     d1: Dataset,
     d2: Dataset,
@@ -312,10 +333,14 @@ def evaluate_conditions(
     """Per-fold AUROC of every condition under stratified cross-validation.
 
     All conditions in one seed share the identical fold split, so comparisons
-    are paired. The autoencoder fits of every seed train on a process pool
-    (see `fitted_reducers`) while the conditions before the autoencoder run;
-    the report does not depend on the worker count. The report also hands
-    back the first CV seed's D2 fits, which `cmd_evaluate` links with.
+    are paired. A cell is one (seed, condition, fold): link, fit the logistic
+    model, score. The feature-importance and PCA sides are fitted here; then
+    one fork pool (`pooled`) trains the autoencoders, D2's first, and runs
+    every cell of the other conditions, while the autoencoder cells run here
+    once their fits are back. Results are read in the serial loop's (seed,
+    condition, fold) order, so neither the report nor the first error raised
+    depends on the worker count. The report also hands back the first CV
+    seed's D2 fits, which `cmd_evaluate` links with.
     """
     if folds < 2:
         raise DataError("folds must be >= 2")
@@ -331,27 +356,30 @@ def evaluate_conditions(
     d2s, _ = standardize(d2)  # once: every seed and condition shares D2's rows
     jobs = fit_jobs(ordered, d2s, [(seed, [tr for tr, _ in split]) for seed, split in runs],
                     r=r, ae_hyper=ae_hyper)
-    keys = sorted(jobs, key=lambda key: key[2] is not None)  # D2's fits, the longest, start first
-    results: dict[str, list[list[float]]] = {c: [] for c in ordered}
-    d2_fits: dict[str, tuple[FitJob, FittedReducer]] = {}
-    with fitted_reducers([jobs[key] for key in keys]) as fitted:
-        fit = dict(zip(keys, fitted))
+    # fitted here, before the pool forks, so the pooled cells inherit them
+    fits = {key: _settled(fit_reducer, *job) for key, job in jobs.items() if job[0] != "autoencoder"}
+    ae_keys = sorted((key for key, job in jobs.items() if job[0] == "autoencoder"),
+                     key=lambda key: key[2] is not None)  # D2's fits, the longest, start first
 
-        def reducer(*key):
-            return fit[key]() if key in fit else None
+    def reducer(*key):
+        return fits[key]() if key in fits else None
 
-        for seed, split in runs:
-            for cond in ordered:
-                ctx = prepare_d2_context(d2s, reducer(seed, cond, None))
-                if ctx.reducer is not None:
-                    d2_fits.setdefault(cond, (jobs[seed, cond, None], ctx.reducer))
-                results[cond].append([
-                    run_fold_condition(
-                        cond, tr, te, ctx, reducer(seed, cond, fold),
-                        k=k, seed=seed, fold=fold,
-                    ).auroc
-                    for fold, (tr, te) in enumerate(split)
-                ])
+    def cell_auroc(seed: int, cond: str, fold: int, train: Dataset, test: Dataset) -> float:
+        ctx = prepare_d2_context(d2s, reducer(seed, cond, None))
+        return run_fold_condition(cond, train, test, ctx, reducer(seed, cond, fold),
+                                  k=k, seed=seed, fold=fold).auroc
+
+    tasks = [(partial(fit_reducer, *jobs[key]), True) for key in ae_keys] + [
+        (partial(cell_auroc, seed, cond, fold, tr, te), cond != "autoencoder")
+        for seed, split in runs for cond in ordered for fold, (tr, te) in enumerate(split)
+    ]
+    with pooled(tasks) as results:
+        # the autoencoder cells run here and find their fits' getters in `fits`
+        fits.update(zip(ae_keys, results))
+        aurocs = [result() for result in results[len(ae_keys):]]
+        d2_fits = {cond: (jobs[seed, cond, fold], reducer(seed, cond, fold))
+                   for seed, cond, fold in jobs if seed == seeds[0] and fold is None}
+    per_seed = np.reshape(aurocs, (len(seeds), len(ordered), folds))
     return EvaluationReport(
         d1_id=d1.id,
         d2_id=d2.id,
@@ -359,6 +387,6 @@ def evaluate_conditions(
         seeds=tuple(int(s) for s in seeds),
         k=k,
         r=r,
-        conditions={c: _summary(c, results[c]) for c in ordered},
+        conditions={c: _summary(c, per_seed[:, j].tolist()) for j, c in enumerate(ordered)},
         d2_fits=d2_fits,
     )

@@ -9,7 +9,8 @@ shared R-dimensional space, `normalize_latent` z-scores each side's latent
 axes, and `link_rows` gives every query row the feature-wise median of its k
 nearest reference rows; `random_rows` is the random baseline's counterpart.
 The search streams over row blocks, so the full distance matrix is never
-built. `fitted_reducers` runs a command's autoencoder fits on a process pool.
+built. `pooled` runs a command's slow tasks, its autoencoder fits and
+evaluate's fold-by-condition cells, on a fork pool.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -222,37 +223,53 @@ def fit_reducer(kind: str, d: Dataset, r: int, hyper: AutoencoderHyper) -> Fitte
     raise DataError(f"unknown reducer kind {kind!r}")
 
 
-@contextmanager
-def fitted_reducers(jobs: list[FitJob]) -> Iterator[list[Callable[[], FittedReducer]]]:
-    """One callable per job, in order, that returns the job's fitted reducer.
+_worker_tasks: list[Callable[[], Any]] = []  # in a pool worker: the tasks of the pool that forked it
 
-    Autoencoder fits, the slow ones, start on entry as their own jobs on a
-    fork pool of at most one worker per usable core, in the order given; every
-    other fit runs inline when its callable is called. The fitted bytes do not
-    depend on the worker count. On exit, fits not yet started are cancelled
-    and the workers joined, so no child process outlives the block.
+
+def _adopt_tasks(tasks: list[Callable[[], Any]]) -> None:
+    global _worker_tasks
+    _worker_tasks = tasks
+
+
+def _run_task(i: int) -> Any:
+    return _worker_tasks[i]()
+
+
+@contextmanager
+def pooled(tasks: list[tuple[Callable[[], Any], bool]]) -> Iterator[list[Callable[[], Any]]]:
+    """One getter per (task, in_pool) pair, in order, that returns the task's
+    result or raises its error.
+
+    The package's one process pool. The tasks with `in_pool` set start on
+    entry, in the order given, on a fork pool of at most one worker per usable
+    core and never more workers than such tasks; any other task runs in this
+    process when its getter is called. A worker inherits the task list when it
+    forks and is sent only a task's index, so no task's data is pickled, only
+    its result. On exit, pooled tasks not yet started are cancelled and the
+    workers joined, so no child process outlives the block.
     """
-    n_pooled = sum(kind == "autoencoder" for kind, *_ in jobs)
+    n_pooled = sum(in_pool for _, in_pool in tasks)
     if not n_pooled:
-        yield [partial(fit_reducer, *job) for job in jobs]
+        yield [task for task, _ in tasks]
         return
     # imported here: at module level they add 20-25 ms to the start-up of
-    # every command, including those that fit no autoencoder
+    # every command, including those that open no pool
     import concurrent.futures
     import multiprocessing
 
     pool = concurrent.futures.ProcessPoolExecutor(
         min(n_pooled, len(os.sched_getaffinity(0))),
         # fork, not spawn: a spawned worker imports numpy and the package
-        # again, about 0.3 s each. The package runs no threads, and a fork
-        # pool forks every worker before it starts its own
+        # again, about 0.3 s each, and could not inherit the tasks. The
+        # package runs no threads, and a fork pool forks every worker before
+        # it starts its own
         mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt_tasks,
+        initargs=([task for task, _ in tasks],),
     )
     try:
-        yield [
-            pool.submit(fit_reducer, *job).result if job[0] == "autoencoder" else partial(fit_reducer, *job)
-            for job in jobs
-        ]
+        yield [pool.submit(_run_task, i).result if in_pool else task
+               for i, (task, in_pool) in enumerate(tasks)]
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -356,7 +373,8 @@ def link_detailed(
     d2s, _ = standardize(d2)
     jobs = fit_jobs([reducer_kind], d2s, [(seed, [d1s])], r=r, ae_hyper=ae_hyper)
     keys = [(seed, reducer_kind, 0), (seed, reducer_kind, None)]  # D1 first: its error is the one raised
-    with fitted_reducers([jobs[key] for key in keys if key in jobs]) as fitted:
+    tasks = [(partial(fit_reducer, *jobs[key]), reducer_kind == "autoencoder") for key in keys if key in jobs]
+    with pooled(tasks) as fitted:
         fit1, fit2 = [result() for result in fitted] or (None, None)  # random fits nothing
     return link_fitted(reducer_kind, d1s, d2s, fit1, fit2, k=k, seed=seed)
 

@@ -6,7 +6,9 @@ verifies. The full-matrix forms (`distance_matrix`, `k_nearest`) are the
 exception: they hold the whole N x M matrix from the exact kernels, the form
 the streaming search `link_rows` must equal. `roc_curve`, `reconstruct`,
 `invert_standardization` and `schema_from_json` are plain forms the pipeline
-does not need. The CSV references are the cell-by-cell loader and the
+does not need. `sigmoid_two_branch` and `fit_logistic_reference` are the forms
+`_kernels.sigmoid` and the logistic fit had before the sigmoid went
+branch-free. The CSV references are the cell-by-cell loader and the
 row-by-row `csv.writer` writers the package's one-pass forms must equal byte
 for byte.
 """
@@ -136,6 +138,31 @@ def roc_curve(scores, labels):
     fpr = np.concatenate([[0.0], fp / n_neg])
     tpr = np.concatenate([[0.0], tp / n_pos])
     return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr)
+
+
+def sigmoid_two_branch(z):
+    """The logistic function on the side that cannot overflow exp, each side
+    computed on its own: 1 / (1 + exp(-z)) where z >= 0, exp(z) / (1 + exp(z))
+    elsewhere (NaN included). `_kernels.sigmoid` must give the same bits."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def fit_logistic_reference(X, y, hyper):
+    """`fit_logistic`'s weights and bias by its update rule, with the
+    two-branch sigmoid and `ndarray.mean` for the bias gradient."""
+    w, b = np.zeros(X.shape[1]), 0.0
+    for _ in range(hyper.epochs):
+        resid = sigmoid_two_branch(X @ w + b) - y
+        gw = X.T @ resid / X.shape[0] + hyper.l2_lambda * w
+        w = w - hyper.learning_rate * gw
+        b = b - hyper.learning_rate * float(resid.mean())
+    return w, b
 
 
 def median_brute(values):
@@ -344,6 +371,11 @@ def load_csv_reference(
         numeric = hint.kind == "numeric" if hint else all(_parse_float(c) is not None for c in present)
         if numeric:
             vals = [_parse_float(c) for c in cells]
+            if all(v is None for v in vals):
+                raise DataError(f"column {name!r} has no values to impute from")
+            for i, cell in enumerate(cells):
+                if cell != "" and _parse_float(cell) is None:
+                    raise DataError(f"non-numeric value {cell!r} in column {name!r} at row {i + 2} of {path}")
             med = float(np.median([v for v in vals if v is not None]))
             col = np.array([med if v is None else v for v in vals], dtype=np.float64)
             if not np.all(np.isfinite(col)):

@@ -1,14 +1,21 @@
 import concurrent.futures
+import contextlib
+import functools
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from disjoint_link import cli, evaluation, linkage
 from disjoint_link.autoencoder import AutoencoderHyper
 from disjoint_link.cli import main
-from disjoint_link.evaluation import CONDITION_ORDER
+from disjoint_link.data import DataError
+from disjoint_link.evaluation import CONDITION_ORDER, run_fold_condition
 from disjoint_link.figures import export_projection_2d, projection_to_csv
 from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair
 
@@ -195,22 +202,20 @@ class TestEvaluateCommand:
         assert (tmp_path / "out" / "after.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_d2_is_fitted_once_per_cv_seed_and_condition(self, tmp_path, monkeypatch):
-        # every fit goes through `fitted_reducers` or, for after.svg's D1,
-        # through the command's own `fit_reducer` call
+        # with the pooled tasks run here, once each, every fit calls
+        # `fit_reducer` in this process: evaluate's, and after.svg's D1
         listed = []
-        pool = linkage.fitted_reducers
-
-        def recording_pool(jobs):
-            listed.extend(jobs)
-            return pool(jobs)
 
         def recording_fit(*job):
             listed.append(job)
             return linkage.fit_reducer(*job)
 
-        for module in (linkage, evaluation):
-            monkeypatch.setattr(module, "fitted_reducers", recording_pool)
-        monkeypatch.setattr(cli, "fit_reducer", recording_fit)
+        def inline(tasks):
+            return contextlib.nullcontext([functools.cache(task) for task, _ in tasks])
+
+        monkeypatch.setattr(evaluation, "pooled", inline)
+        for module in (evaluation, cli):
+            monkeypatch.setattr(module, "fit_reducer", recording_fit)
         doc = self.evaluate_config(tmp_path / "out")
         doc["seeds"] = [0, 1]
         assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
@@ -233,19 +238,29 @@ class TestEvaluateCommand:
         assert not (tmp_path / "ignored").exists()
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of every process pool opened, in order."""
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def use_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+
+
 class TestPooledFits:
-    def test_outputs_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
-        workers = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                workers.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_outputs_do_not_depend_on_worker_count(self, tmp_path, monkeypatch, pool_sizes):
         outputs = []
         for cores in ({0}, {0, 1}):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+            use_cores(monkeypatch, cores)
             out = tmp_path / str(len(cores))
             evaluate = TestEvaluateCommand().evaluate_config(out / "evaluate")
             link = synth_config(out / "link", reducer="autoencoder", k=2, R=2,
@@ -255,9 +270,39 @@ class TestPooledFits:
             assert main(["link", "--config", str(write_config(tmp_path, link))]) == 0
             outputs.append(((out / "evaluate" / "report.json").read_bytes(),
                             (out / "link" / "reducer.json").read_bytes()))
-        assert sorted(set(workers)) == [1, 2]
+        assert sorted(set(pool_sizes)) == [1, 2]
         assert outputs[0] == outputs[1]
         assert b"training_log" in outputs[0][1]
+
+    def test_cells_do_not_depend_on_worker_count(self, tmp_path, monkeypatch, pool_sizes):
+        # no autoencoder: the pool runs only the fold-by-condition cells
+        reports = []
+        for cores in ({0}, {0, 1}):
+            use_cores(monkeypatch, cores)
+            out = tmp_path / str(len(cores))
+            doc = synth_config(out, reducers=["feature_importance", "pca"], folds=3, seeds=[0, 1], k=3, R=2)
+            assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert pool_sizes == [1, 2]
+        assert reports[0] == reports[1]
+
+    def test_failing_cells_report_the_serial_runs_first_error(self, tmp_path, monkeypatch, capsys):
+        # the serial run's first failing cell is the last to fail here: its
+        # worker sleeps first, while the other worker reaches a later one
+        def failing_run(cond, *args, fold, **kwargs):
+            if (cond, fold) == ("feature_importance", 0):
+                time.sleep(0.5)
+                raise DataError("feature_importance fold 0 failed")
+            if (cond, fold) == ("pca", 1):
+                raise DataError("pca fold 1 failed")
+            return run_fold_condition(cond, *args, fold=fold, **kwargs)
+
+        monkeypatch.setattr(evaluation, "run_fold_condition", failing_run)
+        use_cores(monkeypatch, {0, 1})
+        doc = synth_config(tmp_path / "out", reducers=["feature_importance", "pca"], folds=3, k=3, R=2)
+        assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 1
+        assert "error: [evaluate] feature_importance fold 0 failed" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
     def test_divergence_reports_the_first_failing_fit(self, tmp_path, capsys):
         # the acceptance pair with a learning rate that overflows every fit:
@@ -279,6 +324,15 @@ class TestPooledFits:
             err = capsys.readouterr().err
             assert f"error: [{command}] non-finite reconstruction loss at epoch {epoch};" in err
             assert multiprocessing.active_children() == []
+
+    def test_cli_import_loads_no_pool_module(self):
+        # every command pays its imports (`setup_s`); the pool's modules
+        # load only when a pool opens
+        code = "import sys, disjoint_link.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True, timeout=60)
+        assert run.stdout == "[]\n"
 
 
 class TestValidation:

@@ -137,6 +137,7 @@ LOADER_CASES = {
     "mixed cells make a categorical": ("x,label\n1,0\nA,1\n2,0\n", None),
     "numeric hint on gaps": ("x,label\n1,0\n,1\n4,0\nabc,1\n", [FeatureSchema("x", "numeric")]),
     "numeric hint on a full column": ("x,label\n1,0\n2,1\n", [FeatureSchema("x", "numeric")]),
+    "numeric hint on text only": ("x,label\nabc,0\n,1\nd,0\n", [FeatureSchema("x", "numeric")]),
     "categorical hint on numbers": ("x,label\n1,0\n2,1\n1,0\n",
                                     [FeatureSchema("x", "categorical", ("1", "2", "3"))]),
     "categorical hint, unknown value": ("x,label\n1,0\n2,1\n", [FeatureSchema("x", "categorical", ("1", "3"))]),
@@ -194,6 +195,15 @@ class TestLoaderParity:
         path.write_text(LOADER_CASES["non-binary label in row 7"][0], encoding="utf-8")
         with pytest.raises(DataError, match="non-binary label '2' at row 7 of"):
             load_csv(path, "label")
+
+    def test_numeric_hint_names_a_text_cell(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(LOADER_CASES["numeric hint on gaps"][0], encoding="utf-8")
+        with pytest.raises(DataError, match=r"non-numeric value 'abc' in column 'x' at row 5 of"):
+            load_csv(path, "label", [FeatureSchema("x", "numeric")])
+        path.write_text(LOADER_CASES["numeric hint on text only"][0], encoding="utf-8")
+        with pytest.raises(DataError, match=r"^column 'x' has no values to impute from$"):
+            load_csv(path, "label", [FeatureSchema("x", "numeric")])
 
 
 class TestHeaderFaults:

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from disjoint_link import evaluation
 from disjoint_link.autoencoder import AutoencoderHyper
 from disjoint_link.data import (
     DataError,
@@ -26,7 +27,7 @@ from disjoint_link.evaluation import (
 from disjoint_link.linkage import fit_jobs, fit_reducer, link_detailed
 from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair
 
-from oracles import auroc_brute, roc_curve
+from oracles import auroc_brute, fit_logistic_reference, roc_curve
 
 
 class TestLogistic:
@@ -35,6 +36,17 @@ class TestLogistic:
         y = np.array([0, 1])
         model = fit_logistic(X, y)
         assert auroc(predict_proba(model, X), y) == 1.0
+
+    def test_fit_matches_the_reference_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        hyper = LogisticHyper()
+        for n, k in ((240, 16), (61, 3), (7, 1)):
+            X = rng.normal(size=(n, k)) * rng.choice([0.5, 3.0, 40.0], size=k)
+            y = (rng.random(n) < 0.3).astype(float)
+            y[:2] = 0.0, 1.0
+            model = fit_logistic(X, y, hyper)
+            w, b = fit_logistic_reference(X, y, hyper)
+            assert model.weights.tobytes() == w.tobytes() and model.bias == b
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -250,6 +262,30 @@ class TestEvaluateConditions:
         assert len(lines) == 1
 
 
+def serial_per_seed(d1, d2, cond, folds, seeds, *, k, r, ae_hyper=None):
+    """One condition's per-seed AUROCs from the pipeline's steps called one
+    after another in this process, each fit from the job `fit_jobs` lists."""
+    splits = {seed: stratified_kfold(d1, folds, seed) for seed in seeds}
+    runs = [(seed, standardized_folds(d1, splits[seed])) for seed in seeds]
+    d2s, _ = standardize(d2)
+    jobs = fit_jobs([cond], d2s, [(seed, [tr for tr, _ in fs]) for seed, fs in runs], r=r, ae_hyper=ae_hyper)
+    want = []
+    for seed, fs in runs:
+        d2_job = jobs.get((seed, cond, None))
+        ctx = prepare_d2_context(d2s, d2_job and fit_reducer(*d2_job))
+        fold_values = []
+        for fold, ((tr, te), (d1_tr, d1_te)) in enumerate(zip(splits[seed], fs)):
+            params = fit_standardization(d1.X[tr])
+            assert np.array_equal(d1_tr.X, apply_standardization(params, d1.X[tr]))
+            assert np.array_equal(d1_te.X, apply_standardization(params, d1.X[te]))
+            d1_job = jobs.get((seed, cond, fold))
+            assert d1_job is None or d1_job[1] is d1_tr
+            fit1 = d1_job and fit_reducer(*d1_job)
+            fold_values.append(run_fold_condition(cond, d1_tr, d1_te, ctx, fit1, k=k, seed=seed, fold=fold).auroc)
+        want.append(tuple(fold_values))
+    return tuple(want)
+
+
 class TestPooledFits:
     def test_report_equals_the_serial_pipeline(self):
         # every pooled fit reaches the (seed, fold) it was listed for
@@ -259,26 +295,8 @@ class TestPooledFits:
         report = evaluate_conditions(d1, d2, ["autoencoder"], folds=3, seeds=seeds, k=3, r=2,
                                      ae_hyper=hyper)
         assert multiprocessing.active_children() == []
-
-        splits = {seed: stratified_kfold(d1, 3, seed) for seed in seeds}
-        runs = [(seed, standardized_folds(d1, splits[seed])) for seed in seeds]
-        d2s, _ = standardize(d2)
-        jobs = fit_jobs(["autoencoder"], d2s, [(seed, [tr for tr, _ in folds]) for seed, folds in runs],
-                        r=2, ae_hyper=hyper)
-        want = []
-        for seed, folds in runs:
-            ctx = prepare_d2_context(d2s, fit_reducer(*jobs[seed, "autoencoder", None]))
-            fold_values = []
-            for fold, ((tr, te), (d1_tr, d1_te)) in enumerate(zip(splits[seed], folds)):
-                params = fit_standardization(d1.X[tr])
-                assert np.array_equal(d1_tr.X, apply_standardization(params, d1.X[tr]))
-                assert np.array_equal(d1_te.X, apply_standardization(params, d1.X[te]))
-                assert jobs[seed, "autoencoder", fold][1] is d1_tr
-                fit1 = fit_reducer(*jobs[seed, "autoencoder", fold])
-                out = run_fold_condition("autoencoder", d1_tr, d1_te, ctx, fit1, k=3, seed=seed, fold=fold)
-                fold_values.append(out.auroc)
-            want.append(tuple(fold_values))
-        assert report.conditions["autoencoder"].per_seed == tuple(want)
+        want = serial_per_seed(d1, d2, "autoencoder", 3, seeds, k=3, r=2, ae_hyper=hyper)
+        assert report.conditions["autoencoder"].per_seed == want
 
     def test_divergence_leaves_no_worker(self):
         d1, d2 = small_pair(4)
@@ -287,15 +305,47 @@ class TestPooledFits:
             evaluate_conditions(d1, d2, ["autoencoder"], folds=3, seeds=[0], k=3, r=2, ae_hyper=hyper)
         assert multiprocessing.active_children() == []
 
-    def test_no_autoencoder_starts_no_process(self, monkeypatch):
-        def no_fork():
-            raise AssertionError("a process was started")
+    def test_cells_without_autoencoder_run_in_workers(self, monkeypatch):
+        # no cell runs in this process, each reaches the (seed, condition,
+        # fold) it was listed for, and no worker outlives the call
+        parent, in_parent = os.getpid(), []
 
-        monkeypatch.setattr(os, "fork", no_fork)
+        def recording_run(cond, *args, **kwargs):
+            if os.getpid() == parent:
+                in_parent.append(cond)
+            return run_fold_condition(cond, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "run_fold_condition", recording_run)
+        d1, d2 = small_pair(4)
+        conditions = ["unlinked", "random", "feature_importance", "pca"]
+        report = evaluate_conditions(d1, d2, conditions, folds=3, seeds=[0, 1], k=3, r=2)
+        assert multiprocessing.active_children() == []
+        assert in_parent == []
+        for cond in conditions:
+            assert report.conditions[cond].per_seed == serial_per_seed(d1, d2, cond, 3, [0, 1], k=3, r=2), cond
+
+    def test_a_failing_fit_raises_where_the_serial_loop_would(self, monkeypatch):
+        # feature importance is fitted before the pool forks, but its error
+        # is raised at its first cell, so an earlier cell's error comes first
+        def failing_fit(kind, *args):
+            if kind == "feature_importance":
+                raise DataError("fit failed")
+            return fit_reducer(kind, *args)
+
+        def failing_run(cond, *args, fold, **kwargs):
+            if (cond, fold) == ("random", 1):
+                raise DataError("cell failed")
+            return run_fold_condition(cond, *args, fold=fold, **kwargs)
+
+        monkeypatch.setattr(evaluation, "fit_reducer", failing_fit)
         d1, d2 = small_pair()
-        report = evaluate_conditions(d1, d2, ["unlinked", "random", "feature_importance", "pca"],
-                                     folds=2, seeds=[0], k=3, r=2)
-        assert set(report.conditions) == {"unlinked", "random", "feature_importance", "pca"}
+        conditions = ["unlinked", "random", "feature_importance"]
+        with pytest.raises(DataError, match="^fit failed$"):
+            evaluate_conditions(d1, d2, conditions, folds=2, seeds=[0], k=3, r=2)
+        monkeypatch.setattr(evaluation, "run_fold_condition", failing_run)
+        with pytest.raises(DataError, match="^cell failed$"):
+            evaluate_conditions(d1, d2, conditions, folds=2, seeds=[0], k=3, r=2)
+        assert multiprocessing.active_children() == []
 
 
 class TestOnePipeline:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from disjoint_link import _kernels
 
-from oracles import k_nearest_brute, k_smallest_brute, median_brute, pairwise_dist_brute
+from oracles import k_nearest_brute, k_smallest_brute, median_brute, pairwise_dist_brute, sigmoid_two_branch
 
 
 @pytest.fixture(params=["numpy", "list"])
@@ -277,3 +277,19 @@ class TestMedianOverRows:
     def test_index_out_of_range(self, as_input):
         with pytest.raises(ValueError):
             _kernels.median_over_rows(as_input(np.zeros((3, 2))), as_input(np.array([[0, 3]])))
+
+
+class TestSigmoid:
+    def test_bits_match_the_two_branch_form(self):
+        # both zeros, the ends of exp's range, NaN, infinities, subnormals
+        rng = np.random.default_rng(17)
+        edges = np.array([0.0, -0.0, 709.0, -709.0, 710.0, -710.0, 745.2, -745.2, 1e308, -1e308,
+                          np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+                          -2.2250738585072009e-308, 36.7, -36.7, 37.5, -37.5])
+        z = np.concatenate([edges, rng.normal(scale=3.0, size=20000), rng.normal(scale=300.0, size=20000),
+                            rng.normal(size=20000) * 1e-300])
+        got, want = _kernels.sigmoid(z), sigmoid_two_branch(z)
+        # NaN gives NaN, whose sign bit is not part of the contract
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(bits(got[~np.isnan(want)]), bits(want[~np.isnan(want)]))
+
