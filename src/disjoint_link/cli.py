@@ -13,17 +13,14 @@ import sys
 from pathlib import Path
 
 from .autoencoder import AutoencoderHyper
-from .data import Dataset, DataError, dataset_to_csv, load_csv, standardize, write_schema
-from .evaluation import CONDITION_ORDER, evaluate_conditions
+from .data import Dataset, DataError, dataset_to_csv, load_csv, write_schema
+from .evaluation import CONDITION_ORDER, evaluate_conditions, link_all_rows
 from .figures import export_projection_2d, projection_to_csv, write_projection_svg
 from .linkage import (
     DEFAULT_K,
     DEFAULT_R,
     LINK_KINDS,
-    fit_jobs,
-    fit_reducer,
     link_detailed,
-    link_fitted,
     linked_to_csv,
     neighbors_to_csv,
 )
@@ -32,12 +29,6 @@ from .synth import SyntheticPairConfig, synthesize_disjoint_pair
 
 class ConfigError(ValueError):
     pass
-
-
-class StageError(RuntimeError):
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"[{stage}] {message}")
-        self.stage = stage
 
 
 def _expect(cond: bool, path: str, msg: str) -> None:
@@ -263,14 +254,7 @@ def cmd_evaluate(cfg: dict, out_override: str | None = None) -> Path:
         linked_conditions,
         key=lambda c: (report.conditions[c].mean, -CONDITION_ORDER.index(c)),
     )
-    # `link` of the first CV seed, reusing that seed's evaluated D2 fit and its
-    # R: only D1 is fitted again, on all rows
-    seed = cfg["seeds"][0]
-    (_, d2s, r_fit, _), fit2 = report.d2_fits[best]
-    d1s, _ = standardize(d1)
-    job1 = fit_jobs([best], d2s, [(seed, [d1s])], r=r_fit, ae_hyper=_ae_hyper(cfg))[seed, best, 0]
-    res = link_fitted(best, d1s, d2s, fit_reducer(*job1), fit2, k=cfg["k"], seed=seed)
-    after = export_projection_2d(res.d12)
+    after = export_projection_2d(link_all_rows(report, d1, best))
     projection_to_csv(after, out / "after.csv")
     write_projection_svg(after, out / "after.svg", title=f"{d1.id} after {best} linkage")
     _write_manifest(out, "evaluate", cfg)

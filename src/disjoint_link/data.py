@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 LABEL_COLUMN = "label"
+MAX_CATEGORIES = 50  # an inferred categorical with more distinct values is taken for an id column
 
 
 class DataError(ValueError):
@@ -192,7 +193,10 @@ def load_csv(
 
     Numeric gaps are filled with the column median, categorical gaps with the
     column mode (ties broken lexicographically). A column hinted numeric must
-    hold a number or nothing in every cell. Labels must coerce to {0,1}.
+    hold a number or nothing in every cell. An inferred categorical column
+    may hold at most `MAX_CATEGORIES` distinct values, so an id column fails
+    here instead of one-hot encoding into one column per row. Labels must
+    coerce to {0,1}.
     A leading UTF-8 byte-order mark is skipped. A column whose cells all parse
     as numbers is parsed in one pass; any other column goes cell by cell.
     """
@@ -261,6 +265,10 @@ def load_csv(
                     raise DataError(f"column {name!r} has values outside hinted categories: {unknown}")
             else:
                 cats = sorted(set(present))
+                if len(cats) > MAX_CATEGORIES:
+                    raise DataError(
+                        f"column {name!r} has {len(cats)} distinct values, too many for a categorical "
+                        f"(at most {MAX_CATEGORIES}); give it a schema hint or drop the column")
             if len(cats) < 2:
                 raise DataError(f"categorical column {name!r} has a single category {cats[0]!r}")
             counts = {c: 0 for c in cats}

@@ -7,10 +7,12 @@ reducers, latent normalization, neighbor search — while the other dataset is
 treated as fully available context. Test rows only ever pass through already
 fitted transforms.
 
-A cell is one (seed, condition, fold): link the fold's rows, fit the logistic
-model, score the test rows. The cells are independent, so `evaluate_conditions`
-runs them on the package's fork pool next to the autoencoder fits, and reads
-their AUROCs back in the serial order.
+A cell is one (seed, condition, fold): link the fold's rows (`link_into`),
+fit the logistic model, score the test rows. The cells are independent, so
+`evaluate_conditions` runs them on the package's fork pool next to the
+autoencoder fits, and reads their AUROCs back in the serial order.
+`link_all_rows` links all of D1 through the first CV seed's evaluated D2 fit,
+for the `after.svg` projection.
 """
 
 from __future__ import annotations
@@ -36,16 +38,15 @@ from .linkage import (
     DEFAULT_R,
     FitJob,
     FittedReducer,
+    LinkedDataset,
     NeighborMap,
+    concat_linked,
     fit_jobs,
     fit_reducer,
-    link_rows,
-    pair_reducers,
+    link_into,
     pooled,
     random_rng,
-    random_rows,
 )
-from .reducers import normalize_latent
 
 CONDITION_ORDER = ("unlinked", "random", "feature_importance", "pca", "autoencoder")
 
@@ -214,16 +215,8 @@ def run_fold_condition(
     if condition == "unlinked":
         feat_tr, feat_te = x_tr, x_te
     else:
-        if condition == "random":
-            rng = random_rng(seed, fold)
-            nb_tr, agg_tr = random_rows(x_tr.shape[0], ctx.X_std, k, rng)
-            nb_te, agg_te = random_rows(x_te.shape[0], ctx.X_std, k, rng)
-        else:
-            to_shared1, to_shared2, *_ = pair_reducers(reducer, ctx.reducer)
-            z_tr, z_te = normalize_latent(to_shared1(x_tr), to_shared1(x_te))
-            (z2,) = normalize_latent(to_shared2(ctx.X_std))
-            nb_tr, agg_tr = link_rows(z_tr, z2, ctx.X_std, k)
-            nb_te, agg_te = link_rows(z_te, z2, ctx.X_std, k)
+        (nb_tr, agg_tr), (nb_te, agg_te) = link_into(
+            condition, reducer, ctx.reducer, ctx.X_std, k, random_rng(seed, fold), x_tr, x_te)
         feat_tr = np.hstack([x_tr, agg_tr])
         feat_te = np.hstack([x_te, agg_te])
 
@@ -340,7 +333,7 @@ def evaluate_conditions(
     once their fits are back. Results are read in the serial loop's (seed,
     condition, fold) order, so neither the report nor the first error raised
     depends on the worker count. The report also hands back the first CV
-    seed's D2 fits, which `cmd_evaluate` links with.
+    seed's D2 fits, which `link_all_rows` links with.
     """
     if folds < 2:
         raise DataError("folds must be >= 2")
@@ -390,3 +383,20 @@ def evaluate_conditions(
         conditions={c: _summary(c, per_seed[:, j].tolist()) for j, c in enumerate(ordered)},
         d2_fits=d2_fits,
     )
+
+
+def link_all_rows(report: EvaluationReport, d1: Dataset, condition: str) -> LinkedDataset:
+    """`link`'s D12 for the report's first CV seed, which `after.svg` plots.
+
+    It reuses that seed's evaluated D2 fit of `condition` and its R, so only
+    D1 is fitted again, on all rows; D21 is never built. Unless the seed's
+    smallest training fold capped R below the all-rows fold's, this is
+    `link_detailed(..., seed=report.seeds[0]).d12`.
+    """
+    seed = report.seeds[0]
+    (_, d2s, r_fit, hyper2), fit2 = report.d2_fits[condition]
+    d1s, _ = standardize(d1)
+    # fit_jobs reseeds the hyperparameters, so D2's job gives D1's
+    job1 = fit_jobs([condition], d2s, [(seed, [d1s])], r=r_fit, ae_hyper=hyper2)[seed, condition, 0]
+    ((_, agg),) = link_into(condition, fit_reducer(*job1), fit2, d2s.X, report.k, random_rng(seed, 0), d1s.X)
+    return concat_linked(d1s, agg, d2s)

@@ -4,13 +4,14 @@ Both callers, `link_detailed` and the cross-validated evaluation, run one
 pipeline, and `link_detailed` is the evaluation's fold whose training rows
 are all of D1. `fit_jobs` lists a run's reducer fits with their seeds and R,
 `fit_reducer` fits one dataset's side of a reducer on its standardized rows,
-`pair_reducers` turns the two fitted sides into row transforms into one
-shared R-dimensional space, `normalize_latent` z-scores each side's latent
-axes, and `link_rows` gives every query row the feature-wise median of its k
-nearest reference rows; `random_rows` is the random baseline's counterpart.
-The search streams over row blocks, so the full distance matrix is never
-built. `pooled` runs a command's slow tasks, its autoencoder fits and
-evaluate's fold-by-condition cells, on a fork pool.
+and `link_into` is the one linking step: `pair_reducers` turns the two fitted
+sides into row transforms into one shared R-dimensional space,
+`normalize_latent` z-scores each side's latent axes, and `link_rows` gives
+every query row the feature-wise median of its k nearest reference rows (the
+random baseline draws its neighbors instead). The search streams over row
+blocks, so the full distance matrix is never built. `pooled` runs a command's
+slow tasks, its autoencoder fits and evaluate's fold-by-condition cells, on a
+fork pool.
 """
 
 from __future__ import annotations
@@ -127,22 +128,12 @@ def random_neighbor_map(n_rows: int, n_cols: int, k: int, rng: np.random.Generat
     return NeighborMap(k=k, neighbors=idx, distances=np.full((n_rows, k), np.nan))
 
 
-def random_rows(
-    n_query: int, ref_features: np.ndarray, k: int, rng: np.random.Generator
-) -> tuple[NeighborMap, np.ndarray]:
-    """The random baseline's `link_rows`: each of `n_query` rows gets k
-    reference rows drawn uniformly without replacement, and their
-    feature-wise median."""
-    nb = random_neighbor_map(n_query, ref_features.shape[0], k, rng)
-    return nb, median_aggregate(nb, ref_features)
-
-
 def random_rng(seed: int, fold: int) -> np.random.Generator:
     """The random baseline's draws for fold `fold` of CV seed `seed`."""
     return np.random.default_rng(np.random.SeedSequence([seed, fold, _RANDOM_TAG]))
 
 
-def _concat_linked(base: Dataset, agg: np.ndarray, other: Dataset) -> LinkedDataset:
+def concat_linked(base: Dataset, agg: np.ndarray, other: Dataset) -> LinkedDataset:
     """`base`'s standardized rows with `agg` appended; `other` names the
     aggregated columns."""
     X = np.hstack([base.X, agg])
@@ -292,6 +283,32 @@ def pair_reducers(
     return (lambda X: encode(fit1, X)), (lambda X: encode(fit2, X)), fit1.latent_dim, None
 
 
+def link_into(
+    kind: str,
+    fit1: FittedReducer | None,
+    fit2: FittedReducer | None,
+    x2: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
+    *x1s: np.ndarray,
+) -> list[tuple[NeighborMap, np.ndarray]]:
+    """The one linking step: each block of D1's standardized rows in `x1s`,
+    linked into D2's standardized rows `x2` through the fitted sides `fit1`
+    and `fit2`, as its neighbors in D2 and their feature-wise medians.
+
+    The first block sets D1's latent statistics and later blocks (a fold's
+    test rows) pass through them. The random baseline fits nothing (None)
+    and draws each block's neighbors from `rng` in turn.
+    """
+    if kind == "random":
+        nbs = [random_neighbor_map(x1.shape[0], x2.shape[0], k, rng) for x1 in x1s]
+        return [(nb, median_aggregate(nb, x2)) for nb in nbs]
+    to_shared1, to_shared2, *_ = pair_reducers(fit1, fit2)
+    z1s = normalize_latent(*(to_shared1(x1) for x1 in x1s))
+    (z2,) = normalize_latent(to_shared2(x2))
+    return [link_rows(z1, z2, x2, k) for z1 in z1s]
+
+
 def _reducer_payload(fit1: FittedReducer, fit2: FittedReducer, pair: FeatureImportancePair | None) -> dict:
     if pair is not None:
         return pair_to_payload(pair, fit1.t, fit2.t)
@@ -310,45 +327,6 @@ class LinkResult:
     reducer_payload: dict
 
 
-def link_fitted(
-    kind: str,
-    d1s: Dataset,
-    d2s: Dataset,
-    fit1: FittedReducer | None,
-    fit2: FittedReducer | None,
-    *,
-    k: int,
-    seed: int,
-) -> LinkResult:
-    """The steps of `link_detailed` after the fit: link the standardized pair
-    both ways through its two fitted sides, aggregate, concatenate.
-
-    The random baseline has no fitted sides (None); it draws D12's neighbors,
-    then D21's, from the rng of the all-rows fold of CV seed `seed`.
-    """
-    if kind == "random":
-        rng = random_rng(seed, 0)
-        nb12, agg12 = random_rows(d1s.n, d2s.X, k, rng)
-        nb21, agg21 = random_rows(d2s.n, d1s.X, k, rng)
-        r_eff, payload = None, {"k": k, "seed": seed}
-    else:
-        to_shared1, to_shared2, r_eff, pair = pair_reducers(fit1, fit2)
-        (z1,) = normalize_latent(to_shared1(d1s.X))
-        (z2,) = normalize_latent(to_shared2(d2s.X))
-        nb12, agg12 = link_rows(z1, z2, d2s.X, k)
-        nb21, agg21 = link_rows(z2, z1, d1s.X, k)
-        payload = {"R": r_eff, **_reducer_payload(fit1, fit2, pair)}
-    return LinkResult(
-        d12=_concat_linked(d1s, agg12, d2s),
-        d21=_concat_linked(d2s, agg21, d1s),
-        reducer_kind=kind,
-        r=r_eff,
-        neighbors_12=nb12,
-        neighbors_21=nb21,
-        reducer_payload={"kind": kind, **payload},
-    )
-
-
 def link_detailed(
     d1: Dataset,
     d2: Dataset,
@@ -359,8 +337,8 @@ def link_detailed(
     ae_hyper: AutoencoderHyper | None = None,
     seed: int = 0,
 ) -> LinkResult:
-    """Full pipeline: standardize, reduce, normalize, exact neighbors both
-    ways, median aggregation, concatenation.
+    """Full pipeline: standardize, fit both sides, then `link_into` each
+    way, D12 first, and concatenate.
 
     This is CV seed `seed` of the evaluation with one fold whose training
     rows are all of D1: the same seeds and R (`fit_jobs`) and, for
@@ -376,7 +354,23 @@ def link_detailed(
     tasks = [(partial(fit_reducer, *jobs[key]), reducer_kind == "autoencoder") for key in keys if key in jobs]
     with pooled(tasks) as fitted:
         fit1, fit2 = [result() for result in fitted] or (None, None)  # random fits nothing
-    return link_fitted(reducer_kind, d1s, d2s, fit1, fit2, k=k, seed=seed)
+    rng = random_rng(seed, 0)  # D12's draws, then D21's
+    ((nb12, agg12),) = link_into(reducer_kind, fit1, fit2, d2s.X, k, rng, d1s.X)
+    ((nb21, agg21),) = link_into(reducer_kind, fit2, fit1, d1s.X, k, rng, d2s.X)
+    if reducer_kind == "random":
+        r_eff, payload = None, {"k": k, "seed": seed}
+    else:
+        _, _, r_eff, pair = pair_reducers(fit1, fit2)
+        payload = {"R": r_eff, **_reducer_payload(fit1, fit2, pair)}
+    return LinkResult(
+        d12=concat_linked(d1s, agg12, d2s),
+        d21=concat_linked(d2s, agg21, d1s),
+        reducer_kind=reducer_kind,
+        r=r_eff,
+        neighbors_12=nb12,
+        neighbors_21=nb21,
+        reducer_payload={"kind": reducer_kind, **payload},
+    )
 
 
 def link(

@@ -328,7 +328,8 @@ def load_csv_reference(
     schema_hints: list[FeatureSchema] | None = None,
 ) -> Dataset:
     """The cell-by-cell loader: each numeric cell parsed once to classify its
-    column and again to read it. Plain UTF-8, no duplicate-header check."""
+    column and again to read it. Plain UTF-8, no duplicate-header check. An
+    inferred categorical column holds at most 50 distinct values."""
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -390,6 +391,10 @@ def load_csv_reference(
                     raise DataError(f"column {name!r} has values outside hinted categories: {unknown}")
             else:
                 cats = sorted(set(present))
+                if len(cats) > 50:
+                    raise DataError(
+                        f"column {name!r} has {len(cats)} distinct values, too many for a categorical "
+                        f"(at most 50); give it a schema hint or drop the column")
             if len(cats) < 2:
                 raise DataError(f"categorical column {name!r} has a single category {cats[0]!r}")
             counts = {c: 0 for c in cats}

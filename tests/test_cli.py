@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from disjoint_link import cli, evaluation, linkage
+from disjoint_link import _kernels, cli, evaluation, linkage
 from disjoint_link.autoencoder import AutoencoderHyper
 from disjoint_link.cli import main
 from disjoint_link.data import DataError
@@ -140,6 +140,21 @@ class TestLinkCommand:
         err = capsys.readouterr().err
         assert "died" in err and "[link]" in err
 
+    def test_id_column_fails_by_name(self, tmp_path, capsys):
+        # one text id per row would one-hot encode into one column per row
+        d1 = tmp_path / "d1.csv"
+        d1.write_text("caseid,x,label\n" + "".join(f"id{i},{i % 7},{i % 2}\n" for i in range(60)),
+                      encoding="utf-8")
+        doc = {
+            "inputs": {"files": {side: {"path": str(d1), "label_column": "label"} for side in ("d1", "d2")}},
+            "reducer": "pca",
+            "output_dir": str(tmp_path / "out"),
+        }
+        assert main(["link", "--config", str(write_config(tmp_path, doc))]) == 1
+        err = capsys.readouterr().err
+        assert "error: [link] column 'caseid' has 60 distinct values" in err
+        assert "schema hint or drop the column" in err
+
     def test_autoencoder_link_writes_reducer_payload(self, tmp_path):
         doc = synth_config(tmp_path / "out", reducer="autoencoder", k=2, R=2,
                            autoencoder={"hidden_dims": [4], "epochs": 3,
@@ -149,6 +164,11 @@ class TestLinkCommand:
         reducer = json.loads((tmp_path / "out" / "reducer.json").read_text())
         assert reducer["kind"] == "autoencoder"
         assert "encoder" in reducer["d1"] and "decoder" in reducer["d2"]
+
+
+def inline_pool(tasks):
+    """`linkage.pooled` run in this process, each task at most once."""
+    return contextlib.nullcontext([functools.cache(task) for task, _ in tasks])
 
 
 class TestEvaluateCommand:
@@ -203,25 +223,38 @@ class TestEvaluateCommand:
 
     def test_d2_is_fitted_once_per_cv_seed_and_condition(self, tmp_path, monkeypatch):
         # with the pooled tasks run here, once each, every fit calls
-        # `fit_reducer` in this process: evaluate's, and after.svg's D1
+        # `evaluation.fit_reducer` in this process: evaluate's, and
+        # after.svg's D1
         listed = []
 
         def recording_fit(*job):
             listed.append(job)
             return linkage.fit_reducer(*job)
 
-        def inline(tasks):
-            return contextlib.nullcontext([functools.cache(task) for task, _ in tasks])
-
-        monkeypatch.setattr(evaluation, "pooled", inline)
-        for module in (evaluation, cli):
-            monkeypatch.setattr(module, "fit_reducer", recording_fit)
+        monkeypatch.setattr(evaluation, "pooled", inline_pool)
+        monkeypatch.setattr(evaluation, "fit_reducer", recording_fit)
         doc = self.evaluate_config(tmp_path / "out")
         doc["seeds"] = [0, 1]
         assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
         d2_fits = [(kind, hyper.seed) for kind, d, _, hyper in listed if d.n == 60]
         assert len(d2_fits) == len(set(d2_fits)) == 2 * 3
         assert [d.n for _, d, _, _ in listed].count(40) == 1  # after.svg's D1, on all rows
+
+    def test_d2_rows_are_never_the_query(self, tmp_path, monkeypatch):
+        # after.svg plots D12 only, so no search of evaluate, the cells' or
+        # after.svg's, links D2's 60 rows into D1
+        query_rows, nearest = [], _kernels.nearest
+
+        def recording_nearest(z_query, *args):
+            query_rows.append(len(z_query))
+            return nearest(z_query, *args)
+
+        monkeypatch.setattr(evaluation, "pooled", inline_pool)
+        monkeypatch.setattr(_kernels, "nearest", recording_nearest)
+        doc = self.evaluate_config(tmp_path / "out")
+        assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
+        assert 60 not in query_rows
+        assert sorted(set(query_rows)) == [20, 40]  # the folds' blocks and after.svg's D1
 
     def test_training_folds_cap_r_below_the_all_rows_fold(self, tmp_path):
         # 10 rows in 2 folds: the smallest training fold caps the evaluated R

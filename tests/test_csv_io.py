@@ -131,6 +131,11 @@ def load_outcome(load, path, hints):
     return d.schema, d.X.dtype, d.X.shape, d.X.tobytes(), d.y.dtype, d.y.tobytes(), d.id
 
 
+def id_column(n):
+    """A file whose `id` column holds n distinct text values."""
+    return "id,label\n" + "".join(f"c{i},{i % 2}\n" for i in range(n))
+
+
 LOADER_CASES = {
     "gaps": ("x,z,label\n1,,0\n,2.5,1\n3,4,0\n", None),
     "categoricals": ("c,x,label\nB,1,0\nA,2,1\n,3,0\nB,4,1\n", None),
@@ -158,6 +163,10 @@ LOADER_CASES = {
     "one data row": ("x,label\n1,0\n", None),
     "empty file": ("", None),
     "missing label column": ("x,y\n1,0\n2,1\n", None),
+    "50 categories": (id_column(50), None),
+    "51 categories": (id_column(51), None),
+    "51 hinted categories": (id_column(51), [FeatureSchema("id", "categorical",
+                                                            tuple(f"c{i}" for i in range(51)))]),
 }
 
 
@@ -204,6 +213,14 @@ class TestLoaderParity:
         path.write_text(LOADER_CASES["numeric hint on text only"][0], encoding="utf-8")
         with pytest.raises(DataError, match=r"^column 'x' has no values to impute from$"):
             load_csv(path, "label", [FeatureSchema("x", "numeric")])
+
+
+    def test_an_id_column_is_named_with_its_count(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(LOADER_CASES["51 categories"][0], encoding="utf-8")
+        with pytest.raises(DataError, match=r"^column 'id' has 51 distinct values, too many for a categorical \(at most 50\)"):
+            load_csv(path, "label")
+        assert load_csv(path, "label", LOADER_CASES["51 hinted categories"][1]).k == 51
 
 
 class TestHeaderFaults:

@@ -24,7 +24,8 @@ from disjoint_link.evaluation import (
     run_fold_condition,
     standardized_folds,
 )
-from disjoint_link.linkage import fit_jobs, fit_reducer, link_detailed
+from disjoint_link.linkage import fit_jobs, fit_reducer, link_detailed, link_rows, pair_reducers
+from disjoint_link.reducers import normalize_latent
 from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair
 
 from oracles import auroc_brute, fit_logistic_reference, roc_curve
@@ -364,6 +365,25 @@ class TestOnePipeline:
         want = link_detailed(d1, d2, condition, k=4, r=3).neighbors_12
         assert np.array_equal(out.neighbors_train.neighbors, want.neighbors)
         assert np.array_equal(out.neighbors_train.distances, want.distances, equal_nan=True)
+
+
+class TestTestRows:
+    @pytest.mark.parametrize("condition", ["feature_importance", "pca", "autoencoder"])
+    def test_pass_through_the_training_rows_latent_statistics(self, condition):
+        # the test block is z-scored by the training block's latent
+        # statistics, never by its own
+        d1, d2 = small_pair(2)
+        ((train, test),) = standardized_folds(d1, stratified_kfold(d1, 3, 0)[:1])
+        d2s, _ = standardize(d2)
+        jobs = fit_jobs([condition], d2s, [(0, [train])], r=2, ae_hyper=AutoencoderHyper(epochs=5))
+        fits = {fold: fit_reducer(*job) for (_, _, fold), job in jobs.items()}
+        out = run_fold_condition(condition, train, test, prepare_d2_context(d2s, fits[None]), fits[0], k=3)
+        to_shared1, to_shared2, *_ = pair_reducers(fits[0], fits[None])
+        z_te = normalize_latent(to_shared1(train.X), to_shared1(test.X))[1]
+        (z2,) = normalize_latent(to_shared2(d2s.X))
+        want, _ = link_rows(z_te, z2, d2s.X, 3)
+        assert np.array_equal(out.neighbors_test.neighbors, want.neighbors)
+        assert np.array_equal(out.neighbors_test.distances, want.distances)
 
 
 class TestLeakageAudit:
