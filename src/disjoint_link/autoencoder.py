@@ -8,6 +8,7 @@ encoder output is the sample's reduced representation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
@@ -102,29 +103,64 @@ def forward(layers, tanh_flags, X: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def _backward(layers, tanh_flags, acts, delta: np.ndarray, grads) -> None:
-    """Backpropagate the output delta through `forward`'s activations, writing
-    each layer's weight and bias gradient into the arrays `grads` holds."""
+Call = tuple[Callable[..., Any], tuple]  # a numpy function and its positional arguments
+
+
+def _step_buffers(m: int, dims: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each layer's (m, dout) activation and delta buffer for batches of m rows."""
+    return [np.empty((m, d)) for d in dims[1:]], [np.empty((m, d)) for d in dims[1:]]
+
+
+def _step_calls(layers, tanh_flags, grads, x: np.ndarray, bufs) -> list[Call]:
+    """One training step on the rows `x` as numpy calls on fixed arrays, to be
+    run in order: the forward pass into `bufs`' activations, the output delta
+    and backpropagation, which writes each layer's weight and bias gradient
+    into the arrays `grads` holds. The calls allocate nothing.
+
+    Each tanh derivative 1 - a^2 is taken in place in its activation, which
+    backpropagation no longer reads once it is used; the output activation is
+    kept, so the caller can take the loss from it.
+    """
+    acts, deltas = bufs
+    calls: list[Call] = []
+    a = x
+    for (w, b), is_tanh, z in zip(layers, tanh_flags, acts):
+        calls += [(np.dot, (a, w, z)), (np.add, (z, b, z))]
+        if is_tanh:
+            calls.append((np.tanh, (z, z)))
+        a = z
+    delta = deltas[-1]
+    # d(mean r^2)/dr = 2 r / size, rounded once: size / 2 is exact
+    calls += [(np.subtract, (a, x, delta)), (np.divide, (delta, delta.size * 0.5, delta))]
+    ins = [x, *acts[:-1]]
     for i in range(len(layers) - 1, -1, -1):
         gw, gb = grads[i]
-        np.matmul(acts[i].T, delta, out=gw)
-        np.add.reduce(delta, axis=0, out=gb)  # np.sum without its Python wrapper
+        # np.add.reduce with axis 0 is np.sum without its Python wrapper
+        calls += [(np.dot, (ins[i].T, delta, gw)), (np.add.reduce, (delta, 0, None, gb))]
         if i > 0:
-            delta = delta @ layers[i][0].T
+            below = deltas[i - 1]
+            calls.append((np.dot, (delta, layers[i][0].T, below)))
             if tanh_flags[i - 1]:
-                delta *= 1.0 - acts[i] ** 2
+                a = ins[i]
+                calls += [(np.square, (a, a)), (np.subtract, (1.0, a, a)), (np.multiply, (below, a, below))]
+            delta = below
+    return calls
+
+
+def _run(calls: list[Call]) -> None:
+    for f, args in calls:
+        f(*args)
 
 
 def loss_and_grads(layers, tanh_flags, X: np.ndarray):
-    """Mean squared reconstruction error and its gradient per layer."""
-    acts = forward(layers, tanh_flags, X)
-    resid = acts[-1] - X
-    loss = float(np.mean(resid**2))
-    # d(mean r^2)/dr = 2 r / size, rounded once: size / 2 is exact
-    resid /= resid.size * 0.5
+    """Mean squared reconstruction error and its gradient per layer: one
+    training step's calls on all of X, without the momentum update."""
+    dims = [X.shape[1], *(w.shape[1] for w, _ in layers)]
     grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
-    _backward(layers, tanh_flags, acts, resid, grads)
-    return loss, grads
+    bufs = _step_buffers(len(X), dims)
+    _run(_step_calls(layers, tanh_flags, grads, X, bufs))
+    resid = bufs[0][-1] - X
+    return float(np.mean(resid**2)), grads
 
 
 def _reconstruction_mse_into(layers, tanh_flags, X: np.ndarray, bufs) -> float:
@@ -145,11 +181,14 @@ def _reconstruction_mse_into(layers, tanh_flags, X: np.ndarray, bufs) -> float:
 def fit_autoencoder(X: np.ndarray, r: int, hyper: AutoencoderHyper | None = None) -> AutoencoderReducer:
     """Train the autoencoder; deterministic for a fixed seed.
 
-    All parameters live in one flat vector, so the momentum step is four
-    whole-vector numpy calls however many layers the net has; each step's
-    cost is dominated by the number of numpy calls, not by their size. The
-    epoch-end loss over all rows goes through activation buffers allocated
-    once per fit.
+    A step's cost is dominated by the number of numpy calls, not by their
+    size, so the epoch's calls are built once per fit and then only run. All
+    parameters live in one flat vector, so the momentum step is four
+    whole-vector calls however many layers the net has. Each epoch gathers
+    the shuffled rows into one fixed buffer, and every batch is a view into
+    it; the batches share one set of activation and delta buffers, and a short
+    last batch has its own. The epoch-end loss over all rows goes through
+    activation buffers allocated once per fit.
     """
     hyper = hyper or AutoencoderHyper()
     X = np.asarray(X, dtype=np.float64)
@@ -171,6 +210,17 @@ def fit_autoencoder(X: np.ndarray, r: int, hyper: AutoencoderHyper | None = None
     grads = _layer_views(grad, dims)
     velocity = np.zeros_like(theta)
     step = np.empty_like(theta)
+    momentum: list[Call] = [
+        (np.multiply, (velocity, MOMENTUM, velocity)),
+        (np.add, (velocity, grad, velocity)),
+        (np.multiply, (velocity, hyper.learning_rate, step)),
+        (np.subtract, (theta, step, theta)),
+    ]
+    shuffled = np.empty_like(X)
+    batches = [shuffled[start : start + hyper.batch_size] for start in range(0, n, hyper.batch_size)]
+    bufs = {len(batch): _step_buffers(len(batch), dims) for batch in batches[:1] + batches[-1:]}
+    epoch_calls = [call for batch in batches
+                   for call in _step_calls(layers, tanh_flags, grads, batch, bufs[len(batch)]) + momentum]
     loss_bufs = [np.empty((n, dout)) for dout in dims[1:]]
 
     log = []
@@ -178,18 +228,8 @@ def fit_autoencoder(X: np.ndarray, r: int, hyper: AutoencoderHyper | None = None
     # reports it, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(hyper.epochs):
-            shuffled = X[rng.permutation(n)]
-            for start in range(0, n, hyper.batch_size):
-                batch = shuffled[start : start + hyper.batch_size]
-                acts = forward(layers, tanh_flags, batch)
-                delta = acts[-1]
-                delta -= batch
-                delta /= delta.size * 0.5
-                _backward(layers, tanh_flags, acts, delta, grads)
-                velocity *= MOMENTUM
-                velocity += grad
-                np.multiply(velocity, hyper.learning_rate, out=step)
-                theta -= step
+            np.take(X, rng.permutation(n), axis=0, out=shuffled)
+            _run(epoch_calls)
             epoch_loss = _reconstruction_mse_into(layers, tanh_flags, X, loss_bufs)
             if not np.isfinite(epoch_loss):
                 raise TrainingDiverged(

@@ -254,7 +254,7 @@ def cmd_evaluate(cfg: dict, out_override: str | None = None) -> Path:
         linked_conditions,
         key=lambda c: (report.conditions[c].mean, -CONDITION_ORDER.index(c)),
     )
-    after = export_projection_2d(link_all_rows(report, d1, best))
+    after = export_projection_2d(link_all_rows(report, best))
     projection_to_csv(after, out / "after.csv")
     write_projection_svg(after, out / "after.svg", title=f"{d1.id} after {best} linkage")
     _write_manifest(out, "evaluate", cfg)

@@ -195,8 +195,9 @@ def load_csv(
     column mode (ties broken lexicographically). A column hinted numeric must
     hold a number or nothing in every cell. An inferred categorical column
     may hold at most `MAX_CATEGORIES` distinct values, so an id column fails
-    here instead of one-hot encoding into one column per row. Labels must
-    coerce to {0,1}.
+    here instead of one-hot encoding into one column per row; where some of
+    its cells are numbers, the error names the first that is not, such as a
+    missing-value code like `NA`. Labels must coerce to {0,1}.
     A leading UTF-8 byte-order mark is skipped. A column whose cells all parse
     as numbers is parsed in one pass; any other column goes cell by cell.
     """
@@ -266,9 +267,14 @@ def load_csv(
             else:
                 cats = sorted(set(present))
                 if len(cats) > MAX_CATEGORIES:
+                    text = [(i, c) for i, c in enumerate(cells) if c != "" and _parse_float(c) is None]
+                    named = ""
+                    if 0 < len(text) < len(present):  # numbers but for a code such as NA: name it
+                        i, cell = text[0]
+                        named = f"; its first non-numeric cell is {cell!r} at row {i + 2}"
                     raise DataError(
                         f"column {name!r} has {len(cats)} distinct values, too many for a categorical "
-                        f"(at most {MAX_CATEGORIES}); give it a schema hint or drop the column")
+                        f"(at most {MAX_CATEGORIES}){named}; give it a schema hint or drop the column")
             if len(cats) < 2:
                 raise DataError(f"categorical column {name!r} has a single category {cats[0]!r}")
             counts = {c: 0 for c in cats}

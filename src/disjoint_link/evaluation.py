@@ -10,9 +10,10 @@ fitted transforms.
 A cell is one (seed, condition, fold): link the fold's rows (`link_into`),
 fit the logistic model, score the test rows. The cells are independent, so
 `evaluate_conditions` runs them on the package's fork pool next to the
-autoencoder fits, and reads their AUROCs back in the serial order.
-`link_all_rows` links all of D1 through the first CV seed's evaluated D2 fit,
-for the `after.svg` projection.
+autoencoder fits, and reads their AUROCs back in the serial order. It also
+fits the first CV seed's D1 side of every linked condition on all rows, which
+`link_all_rows` links through that seed's evaluated D2 fit for the
+`after.svg` projection.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .data import (
 from .linkage import (
     DEFAULT_K,
     DEFAULT_R,
-    FitJob,
     FittedReducer,
     LinkedDataset,
     NeighborMap,
@@ -47,6 +47,8 @@ from .linkage import (
     pooled,
     random_rng,
 )
+
+ALL_ROWS = "all rows"  # the fold key of the first CV seed's all-rows D1 fits
 
 CONDITION_ORDER = ("unlinked", "random", "feature_importance", "pca", "autoencoder")
 
@@ -253,8 +255,11 @@ class EvaluationReport:
     k: int
     r: int
     conditions: dict[str, ConditionSummary] = field(default_factory=dict)
-    # the first CV seed's D2 fits, condition -> (fit job, fitted side); not in the JSON
-    d2_fits: dict[str, tuple[FitJob, FittedReducer]] = field(default_factory=dict, repr=False)
+    # the first CV seed's all-rows sides, condition -> ((D1 on all rows, its
+    # fit), (D2, its fit)); each fit is a getter that raises the fit's error.
+    # Not in the JSON
+    all_rows_sides: dict[str, tuple[tuple[Dataset, Callable[[], FittedReducer]], ...]] = field(
+        default_factory=dict, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -328,12 +333,15 @@ def evaluate_conditions(
     All conditions in one seed share the identical fold split, so comparisons
     are paired. A cell is one (seed, condition, fold): link, fit the logistic
     model, score. The feature-importance and PCA sides are fitted here; then
-    one fork pool (`pooled`) trains the autoencoders, D2's first, and runs
-    every cell of the other conditions, while the autoencoder cells run here
-    once their fits are back. Results are read in the serial loop's (seed,
-    condition, fold) order, so neither the report nor the first error raised
-    depends on the worker count. The report also hands back the first CV
-    seed's D2 fits, which `link_all_rows` links with.
+    one fork pool (`pooled`) trains the autoencoders, D2's first and the
+    all-rows D1 sides last, and runs every cell of the other conditions,
+    while the autoencoder cells run here once their fits are back. Results
+    are read in the serial loop's (seed, condition, fold) order, so neither
+    the report nor the first error raised depends on the worker count.
+
+    The first CV seed's all-rows D1 sides are the fold of all rows that
+    `link` fits, at that seed's R; the report hands them back with the seed's
+    D2 fits for `link_all_rows`. A failed all-rows fit raises only there.
     """
     if folds < 2:
         raise DataError("folds must be >= 2")
@@ -346,13 +354,19 @@ def evaluate_conditions(
     d2.require_both_classes()
     ordered = [c for c in CONDITION_ORDER if c in set(conditions)]
     runs = [(seed, standardized_folds(d1, stratified_kfold(d1, folds, seed))) for seed in seeds]
+    d1s, _ = standardize(d1)
     d2s, _ = standardize(d2)  # once: every seed and condition shares D2's rows
     jobs = fit_jobs(ordered, d2s, [(seed, [tr for tr, _ in split]) for seed, split in runs],
                     r=r, ae_hyper=ae_hyper)
+    d2_keys = [key for key in jobs if key[0] == seeds[0] and key[2] is None]
+    for seed, cond, _ in d2_keys:
+        jobs[seed, cond, ALL_ROWS] = fit_jobs([cond], d2s, [(seed, [d1s])], r=jobs[seed, cond, None][2],
+                                              ae_hyper=ae_hyper)[seed, cond, 0]
     # fitted here, before the pool forks, so the pooled cells inherit them
     fits = {key: _settled(fit_reducer, *job) for key, job in jobs.items() if job[0] != "autoencoder"}
+    # D2's fits, the longest, start first; the all-rows fits come last in `jobs`
     ae_keys = sorted((key for key, job in jobs.items() if job[0] == "autoencoder"),
-                     key=lambda key: key[2] is not None)  # D2's fits, the longest, start first
+                     key=lambda key: key[2] is not None)
 
     def reducer(*key):
         return fits[key]() if key in fits else None
@@ -370,8 +384,9 @@ def evaluate_conditions(
         # the autoencoder cells run here and find their fits' getters in `fits`
         fits.update(zip(ae_keys, results))
         aurocs = [result() for result in results[len(ae_keys):]]
-        d2_fits = {cond: (jobs[seed, cond, fold], reducer(seed, cond, fold))
-                   for seed, cond, fold in jobs if seed == seeds[0] and fold is None}
+        all_rows_sides = {
+            cond: ((d1s, _settled(fits[seed, cond, ALL_ROWS])), (d2s, _settled(fits[seed, cond, None])))
+            for seed, cond, _ in d2_keys}
     per_seed = np.reshape(aurocs, (len(seeds), len(ordered), folds))
     return EvaluationReport(
         d1_id=d1.id,
@@ -381,22 +396,18 @@ def evaluate_conditions(
         k=k,
         r=r,
         conditions={c: _summary(c, per_seed[:, j].tolist()) for j, c in enumerate(ordered)},
-        d2_fits=d2_fits,
+        all_rows_sides=all_rows_sides,
     )
 
 
-def link_all_rows(report: EvaluationReport, d1: Dataset, condition: str) -> LinkedDataset:
+def link_all_rows(report: EvaluationReport, condition: str) -> LinkedDataset:
     """`link`'s D12 for the report's first CV seed, which `after.svg` plots.
 
-    It reuses that seed's evaluated D2 fit of `condition` and its R, so only
-    D1 is fitted again, on all rows; D21 is never built. Unless the seed's
-    smallest training fold capped R below the all-rows fold's, this is
-    `link_detailed(..., seed=report.seeds[0]).d12`.
+    It links the all-rows D1 side and the evaluated D2 side of `condition`
+    that `evaluate_conditions` fitted, so it fits nothing; D21 is never
+    built. Unless the seed's smallest training fold capped R below the
+    all-rows fold's, this is `link_detailed(..., seed=report.seeds[0]).d12`.
     """
-    seed = report.seeds[0]
-    (_, d2s, r_fit, hyper2), fit2 = report.d2_fits[condition]
-    d1s, _ = standardize(d1)
-    # fit_jobs reseeds the hyperparameters, so D2's job gives D1's
-    job1 = fit_jobs([condition], d2s, [(seed, [d1s])], r=r_fit, ae_hyper=hyper2)[seed, condition, 0]
-    ((_, agg),) = link_into(condition, fit_reducer(*job1), fit2, d2s.X, report.k, random_rng(seed, 0), d1s.X)
+    (d1s, fit1), (d2s, fit2) = report.all_rows_sides[condition]
+    ((_, agg),) = link_into(condition, fit1(), fit2(), d2s.X, report.k, random_rng(report.seeds[0], 0), d1s.X)
     return concat_linked(d1s, agg, d2s)

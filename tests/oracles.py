@@ -329,7 +329,8 @@ def load_csv_reference(
 ) -> Dataset:
     """The cell-by-cell loader: each numeric cell parsed once to classify its
     column and again to read it. Plain UTF-8, no duplicate-header check. An
-    inferred categorical column holds at most 50 distinct values."""
+    inferred categorical column holds at most 50 distinct values; if some of
+    its cells are numbers, the error names the first that is not."""
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -392,9 +393,16 @@ def load_csv_reference(
             else:
                 cats = sorted(set(present))
                 if len(cats) > 50:
+                    numbers = [c for c in present if _parse_float(c) is not None]
+                    named = ""
+                    if numbers and len(numbers) < len(present):
+                        for i, cell in enumerate(cells):
+                            if cell != "" and _parse_float(cell) is None:
+                                named = f"; its first non-numeric cell is {cell!r} at row {i + 2}"
+                                break
                     raise DataError(
                         f"column {name!r} has {len(cats)} distinct values, too many for a categorical "
-                        f"(at most 50); give it a schema hint or drop the column")
+                        f"(at most 50){named}; give it a schema hint or drop the column")
             if len(cats) < 2:
                 raise DataError(f"categorical column {name!r} has a single category {cats[0]!r}")
             counts = {c: 0 for c in cats}

@@ -7,9 +7,11 @@ import pytest
 from disjoint_link.autoencoder import (
     AutoencoderHyper,
     TrainingDiverged,
-    _backward,
     _layer_dims,
     _layer_views,
+    _run,
+    _step_buffers,
+    _step_calls,
     _tanh_flags,
     encode,
     fit_autoencoder,
@@ -80,6 +82,8 @@ class TestGradients:
             assert relative_error(gb, nb) < 1e-4
 
     def test_backward_into_flat_buffers_equals_loss_and_grads(self):
+        # the training step's calls write every parameter's gradient into
+        # flat views, bit for bit what loss_and_grads returns
         rng = np.random.default_rng(14)
         X = rng.normal(size=(9, 5))
         dims = _layer_dims(5, 2, (4, 3))
@@ -91,10 +95,7 @@ class TestGradients:
 
         flat = np.full(sum(din * dout + dout for din, dout in zip(dims[:-1], dims[1:])), np.nan)
         grads = _layer_views(flat, dims)
-        acts = forward(layers, flags, X)
-        delta = acts[-1] - X
-        delta /= delta.size * 0.5
-        _backward(layers, flags, acts, delta, grads)
+        _run(_step_calls(layers, flags, grads, X, _step_buffers(len(X), dims)))
         assert not np.isnan(flat).any()  # every parameter's gradient was written
         for (gw, gb), (ww, wb) in zip(grads, want):
             assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
@@ -116,8 +117,11 @@ class TestTrainingMatchesReference:
             ((32,), 23, 4, 2, 64),  # one batch of all rows
             ((5,), 23, 4, 4, 6),  # R == K
             ((16, 8), 20, 3, 1, 32),
+            ((32,), 3000, 10, 6, 32),  # the acceptance D2 shape: a 24-row last batch
+            ((5,), 33, 4, 2, 32),  # a one-row last batch
         ],
-        ids=["linear", "batch-1", "ragged-batch", "batch-over-n", "r-equals-k", "r-1"],
+        ids=["linear", "batch-1", "ragged-batch", "batch-over-n", "r-equals-k", "r-1",
+             "acceptance-d2", "one-row-last-batch"],
     )
     def test_equals_reference_bit_for_bit(self, hidden, n, k, r, batch_size):
         X = np.random.default_rng(n + k).normal(size=(n, k))

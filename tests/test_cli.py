@@ -223,8 +223,8 @@ class TestEvaluateCommand:
 
     def test_d2_is_fitted_once_per_cv_seed_and_condition(self, tmp_path, monkeypatch):
         # with the pooled tasks run here, once each, every fit calls
-        # `evaluation.fit_reducer` in this process: evaluate's, and
-        # after.svg's D1
+        # `evaluation.fit_reducer` in this process, after.svg's D1 sides
+        # included: evaluate fits one on all rows per linked condition
         listed = []
 
         def recording_fit(*job):
@@ -238,7 +238,8 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
         d2_fits = [(kind, hyper.seed) for kind, d, _, hyper in listed if d.n == 60]
         assert len(d2_fits) == len(set(d2_fits)) == 2 * 3
-        assert [d.n for _, d, _, _ in listed].count(40) == 1  # after.svg's D1, on all rows
+        all_rows = [kind for kind, d, _, _ in listed if d.n == 40]
+        assert sorted(all_rows) == ["autoencoder", "feature_importance", "pca"]
 
     def test_d2_rows_are_never_the_query(self, tmp_path, monkeypatch):
         # after.svg plots D12 only, so no search of evaluate, the cells' or
@@ -306,6 +307,20 @@ class TestPooledFits:
         assert sorted(set(pool_sizes)) == [1, 2]
         assert outputs[0] == outputs[1]
         assert b"training_log" in outputs[0][1]
+
+    def test_evaluate_with_autoencoder_does_not_depend_on_worker_count(self, tmp_path, monkeypatch, pool_sizes):
+        # the autoencoder is the only reducer, so after.svg links its all-rows
+        # D1 side, which trains on the pool after the fold fits
+        outputs = []
+        for cores in ({0}, {0, 1}):
+            use_cores(monkeypatch, cores)
+            out = tmp_path / str(len(cores))
+            doc = TestEvaluateCommand().evaluate_config(out)
+            doc["reducers"] = ["autoencoder"]
+            assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("report.json", "after.csv", "after.svg")])
+        assert pool_sizes == [1, 2]
+        assert outputs[0] == outputs[1]
 
     def test_cells_do_not_depend_on_worker_count(self, tmp_path, monkeypatch, pool_sizes):
         # no autoencoder: the pool runs only the fold-by-condition cells

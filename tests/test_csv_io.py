@@ -136,6 +136,13 @@ def id_column(n):
     return "id,label\n" + "".join(f"c{i},{i % 2}\n" for i in range(n))
 
 
+def numbers_and_na(n, na_row):
+    """A file whose `x` column holds n distinct numbers and one `NA`, at file row `na_row`."""
+    cells = [f"{i}.5" for i in range(n)]
+    cells.insert(na_row - 2, "NA")
+    return "x,label\n" + "".join(f"{c},{i % 2}\n" for i, c in enumerate(cells))
+
+
 LOADER_CASES = {
     "gaps": ("x,z,label\n1,,0\n,2.5,1\n3,4,0\n", None),
     "categoricals": ("c,x,label\nB,1,0\nA,2,1\n,3,0\nB,4,1\n", None),
@@ -167,6 +174,7 @@ LOADER_CASES = {
     "51 categories": (id_column(51), None),
     "51 hinted categories": (id_column(51), [FeatureSchema("id", "categorical",
                                                             tuple(f"c{i}" for i in range(51)))]),
+    "80 numbers and NA": (numbers_and_na(80, 42), None),
 }
 
 
@@ -221,6 +229,18 @@ class TestLoaderParity:
         with pytest.raises(DataError, match=r"^column 'id' has 51 distinct values, too many for a categorical \(at most 50\)"):
             load_csv(path, "label")
         assert load_csv(path, "label", LOADER_CASES["51 hinted categories"][1]).k == 51
+
+    def test_a_missing_value_code_is_named_with_its_row(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text(LOADER_CASES["80 numbers and NA"][0], encoding="utf-8")
+        with pytest.raises(DataError, match=r"^column 'x' has 81 distinct values, .*; its first non-numeric "
+                                            r"cell is 'NA' at row 42; give it a schema hint"):
+            load_csv(path, "label")
+        # an all-text id column has no number to set its odd cell against
+        path.write_text(LOADER_CASES["51 categories"][0], encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            load_csv(path, "label")
+        assert "non-numeric" not in str(exc.value)
 
 
 class TestHeaderFaults:

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from disjoint_link import evaluation
+from disjoint_link import evaluation, linkage
 from disjoint_link.autoencoder import AutoencoderHyper
 from disjoint_link.data import (
     DataError,
@@ -18,6 +18,7 @@ from disjoint_link.evaluation import (
     auroc,
     evaluate_conditions,
     fit_logistic,
+    link_all_rows,
     logistic_loss_and_grad,
     predict_proba,
     prepare_d2_context,
@@ -365,6 +366,27 @@ class TestOnePipeline:
         want = link_detailed(d1, d2, condition, k=4, r=3).neighbors_12
         assert np.array_equal(out.neighbors_train.neighbors, want.neighbors)
         assert np.array_equal(out.neighbors_train.distances, want.distances, equal_nan=True)
+
+
+class TestLinkAllRows:
+    def test_fits_nothing_and_equals_link(self, monkeypatch):
+        # evaluate fitted every linked condition's all-rows D1 side, so
+        # after.svg's D12 is `link`'s without one more fit
+        d1, d2 = small_pair(3)
+        hyper = AutoencoderHyper(hidden_dims=(4,), epochs=5)
+        conditions = ["feature_importance", "pca", "autoencoder"]
+        report = evaluate_conditions(d1, d2, conditions, folds=3, seeds=[2], k=3, r=2, ae_hyper=hyper)
+        want = {c: link_detailed(d1, d2, c, k=3, r=2, ae_hyper=hyper, seed=2).d12 for c in conditions}
+
+        def no_fit(*job):
+            raise AssertionError(f"link_all_rows fitted {job[0]}")
+
+        monkeypatch.setattr(evaluation, "fit_reducer", no_fit)
+        monkeypatch.setattr(linkage, "fit_reducer", no_fit)
+        for cond in conditions:
+            got = link_all_rows(report, cond)
+            assert got.X.tobytes() == want[cond].X.tobytes(), cond
+            assert got.provenance == want[cond].provenance
 
 
 class TestTestRows:
