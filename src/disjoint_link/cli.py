@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .autoencoder import AutoencoderHyper
-from .data import Dataset, DataError, dataset_to_csv, load_csv, write_schema
+from .data import Dataset, DataError, csv_blocks, dataset_to_csv, load_csv, write_schema
 from .evaluation import CONDITION_ORDER, evaluate_conditions, link_all_rows
 from .figures import export_projection_2d, projection_to_csv, write_projection_svg
 from .linkage import (
@@ -21,8 +21,12 @@ from .linkage import (
     DEFAULT_R,
     LINK_KINDS,
     link_detailed,
+    link_is_large,
+    linked_columns,
     linked_to_csv,
+    neighbors_columns,
     neighbors_to_csv,
+    pooled,
 )
 from .synth import SyntheticPairConfig, synthesize_disjoint_pair
 
@@ -221,9 +225,17 @@ def cmd_link(cfg: dict, out_override: str | None = None) -> Path:
         d1, d2, cfg["reducer"],
         k=cfg["k"], r=cfg["R"], ae_hyper=_ae_hyper(cfg), seed=cfg["seed"],
     )
-    linked_to_csv(res.d12, out / "D12.csv")
-    linked_to_csv(res.d21, out / "D21.csv")
-    neighbors_to_csv(res.neighbors_12, out / "neighbors.csv")
+    files = [(linked_to_csv, res.d12, linked_columns(res.d12), "D12.csv"),
+             (linked_to_csv, res.d21, linked_columns(res.d21), "D21.csv"),
+             (neighbors_to_csv, res.neighbors_12, neighbors_columns(res.neighbors_12), "neighbors.csv")]
+    blocks = [csv_blocks(columns) for _, _, (_, columns), _ in files]
+    # a large link formats every block of its three files on one pool; the
+    # files are written here, in order, so the first error is the serial one
+    in_pool = link_is_large(d1.n, d2.n, cfg["k"])
+    with pooled([(task, in_pool) for file_blocks in blocks for task in file_blocks]) as texts:
+        texts = iter(texts)
+        for (write, obj, _, name), file_blocks in zip(files, blocks):
+            write(obj, out / name, [next(texts) for _ in file_blocks])
     (out / "reducer.json").write_text(
         json.dumps(res.reducer_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -299,19 +301,38 @@ def load_csv(
 # serialization
 # ---------------------------------------------------------------------------
 
-CSV_BLOCK_ROWS = 4096  # rows formatted per write: bounds the text held at once
+CSV_BLOCK_ROWS = 4096  # rows formatted per task: a serial write holds one block's text at once
 
 
-def write_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
+def csv_blocks(columns: list[np.ndarray]) -> list[Callable[[], str]]:
+    """One zero-argument task per `CSV_BLOCK_ROWS` rows of the equal-length
+    1-D `columns`, each returning those rows' lines as `write_csv` writes
+    them."""
+    return [partial(_csv_lines, columns, lo) for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS)]
+
+
+def _csv_lines(columns: list[np.ndarray], lo: int) -> str:
+    rows = zip(*(col[lo:lo + CSV_BLOCK_ROWS].tolist() for col in columns))
+    return "".join([",".join(map(repr, row)) + "\r\n" for row in rows])
+
+
+def write_csv(
+    path: str | Path,
+    header: list[str],
+    columns: list[np.ndarray],
+    blocks: list[Callable[[], str]] | None = None,
+) -> None:
     """`header` through `csv.writer` (quoted where a name needs it), then one
     line per row of the equal-length 1-D `columns`: each cell the repr of its
     value (a float's shortest round-trip form, an int's digits), comma-joined,
-    with csv's CRLF line end."""
+    with csv's CRLF line end.
+
+    `blocks` are getters of `csv_blocks(columns)`'s text, in order, such as
+    `linkage.pooled`'s; by default each block is formatted here."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        for lo in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            rows = zip(*(col[lo:lo + CSV_BLOCK_ROWS].tolist() for col in columns))
-            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+        for block in blocks if blocks is not None else csv_blocks(columns):
+            fh.write(block())
 
 
 def dataset_to_csv(d: Dataset, path: str | Path, label_column: str = LABEL_COLUMN) -> None:

@@ -56,9 +56,11 @@ def scatter_svg(p: Projection2D, title: str = "") -> str:
         f'height="{height - 2 * margin:.0f}" fill="none" stroke="#cccccc"/>',
     ]
     if title:
+        # a title names a dataset by its file stem, which may hold markup characters
+        text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<text x="{width / 2:.0f}" y="{margin / 2 + 6:.0f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
+            f'font-family="sans-serif" font-size="14">{text}</text>'
         )
     # negatives first so the rare positives stay visible on top
     for target, color in ((0, NEGATIVE_COLOR), (1, POSITIVE_COLOR)):

@@ -10,8 +10,10 @@ sides into row transforms into one shared R-dimensional space,
 every query row the feature-wise median of its k nearest reference rows (the
 random baseline draws its neighbors instead). The search streams over row
 blocks, so the full distance matrix is never built. `pooled` runs a command's
-slow tasks, its autoencoder fits and evaluate's fold-by-condition cells, on a
-fork pool.
+slow tasks on a fork pool: its autoencoder fits, evaluate's fold-by-condition
+cells and, for a large link (`link_is_large`), the two search directions and
+the formatting of the CSV blocks that `linked_to_csv` and `neighbors_to_csv`
+write.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, data
 from .autoencoder import AutoencoderHyper, AutoencoderReducer, encode, fit_autoencoder
 from .data import (
     Dataset,
@@ -327,6 +329,14 @@ class LinkResult:
     reducer_payload: dict
 
 
+def link_is_large(n1: int, n2: int, k: int) -> bool:
+    """Whether one of `link`'s files spans more than one CSV block: D12.csv
+    has `n1` rows, D21.csv `n2` and neighbors.csv `n1 * k`. A large link runs
+    its two searches and its CSV formatting on the pool; a smaller one starts
+    no process for them."""
+    return max(n1 * k, n2) > data.CSV_BLOCK_ROWS
+
+
 def link_detailed(
     d1: Dataset,
     d2: Dataset,
@@ -343,7 +353,8 @@ def link_detailed(
     This is CV seed `seed` of the evaluation with one fold whose training
     rows are all of D1: the same seeds and R (`fit_jobs`) and, for
     "random", the same draws. The autoencoders of D1 and D2 train
-    concurrently.
+    concurrently, and so do the two directions of a large link
+    (`link_is_large`) that draws no random neighbors.
     """
     if reducer_kind not in LINK_KINDS:
         raise DataError(f"unknown reducer kind {reducer_kind!r}")
@@ -354,9 +365,14 @@ def link_detailed(
     tasks = [(partial(fit_reducer, *jobs[key]), reducer_kind == "autoencoder") for key in keys if key in jobs]
     with pooled(tasks) as fitted:
         fit1, fit2 = [result() for result in fitted] or (None, None)  # random fits nothing
-    rng = random_rng(seed, 0)  # D12's draws, then D21's
-    ((nb12, agg12),) = link_into(reducer_kind, fit1, fit2, d2s.X, k, rng, d1s.X)
-    ((nb21, agg21),) = link_into(reducer_kind, fit2, fit1, d1s.X, k, rng, d2s.X)
+    # D12 first, its error the one raised. The random baseline's D21 draws
+    # continue D12's rng, so it links in this process
+    rng = random_rng(seed, 0)
+    ways = [partial(link_into, reducer_kind, fit1, fit2, d2s.X, k, rng, d1s.X),
+            partial(link_into, reducer_kind, fit2, fit1, d1s.X, k, rng, d2s.X)]
+    in_pool = reducer_kind != "random" and link_is_large(d1.n, d2.n, k)
+    with pooled([(way, in_pool) for way in ways]) as linked:
+        ((nb12, agg12),), ((nb21, agg21),) = [result() for result in linked]
     if reducer_kind == "random":
         r_eff, payload = None, {"k": k, "seed": seed}
     else:
@@ -392,17 +408,33 @@ def link(
 # ---------------------------------------------------------------------------
 
 
-def linked_to_csv(d: LinkedDataset, path: str | Path) -> None:
-    """Header tags each column `own.<feature>` or `agg.<source_id>.<feature>`."""
+def linked_columns(d: LinkedDataset) -> tuple[list[str], list[np.ndarray]]:
+    """The CSV header and columns of a linked dataset: each feature tagged
+    `own.<feature>` or `agg.<source_id>.<feature>`, the label last."""
     header = [
         f"own.{p.feature}" if p.tag == "own" else f"agg.{p.source_id}.{p.feature}"
         for p in d.provenance
     ] + [LABEL_COLUMN]
-    write_csv(path, header, [*d.X.T, d.y])
+    return header, [*d.X.T, d.y]
 
 
-def neighbors_to_csv(nb: NeighborMap, path: str | Path) -> None:
+def neighbors_columns(nb: NeighborMap) -> tuple[list[str], list[np.ndarray]]:
+    """The CSV header and columns of a neighbor map, one row per (row, rank)."""
     n = nb.neighbors.shape[0]
-    write_csv(path, ["row_index", "rank", "col_index", "distance"], [
+    return ["row_index", "rank", "col_index", "distance"], [
         np.repeat(np.arange(n), nb.k), np.tile(np.arange(nb.k), n),
-        nb.neighbors.ravel(), nb.distances.ravel()])
+        nb.neighbors.ravel(), nb.distances.ravel()]
+
+
+def linked_to_csv(
+    d: LinkedDataset, path: str | Path, blocks: list[Callable[[], str]] | None = None
+) -> None:
+    """`d` as CSV (`linked_columns`); `blocks` as in `write_csv`."""
+    write_csv(path, *linked_columns(d), blocks)
+
+
+def neighbors_to_csv(
+    nb: NeighborMap, path: str | Path, blocks: list[Callable[[], str]] | None = None
+) -> None:
+    """`nb` as CSV (`neighbors_columns`); `blocks` as in `write_csv`."""
+    write_csv(path, *neighbors_columns(nb), blocks)

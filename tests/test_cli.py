@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from disjoint_link import _kernels, cli, evaluation, linkage
+from disjoint_link import _kernels, cli, data, evaluation, linkage
 from disjoint_link.autoencoder import AutoencoderHyper
 from disjoint_link.cli import main
 from disjoint_link.data import DataError
@@ -381,6 +381,83 @@ class TestPooledFits:
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                              check=True, timeout=60)
         assert run.stdout == "[]\n"
+
+
+def no_fork():
+    raise AssertionError("a process was started")
+
+
+class TestPooledLink:
+    """A link with a file of more than one CSV block searches both ways and
+    formats its CSV blocks on the pool; blocks of 16 rows make the small
+    synthetic pair (D12.csv 40 rows, D21.csv 60, neighbors.csv 80) large."""
+
+    FILES = ("D12.csv", "D21.csv", "neighbors.csv", "reducer.json")
+
+    @pytest.mark.parametrize("reducer", ["pca", "feature_importance", "random"])
+    def test_outputs_do_not_depend_on_worker_count(self, tmp_path, monkeypatch, pool_sizes, reducer):
+        outputs = []
+        for cores, block_rows in (({0}, 16), ({0, 1}, 16), ({0, 1}, data.CSV_BLOCK_ROWS)):
+            use_cores(monkeypatch, cores)
+            monkeypatch.setattr(data, "CSV_BLOCK_ROWS", block_rows)
+            out = tmp_path / f"{len(cores)}-{block_rows}"
+            doc = synth_config(out, reducer=reducer, k=2, R=2)
+            assert main(["link", "--config", str(write_config(tmp_path, doc))]) == 0
+            assert multiprocessing.active_children() == []
+            outputs.append([(out / name).read_bytes() for name in self.FILES])
+        # the random baseline's searches stay here; the last run, with the
+        # default blocks, is serial and opens no pool
+        want = [1, 2] if reducer == "random" else [1, 1, 2, 2]
+        assert pool_sizes == want
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_failing_directions_report_d12s_error(self, tmp_path, monkeypatch, capsys):
+        # D12's worker sleeps first, so D21's error comes back before it
+        def failing_link_into(kind, fit1, fit2, x2, k, rng, x1):
+            if len(x1) == 40:
+                time.sleep(0.5)
+                raise DataError("D12 failed")
+            raise DataError("D21 failed")
+
+        monkeypatch.setattr(linkage, "link_into", failing_link_into)
+        monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16)
+        use_cores(monkeypatch, {0, 1})
+        doc = synth_config(tmp_path / "out", reducer="pca", k=2, R=2)
+        assert main(["link", "--config", str(write_config(tmp_path, doc))]) == 1
+        assert "error: [link] D12 failed" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_failing_block_reports_the_first_files_error(self, tmp_path, monkeypatch, capsys):
+        # D12.csv's last block sleeps, then fails; a later block of
+        # neighbors.csv fails at once
+        csv_lines = data._csv_lines
+
+        def failing_lines(columns, lo):
+            if (len(columns[0]), lo) == (40, 32):
+                time.sleep(0.5)
+                raise DataError("D12.csv block failed")
+            if len(columns[0]) == 80:
+                raise DataError("neighbors.csv block failed")
+            return csv_lines(columns, lo)
+
+        monkeypatch.setattr(data, "_csv_lines", failing_lines)
+        monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16)
+        use_cores(monkeypatch, {0, 1})
+        doc = synth_config(tmp_path / "out", reducer="pca", k=2, R=2)
+        assert main(["link", "--config", str(write_config(tmp_path, doc))]) == 1
+        assert "error: [link] D12.csv block failed" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_small_link_and_evaluate_writes_start_no_process(self, tmp_path, monkeypatch):
+        # every file fits one block: link searches and formats here, and
+        # evaluate's cells, run inline, leave only its CSV writes
+        monkeypatch.setattr(os, "fork", no_fork)
+        doc = synth_config(tmp_path / "link", reducer="pca", k=2, R=2)
+        assert main(["link", "--config", str(write_config(tmp_path, doc))]) == 0
+        monkeypatch.setattr(evaluation, "pooled", inline_pool)
+        doc = synth_config(tmp_path / "evaluate", reducers=["pca"], folds=2, k=2, R=2)
+        assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
+        assert (tmp_path / "evaluate" / "after.csv").exists()
 
 
 class TestValidation:

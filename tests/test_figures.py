@@ -1,3 +1,5 @@
+import xml.etree.ElementTree as ET
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,15 @@ class TestExports:
         assert svg1.startswith("<svg ")
         assert svg1.count("<circle") == 9
         assert "demo" in svg1
+
+    @pytest.mark.parametrize("title", ["R&D before linkage", "<d1> & d2 after pca linkage", "demo"])
+    def test_svg_title_is_escaped_text(self, make_dataset, title):
+        # a title carries a dataset's file stem, which may hold &, < or >
+        rng = np.random.default_rng(6)
+        proj = export_projection_2d(make_dataset(rng.normal(size=(5, 2)), [0, 1, 0, 1, 0]))
+        root = ET.fromstring(scatter_svg(proj, title=title))
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts == [title, "pc1", "pc2"]
 
     def test_svg_two_colors_by_label(self, tmp_path, make_dataset):
         from disjoint_link.figures import NEGATIVE_COLOR, POSITIVE_COLOR
