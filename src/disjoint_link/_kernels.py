@@ -22,7 +22,9 @@ with non-finite or overflowing values, or whose candidate set is too large
 to pay off, takes `k_smallest(pairwise_euclidean(...))` on its own.
 Memory stays at O(block + (N + M) k). `pairwise_euclidean` and `k_smallest`
 are looked up as module globals, which lets a caller wrap them to time each
-layer; since the filter, they see only the rows that take the exact path.
+layer; `nearest` calls them only on the rows that take the exact path: every
+row when k equals the reference row count, otherwise the rows the filter
+cannot settle.
 """
 
 from __future__ import annotations

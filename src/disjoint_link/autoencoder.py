@@ -3,6 +3,9 @@
 The network is K -> hidden_dims -> R -> reversed(hidden_dims) -> K with tanh
 on the hidden layers and identity on the latent and output layers. The
 encoder output is the sample's reduced representation.
+
+Every forward pass, the training step's, the epoch loss's and `encode`'s, is
+the list of numpy calls `_forward_calls` builds on fixed activation buffers.
 """
 
 from __future__ import annotations
@@ -91,19 +94,27 @@ def _layer_views(flat: np.ndarray, dims: list[int]) -> list[tuple[np.ndarray, np
     return views
 
 
-def forward(layers, tanh_flags, X: np.ndarray) -> list[np.ndarray]:
-    """Activations per layer, with the input first; length len(layers)+1."""
-    acts = [X]
-    for (w, b), is_tanh in zip(layers, tanh_flags):
-        z = acts[-1] @ w
-        z += b
-        if is_tanh:
-            np.tanh(z, out=z)
-        acts.append(z)
-    return acts
-
-
 Call = tuple[Callable[..., Any], tuple]  # a numpy function and its positional arguments
+
+
+def _forward_calls(layers, tanh_flags, x: np.ndarray, acts: list[np.ndarray]) -> list[Call]:
+    """The forward pass of the rows `x` as numpy calls that write each
+    layer's activation into its (len(x), dout) buffer in `acts`; the last
+    buffer ends up holding the output."""
+    calls: list[Call] = []
+    a = x
+    for (w, b), is_tanh, z in zip(layers, tanh_flags, acts):
+        calls += [(np.dot, (a, w, z)), (np.add, (z, b, z))]
+        if is_tanh:
+            calls.append((np.tanh, (z, z)))
+        a = z
+    return calls
+
+
+def _squared_error_calls(out: np.ndarray, x: np.ndarray) -> list[Call]:
+    """(out - x)^2 written over the output activation `out`; its mean is the
+    reconstruction loss."""
+    return [(np.subtract, (out, x, out)), (np.square, (out, out))]
 
 
 def _step_buffers(m: int, dims: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -122,14 +133,8 @@ def _step_calls(layers, tanh_flags, grads, x: np.ndarray, bufs) -> list[Call]:
     kept, so the caller can take the loss from it.
     """
     acts, deltas = bufs
-    calls: list[Call] = []
-    a = x
-    for (w, b), is_tanh, z in zip(layers, tanh_flags, acts):
-        calls += [(np.dot, (a, w, z)), (np.add, (z, b, z))]
-        if is_tanh:
-            calls.append((np.tanh, (z, z)))
-        a = z
-    delta = deltas[-1]
+    calls = _forward_calls(layers, tanh_flags, x, acts)
+    a, delta = acts[-1], deltas[-1]
     # d(mean r^2)/dr = 2 r / size, rounded once: size / 2 is exact
     calls += [(np.subtract, (a, x, delta)), (np.divide, (delta, delta.size * 0.5, delta))]
     ins = [x, *acts[:-1]]
@@ -158,24 +163,9 @@ def loss_and_grads(layers, tanh_flags, X: np.ndarray):
     dims = [X.shape[1], *(w.shape[1] for w, _ in layers)]
     grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
     bufs = _step_buffers(len(X), dims)
-    _run(_step_calls(layers, tanh_flags, grads, X, bufs))
-    resid = bufs[0][-1] - X
-    return float(np.mean(resid**2)), grads
-
-
-def _reconstruction_mse_into(layers, tanh_flags, X: np.ndarray, bufs) -> float:
-    """Mean squared reconstruction error of X, each layer's activation
-    written into its (n, dout) buffer in `bufs`."""
-    a = X
-    for (w, b), is_tanh, z in zip(layers, tanh_flags, bufs):
-        np.matmul(a, w, out=z)
-        z += b
-        if is_tanh:
-            np.tanh(z, out=z)
-        a = z
-    a -= X
-    np.square(a, out=a)
-    return float(np.mean(a))
+    out = bufs[0][-1]
+    _run(_step_calls(layers, tanh_flags, grads, X, bufs) + _squared_error_calls(out, X))
+    return float(np.mean(out)), grads
 
 
 def fit_autoencoder(X: np.ndarray, r: int, hyper: AutoencoderHyper | None = None) -> AutoencoderReducer:
@@ -187,8 +177,8 @@ def fit_autoencoder(X: np.ndarray, r: int, hyper: AutoencoderHyper | None = None
     whole-vector calls however many layers the net has. Each epoch gathers
     the shuffled rows into one fixed buffer, and every batch is a view into
     it; the batches share one set of activation and delta buffers, and a short
-    last batch has its own. The epoch-end loss over all rows goes through
-    activation buffers allocated once per fit.
+    last batch has its own. The epoch-end loss over all rows is built once
+    too: the same forward calls into n-row buffers, then the squared error.
     """
     hyper = hyper or AutoencoderHyper()
     X = np.asarray(X, dtype=np.float64)
@@ -221,7 +211,8 @@ def fit_autoencoder(X: np.ndarray, r: int, hyper: AutoencoderHyper | None = None
     bufs = {len(batch): _step_buffers(len(batch), dims) for batch in batches[:1] + batches[-1:]}
     epoch_calls = [call for batch in batches
                    for call in _step_calls(layers, tanh_flags, grads, batch, bufs[len(batch)]) + momentum]
-    loss_bufs = [np.empty((n, dout)) for dout in dims[1:]]
+    loss_acts = [np.empty((n, dout)) for dout in dims[1:]]
+    loss_calls = _forward_calls(layers, tanh_flags, X, loss_acts) + _squared_error_calls(loss_acts[-1], X)
 
     log = []
     # a diverging net overflows long before its epoch ends; TrainingDiverged
@@ -230,7 +221,8 @@ def fit_autoencoder(X: np.ndarray, r: int, hyper: AutoencoderHyper | None = None
         for epoch in range(hyper.epochs):
             np.take(X, rng.permutation(n), axis=0, out=shuffled)
             _run(epoch_calls)
-            epoch_loss = _reconstruction_mse_into(layers, tanh_flags, X, loss_bufs)
+            _run(loss_calls)
+            epoch_loss = float(np.mean(loss_acts[-1]))
             if not np.isfinite(epoch_loss):
                 raise TrainingDiverged(
                     f"non-finite reconstruction loss at epoch {epoch}; lower the learning rate"
@@ -246,15 +238,13 @@ def fit_autoencoder(X: np.ndarray, r: int, hyper: AutoencoderHyper | None = None
     )
 
 
-def _encoder_flags(r: "AutoencoderReducer") -> list[bool]:
-    return [True] * (len(r.encoder_layers) - 1) + [False]
-
-
 def encode(reducer: AutoencoderReducer, X: np.ndarray) -> np.ndarray:
     """Forward pass through the encoder half only."""
     X = np.asarray(X, dtype=np.float64)
     din = reducer.encoder_layers[0][0].shape[0]
     if X.shape[1] != din:
         raise DataError(f"encoder expects {din} columns, got {X.shape[1]}")
-    return forward(reducer.encoder_layers, _encoder_flags(reducer), X)[-1]
-
+    n_encoder = len(reducer.encoder_layers)
+    acts = [np.empty((len(X), w.shape[1])) for w, _ in reducer.encoder_layers]
+    _run(_forward_calls(reducer.encoder_layers, _tanh_flags(n_encoder, n_encoder), X, acts))
+    return acts[-1]

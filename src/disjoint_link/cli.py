@@ -244,8 +244,10 @@ def cmd_link(cfg: dict, out_override: str | None = None) -> Path:
 
 
 def cmd_evaluate(cfg: dict, out_override: str | None = None) -> Path:
-    out = _out_dir(cfg, out_override)
     d1, d2 = _load_pair(cfg)
+    if d1.k < 2:  # before.svg projects D1 onto its top two principal axes
+        raise DataError(f"D1 ({d1.id}) has {d1.k} feature; evaluate's 2-D projection needs at least 2")
+    out = _out_dir(cfg, out_override)
     conditions = ["unlinked", "random", *cfg["reducers"]]
     report = evaluate_conditions(
         d1, d2, conditions,

@@ -71,7 +71,6 @@ class LogisticHyper:
     learning_rate: float = 0.1
     epochs: int = 500
     l2_lambda: float = 1e-3
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -81,18 +80,9 @@ class LogisticModel:
     hyper: LogisticHyper
 
 
-def logistic_loss_and_grad(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float):
-    """Mean cross-entropy plus (l2/2)*||w||^2; the bias is not penalized."""
-    z = X @ w + b
-    # log(1 + exp(-|z|)) is the stable core of both label branches
-    softplus = np.log1p(np.exp(-np.abs(z)))
-    loss = float(np.mean(np.where(y == 1, softplus + np.maximum(-z, 0.0), softplus + np.maximum(z, 0.0))))
-    loss += 0.5 * l2 * float(w @ w)
-    return (loss, *_logistic_grad(w, b, X, y, l2))
-
-
 def _logistic_grad(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float):
-    """Gradient of `logistic_loss_and_grad`'s loss in (w, b), without the loss."""
+    """Gradient in (w, b) of the mean cross-entropy plus (l2/2)*||w||^2; the
+    bias is not penalized."""
     n = X.shape[0]
     resid = sigmoid(X @ w + b) - y
     gw = X.T @ resid / n + l2 * w

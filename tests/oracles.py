@@ -4,11 +4,11 @@ Everything here is deliberately written in the most literal way possible
 (scalar loops, textbook formulas) and stays independent of the code paths it
 verifies. The full-matrix forms (`distance_matrix`, `k_nearest`) are the
 exception: they hold the whole N x M matrix from the exact kernels, the form
-the streaming search `link_rows` must equal. `roc_curve`, `reconstruct`,
+the streaming search `link_rows` must equal. `roc_curve`,
 `invert_standardization` and `schema_from_json` are plain forms the pipeline
 does not need. `sigmoid_two_branch` and `fit_logistic_reference` are the forms
 `_kernels.sigmoid` and the logistic fit had before the sigmoid went
-branch-free. The CSV references are the cell-by-cell loader and the
+branch-free; `logistic_loss` is the loss whose gradient the fit descends. The CSV references are the cell-by-cell loader and the
 row-by-row `csv.writer` writers the package's one-pass forms must equal byte
 for byte.
 """
@@ -165,6 +165,15 @@ def fit_logistic_reference(X, y, hyper):
     return w, b
 
 
+def logistic_loss(w, b, X, y, l2):
+    """Mean cross-entropy plus (l2/2)*||w||^2; the bias is not penalized."""
+    z = X @ w + b
+    # log(1 + exp(-|z|)) is the stable core of both label branches
+    softplus = np.log1p(np.exp(-np.abs(z)))
+    loss = float(np.mean(np.where(y == 1, softplus + np.maximum(-z, 0.0), softplus + np.maximum(z, 0.0))))
+    return loss + 0.5 * l2 * float(w @ w)
+
+
 def median_brute(values):
     return statistics.median(values)
 
@@ -226,15 +235,14 @@ def reconstruction_mse(layers, tanh_flags, X):
     return float(np.mean((a - X) ** 2))
 
 
-def reconstruct(reducer, X):
-    """An autoencoder's output for X through an allocating forward pass: tanh
-    on every hidden layer, identity on the latent and output layers."""
-    layers = reducer.all_layers
-    latent = len(reducer.encoder_layers) - 1
+def encode_reference(reducer, X):
+    """An autoencoder's latent for X through an allocating forward pass of
+    its encoder half: tanh on every hidden layer, identity on the latent."""
+    layers = reducer.encoder_layers
     a = np.asarray(X, dtype=np.float64)
     for i, (w, b) in enumerate(layers):
         a = a @ w + b
-        if i not in (latent, len(layers) - 1):
+        if i < len(layers) - 1:
             a = np.tanh(a)
     return a
 

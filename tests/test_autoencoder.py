@@ -15,13 +15,12 @@ from disjoint_link.autoencoder import (
     _tanh_flags,
     encode,
     fit_autoencoder,
-    forward,
     init_layers,
     loss_and_grads,
 )
 from disjoint_link.data import DataError
 from disjoint_link.reducers import autoencoder_to_payload
-from oracles import fit_autoencoder_reference, reconstruct, reconstruction_mse
+from oracles import encode_reference, fit_autoencoder_reference, reconstruction_mse
 
 
 def finite_difference_grads(layers, tanh_flags, X, eps=1e-5):
@@ -238,16 +237,19 @@ class TestEncode:
             encode(red, np.zeros((2, 5)))
 
     def test_reconstruct_matches_forward(self):
+        # with two hidden layers the encoder has two tanh layers before its
+        # identity latent, so a wrong tanh flag in encode shows
         rng = np.random.default_rng(11)
         X = rng.normal(size=(9, 4))
-        red = fit_autoencoder(X, 2, AutoencoderHyper(epochs=3, seed=2))
-        layers = [[w, b] for w, b in red.all_layers]
-        flags = _tanh_flags(len(layers), len(red.encoder_layers))
-        want = forward(layers, flags, X)[-1]
-        np.testing.assert_array_equal(reconstruct(red, X), want)
-        # the epoch-end loss, computed into preallocated buffers, is the
-        # allocating forward pass's MSE of the final weights bit for bit
-        assert red.training_log[-1] == reconstruction_mse(layers, flags, X)
+        for hidden in ((32,), (4, 3)):
+            red = fit_autoencoder(X, 2, AutoencoderHyper(hidden_dims=hidden, epochs=3, seed=2))
+            got, want = encode(red, X), encode_reference(red, X)
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+            layers = red.all_layers
+            flags = _tanh_flags(len(layers), len(red.encoder_layers))
+            # the epoch-end loss, run from the same forward calls on n-row
+            # buffers, is the allocating forward pass's MSE bit for bit
+            assert red.training_log[-1] == reconstruction_mse(layers, flags, X)
 
 
 def assert_payload_holds(doc, red):

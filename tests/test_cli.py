@@ -265,6 +265,13 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
         assert (tmp_path / "out" / "after.csv").read_text().count("\n") == 1 + 10
 
+    def test_one_feature_d1_rejected_before_any_output(self, tmp_path, capsys):
+        doc = synth_config(tmp_path / "out", k1=1, reducers=["pca"], folds=2, R=1)
+        doc["inputs"]["synthetic"]["latent_dim"] = 1
+        assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 1
+        assert "error: [evaluate] D1 (synth1-seed3) has 1 feature" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_out_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, self.evaluate_config(tmp_path / "ignored"))
         assert main(["evaluate", "--config", str(cfg), "--out", str(tmp_path / "chosen")]) == 0

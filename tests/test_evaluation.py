@@ -15,11 +15,11 @@ from disjoint_link.data import (
 )
 from disjoint_link.evaluation import (
     LogisticHyper,
+    _logistic_grad,
     auroc,
     evaluate_conditions,
     fit_logistic,
     link_all_rows,
-    logistic_loss_and_grad,
     predict_proba,
     prepare_d2_context,
     run_fold_condition,
@@ -29,7 +29,7 @@ from disjoint_link.linkage import fit_jobs, fit_reducer, link_detailed, link_row
 from disjoint_link.reducers import normalize_latent
 from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair
 
-from oracles import auroc_brute, fit_logistic_reference, roc_curve
+from oracles import auroc_brute, fit_logistic_reference, logistic_loss, roc_curve
 
 
 class TestLogistic:
@@ -58,18 +58,18 @@ class TestLogistic:
         w = rng.normal(size=4)
         b = 0.3
         lam = 0.01
-        _, gw, gb = logistic_loss_and_grad(w, b, X, y, lam)
+        gw, gb = _logistic_grad(w, b, X, y, lam)
         eps = 1e-6
         for j in range(4):
             wp, wm = w.copy(), w.copy()
             wp[j] += eps
             wm[j] -= eps
-            hi = logistic_loss_and_grad(wp, b, X, y, lam)[0]
-            lo = logistic_loss_and_grad(wm, b, X, y, lam)[0]
+            hi = logistic_loss(wp, b, X, y, lam)
+            lo = logistic_loss(wm, b, X, y, lam)
             num = (hi - lo) / (2 * eps)
             assert abs(gw[j] - num) / max(abs(num), 1e-8) < 1e-6
-        hi = logistic_loss_and_grad(w, b + eps, X, y, lam)[0]
-        lo = logistic_loss_and_grad(w, b - eps, X, y, lam)[0]
+        hi = logistic_loss(w, b + eps, X, y, lam)
+        lo = logistic_loss(w, b - eps, X, y, lam)
         assert abs(gb - (hi - lo) / (2 * eps)) / max(abs(gb), 1e-8) < 1e-6
 
     def test_strong_regularization_shrinks_to_prior(self):
@@ -91,8 +91,8 @@ class TestLogistic:
         b = 0.0
         losses = []
         for _ in range(200):
-            loss, gw, gb = logistic_loss_and_grad(w, b, X, y, hyper.l2_lambda)
-            losses.append(loss)
+            losses.append(logistic_loss(w, b, X, y, hyper.l2_lambda))
+            gw, gb = _logistic_grad(w, b, X, y, hyper.l2_lambda)
             w = w - hyper.learning_rate * gw
             b = b - hyper.learning_rate * gb
         assert (np.diff(losses) <= 1e-12).all()
