@@ -53,6 +53,8 @@ def _as_seed(value, path: str) -> int:
 
 def _as_num(value, path: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "must be a number")
+    # json reads NaN, Infinity and integers past a float's range as numbers
+    _expect(abs(value) <= sys.float_info.max, path, "must be a finite number")
     return float(value)
 
 
@@ -219,8 +221,8 @@ def cmd_synth(cfg: dict, out_override: str | None = None) -> Path:
     return out
 
 def cmd_link(cfg: dict, out_override: str | None = None) -> Path:
+    d1, d2 = _load_pair(cfg)  # before the output directory: a data error leaves none
     out = _out_dir(cfg, out_override)
-    d1, d2 = _load_pair(cfg)
     res = link_detailed(
         d1, d2, cfg["reducer"],
         k=cfg["k"], r=cfg["R"], ae_hyper=_ae_hyper(cfg), seed=cfg["seed"],

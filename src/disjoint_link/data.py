@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -186,6 +187,47 @@ def _parse_column(cells: tuple[str, ...]) -> np.ndarray | None:
         return None
 
 
+def _load_numeric_csv(path: Path, label_column: str) -> Dataset | None:
+    """`load_csv`'s result for a file of numbers only, parsed by numpy's C
+    reader, or None when in any doubt, so that the general path reads the
+    file and raises its named error. Doubt is a duplicate or missing header
+    name; no feature column; fewer than 2 data rows; an unreadable file or
+    one that `np.loadtxt` rejects, such as a gap, text, a quote, `1_000` or
+    a ragged row; a blank line, which `np.loadtxt` skips where the general
+    path fails; a column count other than the header's; a non-finite value;
+    a label other than 0 or 1. `np.loadtxt` accepts a subset of the cells
+    that `float` accepts, with the same bits.
+    """
+    try:
+        raw = path.read_bytes()
+        ends = raw.count(b"\n")
+        if b"\r" in raw:
+            ends += raw.count(b"\r") - raw.count(b"\r\n")
+        # the file's lines less the header, which are csv's rows unless a
+        # quoted cell spans lines; loadtxt rejects a quote in a cell, and a
+        # header that spans lines leaves it a row short of this count
+        n_rows = ends + (raw[-1:] not in b"\r\n") - 1
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header = next(csv.reader(fh), [])
+            if len(set(header)) != len(header) or label_column not in header or len(header) < 2 or n_rows < 2:
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns when it finds only blank lines
+                table = np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except (OSError, ValueError, UserWarning, csv.Error):
+        return None
+    # a blank line leaves loadtxt a row short
+    if table.shape != (n_rows, len(header)) or not np.all(np.isfinite(table)):
+        return None
+    j = header.index(label_column)
+    labels = table[:, j]
+    if not np.all((labels == 0.0) | (labels == 1.0)):
+        return None
+    schema = tuple(FeatureSchema(name, "numeric") for name in header if name != label_column)
+    # C order, as the general path's hstack gives: BLAS's bits depend on it
+    return Dataset(schema, np.delete(table, j, axis=1), labels.astype(np.int64), id=path.stem)
+
+
 def load_csv(
     path: str | Path,
     label_column: str,
@@ -200,10 +242,20 @@ def load_csv(
     here instead of one-hot encoding into one column per row; where some of
     its cells are numbers, the error names the first that is not, such as a
     missing-value code like `NA`. Labels must coerce to {0,1}.
-    A leading UTF-8 byte-order mark is skipped. A column whose cells all parse
-    as numbers is parsed in one pass; any other column goes cell by cell.
+    A leading UTF-8 byte-order mark is skipped.
+
+    Without schema hints, a file of finite numbers with 0/1 labels is parsed
+    by numpy's C reader (`_load_numeric_csv`); any other file, or one in
+    doubt, takes the general path, which gives the same Dataset for the
+    files both read. There, a column whose cells all parse as numbers is
+    parsed in one pass; any other column goes cell by cell.
     """
     path = Path(path)
+    numeric = None if schema_hints else _load_numeric_csv(path, label_column)
+    return numeric if numeric is not None else _load_general_csv(path, label_column, schema_hints)
+
+
+def _load_general_csv(path: Path, label_column: str, schema_hints: list[FeatureSchema] | None) -> Dataset:
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))

@@ -8,9 +8,15 @@ treated as fully available context. Test rows only ever pass through already
 fitted transforms.
 
 A cell is one (seed, condition, fold): link the fold's rows (`link_into`),
-fit the logistic model, score the test rows. The cells are independent, so
-`evaluate_conditions` runs them on the package's fork pool next to the
-autoencoder fits, and reads their AUROCs back in the serial order. It also
+fit the logistic model, score the test rows. `run_fold_conditions` runs a
+list of cells: it links each on its own and fits the logistic models of
+same-shape cells in lockstep (`fit_logistics`), which gives each model the
+bits of a fit on its own. `evaluate_conditions` groups the cells by that
+shape, the training row count and the feature count, which are known before
+any linking, and deals each group into at most one chunk per usable core.
+The chunks run on the package's fork pool: those of conditions without an
+autoencoder next to the autoencoder fits, the autoencoder's on a second pool
+once its fits are back. AUROCs are read back in the serial order. It also
 fits the first CV seed's D1 side of every linked condition on all rows, which
 `link_all_rows` links through that seed's evaluated D2 fit for the
 `after.svg` projection.
@@ -46,6 +52,7 @@ from .linkage import (
     link_into,
     pooled,
     random_rng,
+    usable_cores,
 )
 
 ALL_ROWS = "all rows"  # the fold key of the first CV seed's all-rows D1 fits
@@ -80,32 +87,54 @@ class LogisticModel:
     hyper: LogisticHyper
 
 
-def _logistic_grad(w: np.ndarray, b: float, X: np.ndarray, y: np.ndarray, l2: float):
+def _logistic_grad(w: np.ndarray, b, X: np.ndarray, y: np.ndarray, l2: float):
     """Gradient in (w, b) of the mean cross-entropy plus (l2/2)*||w||^2; the
-    bias is not penalized."""
-    n = X.shape[0]
-    resid = sigmoid(X @ w + b) - y
-    gw = X.T @ resid / n + l2 * w
-    gb = float(np.add.reduce(resid) / n)  # resid.mean()'s bits, without its overhead
+    bias is not penalized. Stacked operands, X (S, n, d), w (S, d) and b
+    (S,), give each slice's gradient; a single fit's are X (n, d), w (d,)
+    and a scalar b."""
+    n = X.shape[-2]
+    resid = sigmoid(np.matmul(X, w[..., None])[..., 0] + np.asarray(b)[..., None]) - y
+    gw = np.matmul(X.swapaxes(-1, -2), resid[..., None])[..., 0] / n + l2 * w
+    gb = np.add.reduce(resid, axis=-1) / n  # resid.mean()'s bits, without its overhead
     return gw, gb
 
 
-def fit_logistic(X: np.ndarray, y: np.ndarray, hyper: LogisticHyper | None = None) -> LogisticModel:
-    """Full-batch gradient descent from zero init; deterministic."""
-    hyper = hyper or LogisticHyper()
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+def _check_training(X: np.ndarray, y: np.ndarray) -> None:
     if not (np.any(y == 0) and np.any(y == 1)):
         raise DataError("logistic training needs both classes")
     if not np.all(np.isfinite(X)):
         raise DataError("logistic training input contains non-finite values")
-    w = np.zeros(X.shape[1])
-    b = 0.0
+
+
+def fit_logistics(
+    Xs: list[np.ndarray], ys: list[np.ndarray], hyper: LogisticHyper | None = None
+) -> list[LogisticModel]:
+    """S full-batch gradient descents from zero init in lockstep, one per
+    same-shape (n, d) matrix of `Xs` with its labels in `ys`; deterministic.
+
+    Each step is a few calls on the stacked (S, n, d) operands: `np.matmul`
+    runs each slice's product as the matrix-vector product of a single fit
+    does, and the bias gradient sums each slice's residuals as a 1-D sum does,
+    so every model has the bits of its fit alone, whatever S. The first
+    slice without both classes or with a non-finite value raises."""
+    hyper = hyper or LogisticHyper()
+    X = np.array(Xs, dtype=np.float64)
+    y = np.array(ys, dtype=np.float64)
+    for x_s, y_s in zip(X, y):
+        _check_training(x_s, y_s)
+    w = np.zeros((X.shape[0], X.shape[2]))
+    b = np.zeros(X.shape[0])
     for _ in range(hyper.epochs):
         gw, gb = _logistic_grad(w, b, X, y, hyper.l2_lambda)
         w = w - hyper.learning_rate * gw
         b = b - hyper.learning_rate * gb
-    return LogisticModel(weights=w, bias=b, hyper=hyper)
+    return [LogisticModel(weights=w_s, bias=float(b_s), hyper=hyper) for w_s, b_s in zip(w, b)]
+
+
+def fit_logistic(X: np.ndarray, y: np.ndarray, hyper: LogisticHyper | None = None) -> LogisticModel:
+    """Full-batch gradient descent from zero init; `fit_logistics` of one."""
+    (model,) = fit_logistics([X], [y], hyper)
+    return model
 
 
 def predict_proba(m: LogisticModel, X: np.ndarray) -> np.ndarray:
@@ -187,6 +216,64 @@ def prepare_d2_context(d2s: Dataset, reducer: FittedReducer | None = None) -> D2
     return D2Context(d2s.X, reducer)
 
 
+def _fold_features(
+    condition: str, train: Dataset, test: Dataset, ctx: D2Context, reducer: FittedReducer | None,
+    seed: int, fold: int, k: int,
+) -> tuple[np.ndarray, np.ndarray, NeighborMap | None, NeighborMap | None]:
+    """A cell's training and test features, the training ones checked for the
+    logistic fit, and its neighbor maps (None unlinked)."""
+    x_tr, x_te = train.X, test.X
+    nb_tr = nb_te = None
+    if condition == "unlinked":
+        feat_tr, feat_te = x_tr, x_te
+    else:
+        (nb_tr, agg_tr), (nb_te, agg_te) = link_into(
+            condition, reducer, ctx.reducer, ctx.X_std, k, random_rng(seed, fold), x_tr, x_te)
+        feat_tr = np.hstack([x_tr, agg_tr])
+        feat_te = np.hstack([x_te, agg_te])
+    _check_training(feat_tr, train.y)
+    return feat_tr, feat_te, nb_tr, nb_te
+
+
+def _fold_outcome(cell: tuple, feat_te: np.ndarray, nb_tr: NeighborMap | None, nb_te: NeighborMap | None,
+                  model: LogisticModel) -> FoldOutcome:
+    condition, _, test, *_ = cell
+    scores = predict_proba(model, feat_te)
+    return FoldOutcome(
+        condition=condition,
+        auroc=auroc(scores, test.y),
+        scores=scores,
+        model=model,
+        neighbors_train=nb_tr,
+        neighbors_test=nb_te,
+    )
+
+
+def run_fold_conditions(
+    cells: list[tuple | Exception], *, k: int = DEFAULT_K
+) -> list[FoldOutcome | Exception]:
+    """Each cell's outcome, or the error it raised, in its place. A cell is
+    `run_fold_condition`'s arguments (condition, train, test, ctx, reducer,
+    seed, fold); a cell given as an error, one whose inputs failed, stays
+    that error.
+
+    Each cell links on its own; the cells whose training features share a
+    shape then fit their logistic models in one `fit_logistics` call, which
+    gives each model the bits of its fit alone."""
+    outcomes: list = list(cells)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, cell in enumerate(cells):
+        if not isinstance(cell, Exception):
+            outcomes[i] = _caught(_fold_features, *cell, k)
+            if not isinstance(outcomes[i], Exception):
+                groups.setdefault(outcomes[i][0].shape, []).append(i)
+    for members in groups.values():
+        models = fit_logistics([outcomes[i][0] for i in members], [cells[i][1].y for i in members])
+        for i, model in zip(members, models):
+            outcomes[i] = _caught(_fold_outcome, cells[i], *outcomes[i][1:], model)
+    return outcomes
+
+
 def run_fold_condition(
     condition: str,
     train: Dataset,
@@ -201,27 +288,9 @@ def run_fold_condition(
     """Evaluate one condition on one fold: `train` and `test` are the fold's
     D1 rows from `standardized_folds`, `reducer` the D1 side fitted on
     `train` (None for unlinked and random). Test labels touch nothing
-    fitted."""
-    x_tr, x_te = train.X, test.X
-    nb_tr = nb_te = None
-    if condition == "unlinked":
-        feat_tr, feat_te = x_tr, x_te
-    else:
-        (nb_tr, agg_tr), (nb_te, agg_te) = link_into(
-            condition, reducer, ctx.reducer, ctx.X_std, k, random_rng(seed, fold), x_tr, x_te)
-        feat_tr = np.hstack([x_tr, agg_tr])
-        feat_te = np.hstack([x_te, agg_te])
-
-    model = fit_logistic(feat_tr, train.y)
-    scores = predict_proba(model, feat_te)
-    return FoldOutcome(
-        condition=condition,
-        auroc=auroc(scores, test.y),
-        scores=scores,
-        model=model,
-        neighbors_train=nb_tr,
-        neighbors_test=nb_te,
-    )
+    fitted. The one-cell call of `run_fold_conditions`."""
+    (outcome,) = run_fold_conditions([(condition, train, test, ctx, reducer, seed, fold)], k=k)
+    return _unwrap(outcome)
 
 
 @dataclass(frozen=True)
@@ -295,16 +364,38 @@ def _summary(name: str, per_seed: list[list[float]]) -> ConditionSummary:
     )
 
 
+def _caught(fn: Callable[..., Any], *args) -> Any:
+    """`fn(*args)`, or the error it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+def _unwrap(result: Any) -> Any:
+    """`result`, raised if it is an error."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def _settled(fn: Callable[..., Any], *args) -> Callable[[], Any]:
     """Run `fn(*args)` now; a callable that returns its result or raises its
     error, so the error surfaces where the serial loop would have raised it."""
-    try:
-        value = fn(*args)
-    except Exception as exc:
-        def reraise(error=exc):  # bound now: `exc` is unset once the except block ends
-            raise error
-        return reraise
-    return lambda: value
+    result = _caught(fn, *args)
+    return lambda: _unwrap(result)
+
+
+def _chunks(cells: list[tuple], width: Callable[[str], int]) -> list[list[tuple]]:
+    """The (seed, condition, fold, train, test) `cells` grouped by the shape
+    of their logistic fit, training rows by `width(condition)` features, each
+    group dealt round-robin into at most one chunk per usable core. Fold
+    sizes that differ by a row make separate groups: no fit is padded."""
+    groups: dict[tuple[int, int], list[tuple]] = {}
+    for cell in cells:
+        groups.setdefault((cell[3].n, width(cell[1])), []).append(cell)
+    cores = usable_cores()
+    return [group[j::cores] for group in groups.values() for j in range(min(cores, len(group)))]
 
 
 def evaluate_conditions(
@@ -322,12 +413,15 @@ def evaluate_conditions(
 
     All conditions in one seed share the identical fold split, so comparisons
     are paired. A cell is one (seed, condition, fold): link, fit the logistic
-    model, score. The feature-importance and PCA sides are fitted here; then
-    one fork pool (`pooled`) trains the autoencoders, D2's first and the
-    all-rows D1 sides last, and runs every cell of the other conditions,
-    while the autoencoder cells run here once their fits are back. Results
-    are read in the serial loop's (seed, condition, fold) order, so neither
-    the report nor the first error raised depends on the worker count.
+    model, score. The cells run in chunks of the same logistic shape
+    (`_chunks`), each chunk one pooled `run_fold_conditions` call whose
+    models are fitted in lockstep. The feature-importance and PCA sides are
+    fitted here; then one fork pool (`pooled`) trains the autoencoders, D2's
+    first and the all-rows D1 sides last, and runs the chunks of the other
+    conditions. Once the autoencoder cells' fits are back, a second pool
+    runs their chunks. AUROCs are read in the serial loop's (seed,
+    condition, fold) order, so neither the report nor the first error raised
+    depends on the worker count.
 
     The first CV seed's all-rows D1 sides are the fold of all rows that
     `link` fits, at that seed's R; the report hands them back with the seed's
@@ -361,19 +455,33 @@ def evaluate_conditions(
     def reducer(*key):
         return fits[key]() if key in fits else None
 
-    def cell_auroc(seed: int, cond: str, fold: int, train: Dataset, test: Dataset) -> float:
+    def cell_args(seed: int, cond: str, fold: int, train: Dataset, test: Dataset) -> tuple:
         ctx = prepare_d2_context(d2s, reducer(seed, cond, None))
-        return run_fold_condition(cond, train, test, ctx, reducer(seed, cond, fold),
-                                  k=k, seed=seed, fold=fold).auroc
+        return cond, train, test, ctx, reducer(seed, cond, fold), seed, fold
 
+    def chunk_aurocs(chunk: list[tuple]) -> list[float | Exception]:
+        outcomes = run_fold_conditions([_caught(cell_args, *cell) for cell in chunk], k=k)
+        return [out if isinstance(out, Exception) else out.auroc for out in outcomes]
+
+    def width(cond: str) -> int:
+        return d1.k + (d2.k if cond != "unlinked" else 0)
+
+    cells = [(seed, cond, fold, tr, te)
+             for seed, split in runs for cond in ordered for fold, (tr, te) in enumerate(split)]
+    chunks = _chunks([cell for cell in cells if cell[1] != "autoencoder"], width)
     tasks = [(partial(fit_reducer, *jobs[key]), True) for key in ae_keys] + [
-        (partial(cell_auroc, seed, cond, fold, tr, te), cond != "autoencoder")
-        for seed, split in runs for cond in ordered for fold, (tr, te) in enumerate(split)
-    ]
+        (partial(chunk_aurocs, chunk), True) for chunk in chunks]
     with pooled(tasks) as results:
-        # the autoencoder cells run here and find their fits' getters in `fits`
-        fits.update(zip(ae_keys, results))
-        aurocs = [result() for result in results[len(ae_keys):]]
+        # the second pool forks once the autoencoder cells' fits are settled
+        # here, and inherits them; after.svg's all-rows fits may still train
+        fits.update((key, _settled(result) if key[2] != ALL_ROWS else result)
+                    for key, result in zip(ae_keys, results))
+        ae_chunks = _chunks([cell for cell in cells if cell[1] == "autoencoder"], width)
+        with pooled([(partial(chunk_aurocs, chunk), True) for chunk in ae_chunks]) as ae_results:
+            getters = results[len(ae_keys):] + ae_results
+            slot = {cell[:3]: (get, pos) for chunk, get in zip(chunks + ae_chunks, getters)
+                    for pos, cell in enumerate(chunk)}
+            aurocs = [_unwrap(get()[pos]) for get, pos in (slot[cell[:3]] for cell in cells)]
         all_rows_sides = {
             cond: ((d1s, _settled(fits[seed, cond, ALL_ROWS])), (d2s, _settled(fits[seed, cond, None])))
             for seed, cond, _ in d2_keys}

@@ -10,8 +10,8 @@ sides into row transforms into one shared R-dimensional space,
 every query row the feature-wise median of its k nearest reference rows (the
 random baseline draws its neighbors instead). The search streams over row
 blocks, so the full distance matrix is never built. `pooled` runs a command's
-slow tasks on a fork pool: its autoencoder fits, evaluate's fold-by-condition
-cells and, for a large link (`link_is_large`), the two search directions and
+slow tasks on a fork pool: its autoencoder fits, evaluate's chunks of
+same-shape fold-by-condition cells and, for a large link (`link_is_large`), the two search directions and
 the formatting of the CSV blocks that `linked_to_csv` and `neighbors_to_csv`
 write.
 """
@@ -228,6 +228,11 @@ def _run_task(i: int) -> Any:
     return _worker_tasks[i]()
 
 
+def usable_cores() -> int:
+    """The most workers `pooled` starts: one per core this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
 @contextmanager
 def pooled(tasks: list[tuple[Callable[[], Any], bool]]) -> Iterator[list[Callable[[], Any]]]:
     """One getter per (task, in_pool) pair, in order, that returns the task's
@@ -251,7 +256,7 @@ def pooled(tasks: list[tuple[Callable[[], Any], bool]]) -> Iterator[list[Callabl
     import multiprocessing
 
     pool = concurrent.futures.ProcessPoolExecutor(
-        min(n_pooled, len(os.sched_getaffinity(0))),
+        min(n_pooled, usable_cores()),
         # fork, not spawn: a spawned worker imports numpy and the package
         # again, about 0.3 s each, and could not inherit the tasks. The
         # package runs no threads, and a fork pool forks every worker before

@@ -15,7 +15,7 @@ from disjoint_link import _kernels, cli, data, evaluation, linkage
 from disjoint_link.autoencoder import AutoencoderHyper
 from disjoint_link.cli import main
 from disjoint_link.data import DataError
-from disjoint_link.evaluation import CONDITION_ORDER, run_fold_condition
+from disjoint_link.evaluation import CONDITION_ORDER, run_fold_conditions
 from disjoint_link.figures import export_projection_2d, projection_to_csv
 from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair
 
@@ -139,6 +139,7 @@ class TestLinkCommand:
         assert main(["link", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert "died" in err and "[link]" in err
+        assert not (tmp_path / "out").exists()  # the inputs are read before any output
 
     def test_id_column_fails_by_name(self, tmp_path, capsys):
         # one text id per row would one-hot encode into one column per row
@@ -317,7 +318,8 @@ class TestPooledFits:
 
     def test_evaluate_with_autoencoder_does_not_depend_on_worker_count(self, tmp_path, monkeypatch, pool_sizes):
         # the autoencoder is the only reducer, so after.svg links its all-rows
-        # D1 side, which trains on the pool after the fold fits
+        # D1 side, which trains on the pool after the fold fits; the
+        # autoencoder cells run on a second pool once their fits are back
         outputs = []
         for cores in ({0}, {0, 1}):
             use_cores(monkeypatch, cores)
@@ -326,7 +328,7 @@ class TestPooledFits:
             doc["reducers"] = ["autoencoder"]
             assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
             outputs.append([(out / name).read_bytes() for name in ("report.json", "after.csv", "after.svg")])
-        assert pool_sizes == [1, 2]
+        assert pool_sizes == [1, 1, 2, 2]
         assert outputs[0] == outputs[1]
 
     def test_cells_do_not_depend_on_worker_count(self, tmp_path, monkeypatch, pool_sizes):
@@ -343,16 +345,18 @@ class TestPooledFits:
 
     def test_failing_cells_report_the_serial_runs_first_error(self, tmp_path, monkeypatch, capsys):
         # the serial run's first failing cell is the last to fail here: its
-        # worker sleeps first, while the other worker reaches a later one
-        def failing_run(cond, *args, fold, **kwargs):
-            if (cond, fold) == ("feature_importance", 0):
+        # chunk's worker sleeps first, while the other worker reaches a later
+        # one
+        def failing_run(cells, **kwargs):
+            failed = {("feature_importance", 0): "feature_importance fold 0 failed",
+                      ("pca", 1): "pca fold 1 failed"}
+            keys = [(cell[0], cell[6]) for cell in cells]
+            if ("feature_importance", 0) in keys:
                 time.sleep(0.5)
-                raise DataError("feature_importance fold 0 failed")
-            if (cond, fold) == ("pca", 1):
-                raise DataError("pca fold 1 failed")
-            return run_fold_condition(cond, *args, fold=fold, **kwargs)
+            return [DataError(failed[key]) if key in failed else out
+                    for key, out in zip(keys, run_fold_conditions(cells, **kwargs))]
 
-        monkeypatch.setattr(evaluation, "run_fold_condition", failing_run)
+        monkeypatch.setattr(evaluation, "run_fold_conditions", failing_run)
         use_cores(monkeypatch, {0, 1})
         doc = synth_config(tmp_path / "out", reducers=["feature_importance", "pca"], folds=3, k=3, R=2)
         assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 1
@@ -534,6 +538,28 @@ class TestValidation:
         cfg = write_config(tmp_path, doc)
         assert main(["link", "--config", str(cfg)]) == 2
         assert "[config] autoencoder.hidden_dims[1]:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["link", "evaluate"])
+    @pytest.mark.parametrize("field,value", [
+        ("inputs.synthetic.noise_sigma", float("inf")),
+        ("inputs.synthetic.positive_rate", float("nan")),
+        ("autoencoder.learning_rate", float("inf")),
+        ("autoencoder.learning_rate", 10**400),
+    ])
+    def test_non_finite_number_named(self, tmp_path, capsys, command, field, value):
+        # json reads Infinity, NaN and any integer as numbers; without this
+        # check an infinite noise failed after ingestion and an infinite
+        # learning rate after training, both with exit 1, and an integer past
+        # a float's range with a traceback
+        doc = synth_config(tmp_path / "out", reducer="autoencoder", reducers=["autoencoder"])
+        *parents, name = field.split(".")
+        node = doc
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[name] = value
+        assert main([command, "--config", str(write_config(tmp_path, doc))]) == 2
+        assert f"error: [config] {field}: must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_validation_happens_before_any_output(self, tmp_path):

@@ -43,6 +43,21 @@ cell_floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(min_value=-1e-300, max_value=1e-300, allow_subnormal=True),
 )
+# cells around numpy's reader: whitespace, subnormals and signs it reads as
+# `float` does; underscores, hex floats, infinities and NaN, overflow,
+# non-ASCII digits, quotes, `#`, gaps and text, which it must leave to the
+# general path
+FINITE_TOKENS = [" 1.5 ", "\t2", "5e-324", "2.2250738585072014e-308", "+1", ".5", "5.", "1E-5", "-0.0", "1e308"]
+OTHER_TOKENS = ["1_0", "0x1p3", "infinity", "-inf", "nan", "NaN", "1e400", "-1e400", "\u0663", "\uff11",
+                '"7"', '"1,5"', "#5", "1#", "", "A"]
+number_cells = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                         st.sampled_from(FINITE_TOKENS))
+binary_labels = st.sampled_from(["0", "1", "1.0", "-0.0", " 1"])
+token_rows = st.one_of(
+    st.lists(st.tuples(number_cells, number_cells, binary_labels), max_size=6),
+    st.lists(st.tuples(*[st.one_of(number_cells, st.sampled_from(OTHER_TOKENS))] * 2,
+                       st.one_of(binary_labels, st.sampled_from(["2", "nan", '"1"', ""]))), max_size=6),
+)
 # names a header must quote: comma, quote, newline, carriage return
 names = st.text(alphabet=st.sampled_from(list('ab ,"\n\r=é')), min_size=1, max_size=6)
 
@@ -128,7 +143,8 @@ def load_outcome(load, path, hints):
         d = load(path, "label", hints)
     except DataError as exc:
         return "error", str(exc)
-    return d.schema, d.X.dtype, d.X.shape, d.X.tobytes(), d.y.dtype, d.y.tobytes(), d.id
+    # the layout too: a BLAS product's bits depend on it
+    return d.schema, d.X.dtype, d.X.shape, d.X.strides, d.X.tobytes(), d.y.dtype, d.y.tobytes(), d.id
 
 
 def id_column(n):
@@ -175,10 +191,17 @@ LOADER_CASES = {
     "51 hinted categories": (id_column(51), [FeatureSchema("id", "categorical",
                                                             tuple(f"c{i}" for i in range(51)))]),
     "80 numbers and NA": (numbers_and_na(80, 42), None),
+    "blank line between rows": ("x,label\n1,0\n\n2,1\n", None),
+    "blank lines only": ("x,label\n\n\n", None),
+    "header only": ("x,label\n", None),
+    "quoted numbers": ('x,label\n"1",0\n2,"1"\n', None),
+    "quoted header names": ('"x,1","say ""hi""",label\n1,2,0\n3,4,1\n', None),
+    "header name with a line break": ('"x\r\ny",label\r\n1,0\r\n2,1\r\n', None),
 }
 
 
 class TestLoaderParity:
+    @pytest.mark.filterwarnings("error")  # numpy's reader warns on a file of blank lines
     @pytest.mark.parametrize("name", sorted(LOADER_CASES))
     def test_same_dataset_or_same_error(self, tmp_path, name):
         text, hints = LOADER_CASES[name]
@@ -206,6 +229,51 @@ class TestLoaderParity:
         path.write_text(text, encoding="utf-8")
         assert load_outcome(load_csv, path, hints) == load_outcome(load_csv_reference, path, hints)
 
+    @given(
+        rows=token_rows,
+        label_at=st.integers(0, 2),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        bom=st.booleans(),
+        blank_at=st.one_of(st.none(), st.none(), st.none(), st.integers(0, 6)),
+        final_newline=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_hard_tokens_match_the_reference(self, tmp_path_factory, rows, label_at, newline, bom, blank_at,
+                                             final_newline):
+        # numpy's reader takes a file only when it reads it as `float` would;
+        # anything else must reach the general path and its named error
+        order = lambda cells: [*cells[:2]][:label_at] + [cells[2]] + [*cells[:2]][label_at:]  # noqa: E731
+        lines = [",".join(order(("a", "b", "label")))] + [",".join(order(row)) for row in rows]
+        if blank_at is not None:
+            lines.insert(1 + min(blank_at, len(rows)), "")
+        text = newline.join(lines) + (newline if final_newline else "")
+        got, ref = tmp_path_factory.mktemp("got") / "in.csv", tmp_path_factory.mktemp("ref") / "in.csv"
+        got.write_bytes(("\ufeff" * bom + text).encode("utf-8"))
+        ref.write_bytes(text.encode("utf-8"))  # the reference reads no byte-order mark
+        outcome = load_outcome(load_csv, got, None)
+        want = load_outcome(load_csv_reference, ref, None)
+        if want[0] == "error":
+            outcome = outcome[0], outcome[1].replace(str(got), str(ref))
+        assert outcome == want
+
+    def test_a_numeric_file_takes_numpys_reader(self, tmp_path, monkeypatch):
+        # a gap-free numeric file never reaches the general path, so a silent
+        # fall-back cannot hide a slower load
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(50, 4)) * [1.0, 1e-300, 1e300, 7.0]
+        y = rng.integers(0, 2, size=50)
+        path = tmp_path / "numeric.csv"
+        np.savetxt(path, np.column_stack([X, y]), delimiter=",", header="a,b,c,d,label", comments="",
+                   fmt=["%.17g"] * 4 + ["%d"])
+        want = load_outcome(load_csv_reference, path, None)
+
+        def no_general_path(*args):
+            raise AssertionError("the general path read a numeric file")
+
+        monkeypatch.setattr(data, "_load_general_csv", no_general_path)
+        assert load_outcome(load_csv, path, None) == want
+        dataset_to_csv(load_csv(path, "label"), tmp_path / "written.csv")
+        assert load_outcome(load_csv, tmp_path / "written.csv", None)[:-1] == want[:-1]
 
     def test_label_error_names_the_row(self, tmp_path):
         path = tmp_path / "in.csv"

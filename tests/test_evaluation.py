@@ -1,3 +1,5 @@
+import contextlib
+import functools
 import multiprocessing
 import os
 
@@ -19,10 +21,12 @@ from disjoint_link.evaluation import (
     auroc,
     evaluate_conditions,
     fit_logistic,
+    fit_logistics,
     link_all_rows,
     predict_proba,
     prepare_d2_context,
     run_fold_condition,
+    run_fold_conditions,
     standardized_folds,
 )
 from disjoint_link.linkage import fit_jobs, fit_reducer, link_detailed, link_rows, pair_reducers
@@ -49,6 +53,32 @@ class TestLogistic:
             model = fit_logistic(X, y, hyper)
             w, b = fit_logistic_reference(X, y, hyper)
             assert model.weights.tobytes() == w.tobytes() and model.bias == b
+
+    @pytest.mark.parametrize("d", [1, 3, 6, 16])
+    @pytest.mark.parametrize("n", [7, 61, 160, 239, 240, 241, 2000])
+    def test_lockstep_fits_match_the_reference_bit_for_bit(self, n, d):
+        # every slice of a stack has the bits of its fit alone, whatever
+        # the stack's size; 239-241 rows are the fold sizes of a 300-row
+        # dataset in 5 folds, each fitted in its own stack
+        rng = np.random.default_rng(n * 100 + d)
+        hyper = LogisticHyper(epochs=40)
+        Xs = [rng.normal(size=(n, d)) * rng.choice([0.5, 3.0, 40.0], size=d) for _ in range(15)]
+        ys = [(rng.random(n) < 0.3).astype(float) for _ in range(15)]
+        for y in ys:
+            y[:2] = 0.0, 1.0
+        want = [fit_logistic_reference(X, y, hyper) for X, y in zip(Xs, ys)]
+        for stack in (1, 2, 15):
+            models = fit_logistics(Xs[:stack], ys[:stack], hyper)
+            assert len(models) == stack
+            for model, (w, b) in zip(models, want):
+                assert model.weights.tobytes() == w.tobytes() and model.bias == b
+
+    def test_lockstep_fits_name_the_first_bad_slice(self):
+        X = np.arange(6.0).reshape(3, 2)
+        with pytest.raises(DataError, match="^logistic training needs both classes$"):
+            fit_logistics([X, X], [np.array([0, 1, 0]), np.array([1, 1, 1])])
+        with pytest.raises(DataError, match="^logistic training input contains non-finite values$"):
+            fit_logistics([X, np.where(X == 5.0, np.inf, X)], [np.array([0, 1, 0])] * 2)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -307,22 +337,25 @@ class TestPooledFits:
             evaluate_conditions(d1, d2, ["autoencoder"], folds=3, seeds=[0], k=3, r=2, ae_hyper=hyper)
         assert multiprocessing.active_children() == []
 
-    def test_cells_without_autoencoder_run_in_workers(self, monkeypatch):
+    def test_cells_without_autoencoder_run_in_workers(self, monkeypatch, tmp_path):
         # no cell runs in this process, each reaches the (seed, condition,
         # fold) it was listed for, and no worker outlives the call
-        parent, in_parent = os.getpid(), []
+        parent, log = os.getpid(), tmp_path / "cells.log"
 
-        def recording_run(cond, *args, **kwargs):
-            if os.getpid() == parent:
-                in_parent.append(cond)
-            return run_fold_condition(cond, *args, **kwargs)
+        def recording_run(cells, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:  # one line per chunk, from any process
+                fh.write(f"{os.getpid()} {' '.join(cell[0] for cell in cells)}\n")
+            return run_fold_conditions(cells, **kwargs)
 
-        monkeypatch.setattr(evaluation, "run_fold_condition", recording_run)
+        monkeypatch.setattr(evaluation, "run_fold_conditions", recording_run)
         d1, d2 = small_pair(4)
         conditions = ["unlinked", "random", "feature_importance", "pca"]
         report = evaluate_conditions(d1, d2, conditions, folds=3, seeds=[0, 1], k=3, r=2)
         assert multiprocessing.active_children() == []
+        chunks = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+        in_parent = [cond for pid, *conds in chunks if int(pid) == parent for cond in conds]
         assert in_parent == []
+        assert sorted(cond for _, *conds in chunks for cond in conds) == sorted(conditions * 2 * 3)
         for cond in conditions:
             assert report.conditions[cond].per_seed == serial_per_seed(d1, d2, cond, 3, [0, 1], k=3, r=2), cond
 
@@ -334,20 +367,59 @@ class TestPooledFits:
                 raise DataError("fit failed")
             return fit_reducer(kind, *args)
 
-        def failing_run(cond, *args, fold, **kwargs):
-            if (cond, fold) == ("random", 1):
-                raise DataError("cell failed")
-            return run_fold_condition(cond, *args, fold=fold, **kwargs)
+        def failing_run(cells, **kwargs):
+            # a cell whose fit failed comes as that error
+            keys = [None if isinstance(cell, Exception) else (cell[0], cell[6]) for cell in cells]
+            return [DataError("cell failed") if key == ("random", 1) else out
+                    for key, out in zip(keys, run_fold_conditions(cells, **kwargs))]
 
         monkeypatch.setattr(evaluation, "fit_reducer", failing_fit)
         d1, d2 = small_pair()
         conditions = ["unlinked", "random", "feature_importance"]
         with pytest.raises(DataError, match="^fit failed$"):
             evaluate_conditions(d1, d2, conditions, folds=2, seeds=[0], k=3, r=2)
-        monkeypatch.setattr(evaluation, "run_fold_condition", failing_run)
+        monkeypatch.setattr(evaluation, "run_fold_conditions", failing_run)
         with pytest.raises(DataError, match="^cell failed$"):
             evaluate_conditions(d1, d2, conditions, folds=2, seeds=[0], k=3, r=2)
         assert multiprocessing.active_children() == []
+
+    def test_report_does_not_depend_on_usable_cores(self, monkeypatch):
+        # 23 positives in 3 folds give training folds of 39, 40 and 41 rows,
+        # so every condition's cells form three groups; one core stacks each
+        # group whole, two split it, and the autoencoder cells run on a
+        # second pool
+        d1, d2 = small_pair(5)
+        hyper = AutoencoderHyper(hidden_dims=(4,), epochs=5)
+        reports = []
+        for cores in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+            report = evaluate_conditions(d1, d2, list(evaluation.CONDITION_ORDER), folds=3, seeds=[0, 1],
+                                         k=3, r=2, ae_hyper=hyper)
+            reports.append(report.to_json_dict())
+            assert multiprocessing.active_children() == []
+        assert reports[0] == reports[1]
+        assert reports[0]["conditions"]["autoencoder"]["per_seed"] == [
+            list(v) for v in serial_per_seed(d1, d2, "autoencoder", 3, [0, 1], k=3, r=2, ae_hyper=hyper)]
+
+    def test_cells_fit_in_same_shape_stacks(self, monkeypatch):
+        # with the pool run here, every lockstep fit stacks one shape, and
+        # the 39-, 40- and 41-row training folds never share a stack
+        shapes = []
+
+        def recording_fits(Xs, ys, hyper=None):
+            shapes.append(sorted({np.shape(X) for X in Xs}))
+            return fit_logistics(Xs, ys, hyper)
+
+        monkeypatch.setattr(evaluation, "pooled",
+                            lambda tasks: contextlib.nullcontext([functools.cache(t) for t, _ in tasks]))
+        monkeypatch.setattr(evaluation, "fit_logistics", recording_fits)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        d1, d2 = small_pair(5)
+        evaluate_conditions(d1, d2, ["unlinked", "random", "pca"], folds=3, seeds=[0], k=3, r=2)
+        assert all(len(stack) == 1 for stack in shapes)
+        # one core: one stack per (rows, features) group, unlinked's and the
+        # linked conditions' for each fold size
+        assert sorted(stack[0] for stack in shapes) == [(n, d) for n in (39, 40, 41) for d in (4, 9)]
 
 
 class TestOnePipeline:

@@ -4,7 +4,8 @@
 `link` runs once per kind, `evaluate` once per reducer alone and once with
 all three, on a small synthetic pair; a CSV pair with gaps and a coded
 categorical column goes through `evaluate` too, so the loader's cell-by-cell
-path is covered. `manifest.json` names the temporary directory, which is
+path is covered, and a gap-free numeric CSV pair through `link` and
+`evaluate`, which numpy's reader loads. `manifest.json` names the temporary directory, which is
 replaced by a placeholder before hashing.
 
 Bits depend on the numpy and BLAS build, so the digests are stored with the
@@ -40,6 +41,8 @@ RUNS = {
     **{f"evaluate-{name}": ("evaluate", {**EVALUATE, "reducers": [name]}, "synthetic") for name in ALL_REDUCERS},
     "evaluate-all": ("evaluate", {**EVALUATE, "reducers": ALL_REDUCERS}, "synthetic"),
     "evaluate-csv": ("evaluate", {**EVALUATE, "reducers": ALL_REDUCERS}, "csv"),
+    "link-numeric-csv": ("link", {"reducer": "pca", "k": 2, "R": 2, "seed": 5}, "numeric"),
+    "evaluate-numeric-csv": ("evaluate", {**EVALUATE, "reducers": ALL_REDUCERS}, "numeric"),
 }
 
 
@@ -70,11 +73,27 @@ def write_csv_pair(tmp: Path) -> dict:
     return {"files": files}
 
 
+def write_numeric_pair(tmp: Path) -> dict:
+    """Two gap-free files of numbers, as `np.savetxt` writes them."""
+    rng = np.random.default_rng(23)
+    files = {}
+    for side, n, k in (("d1", 40, 3), ("d2", 60, 5)):
+        z = rng.normal(size=n)
+        x = z[:, None] * rng.normal(size=k) + rng.normal(scale=0.7, size=(n, k))
+        y = (z + rng.normal(scale=0.8, size=n) > 0.3).astype(int)
+        path = tmp / f"{side.upper()}.csv"
+        np.savetxt(path, np.column_stack([x, y]), delimiter=",", comments="",
+                   header=",".join([f"{side}x{j}" for j in range(k)] + ["label"]), fmt=["%.17g"] * k + ["%d"])
+        files[side] = {"path": str(path), "label_column": "label"}
+    return {"files": files}
+
+
 def run_digests(name: str, tmp: Path) -> dict:
     """Run one command into `tmp / "out"`; each output file's SHA-256."""
     command, doc, source = RUNS[name]
     tmp.mkdir(parents=True, exist_ok=True)
-    inputs = {"synthetic": SYNTHETIC} if source == "synthetic" else write_csv_pair(tmp)
+    inputs = {"synthetic": lambda _: {"synthetic": SYNTHETIC}, "csv": write_csv_pair,
+              "numeric": write_numeric_pair}[source](tmp)
     config = tmp / "config.json"
     config.write_text(json.dumps({**doc, "inputs": inputs, "output_dir": str(tmp / "out")}), encoding="utf-8")
     assert main([command, "--config", str(config)]) == 0
