@@ -9,7 +9,9 @@ index.
 bit for bit, in three steps over blocks of about `_BLOCK_CELLS` cells:
 
 - filter: one GEMM per block gives approximate squared distances on centred
-  coordinates, and `argpartition` keeps the k + 1 smallest of each row;
+  coordinates; each row keeps the few columns at or below a threshold taken
+  from its group minima (`_threshold`), and a partition of those gives its
+  k-th and (k+1)-th smallest;
 - certify: a rigorous bound M on the GEMM's error decides whether a row's k
   candidates are certainly its k nearest, with no tie across the boundary;
 - refine: the candidates' distances are recomputed with the exact ufunc
@@ -33,10 +35,16 @@ import numpy as np
 
 DEFAULT_BACKEND = "numpy"  # the one kernel implementation, named for run records
 
-# distances per block of query rows in `nearest`: 512 KB of float64, so a
-# block and its scratch buffer fit in a 2 MB per-core L2 cache. On a 2-core
-# Xeon VM, blocks of 2^20 cells (8 MB) made a 4000 x 4000 search 1.5x slower.
-_BLOCK_CELLS = 1 << 16
+# distances per block of query rows in `nearest`: 2 MB of float64, so a block
+# and its mask fit in a 4 MB per-core L2 cache. On a 2-core Xeon VM (medians
+# of 25 runs), blocks of 2^16 cells made a 200 x 20 000 search about 1.15x
+# slower, and blocks of 2^20 cells a 20 000 x 200 search 1.3x and a
+# 300 x 3000 one 1.4x slower; a 4000 x 4000 search moved within noise.
+_BLOCK_CELLS = 1 << 18
+
+# group minima per row in the filter's threshold; 64 and 256 groups were
+# within run-to-run noise of 128 on those shapes
+_GROUPS = 128
 
 
 def pairwise_euclidean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -115,9 +123,12 @@ def _filter_refine(
 
     Filter. With c = ref's column mean, a = fl(q - c) and b = fl(r - c), one
     GEMM of [a, 1] against [-2b, |b|^2] gives A = |b|^2 - 2 a.b, which is the
-    squared distance less the row constant |a|^2. `argpartition` takes each
-    row's k + 1 smallest A. Centring keeps |a| and |b| at the data's spread,
-    so a common offset does not inflate the bound.
+    squared distance less the row constant |a|^2. The columns at or below
+    `_threshold`, which is at or above the (k+1)-th smallest A, hold each
+    row's k + 1 smallest, usually with few others; a values-only partition
+    of them gives A_(k) and A_(k+1), whichever way ties among them break.
+    Centring keeps |a| and |b| at the data's spread, so a common offset does
+    not inflate the bound.
 
     Certify. Let E be the squared distance `pairwise_euclidean` computes (its
     sqrt is the reported distance), u = 2^-53, eta = 2^-1074 (the smallest
@@ -137,12 +148,11 @@ def _filter_refine(
     - products that underflow: (3R + 2) eta.
     That is (5R + 16.1) u s_i + (3R + 8) eta; M_i takes 1.6 times as much so
     that the rounding of M and of the comparisons below cannot eat into it.
-    A row is certified when A_(k+1) - A_(k) > 2 M_i (its (k+1)-th smallest
-    A against the largest of its first k): then every pruned column is
-    farther than every candidate after the sqrt, so the candidates are the
-    k nearest with no tie across the boundary. A row whose s_i is not finite
-    or above 2^1000, where E, the GEMM or the norms could overflow, skips
-    the filter.
+    A row is certified when A_(k+1) - A_(k) > 2 M_i: then its k columns at
+    or below A_(k) are nearer than every other column after the sqrt, so
+    they are the k nearest with no tie across the boundary. A row whose s_i
+    is not finite or above 2^1000, where E, the GEMM or the norms could
+    overflow, skips the filter.
 
     Refine. A certified row refines its k candidates. Any other row refines
     the superset {j : A_j <= A_(k) + 2 M_i}, which holds every column that
@@ -164,41 +174,73 @@ def _filter_refine(
         bound = 2.0 * ((8 * r + 32) * u * scale + 8 * (r + 2) * eta)  # 2 M
         ok = scale <= 2.0**1000
         qa = np.hstack([a, np.ones((len(a), 1))])
-        bt = np.vstack([-2.0 * b.T, nb])
+        bt = np.empty((r + 1, m))
+        np.multiply(b.T, -2.0, out=bt[:r])
+        bt[r] = nb
     rows_ok = np.flatnonzero(ok)
     exact = [np.flatnonzero(~ok)]
-    query_t, ref_t = query.T.copy(), ref.T.copy()
     sure_rows, sure_cand = [], []
     buf = np.empty((min(step, len(rows_ok)), m))
     for lo in range(0, len(rows_ok), step):
         rows = rows_ok[lo : lo + step]
         A = np.matmul(qa[rows], bt, out=buf[: len(rows)])
-        part = np.argpartition(A, k, axis=1)[:, : k + 1]
-        vals = np.take_along_axis(A, part, axis=1)
-        kth = vals[:, :k].max(axis=1)
-        sure = vals[:, k] - kth > bound[rows]
+        cand, vals = _columns(A <= _threshold(A, k)[:, None], A)
+        low = np.partition(vals, (k - 1, k), axis=1)
+        kth = low[:, k - 1]
+        sure = low[:, k] - kth > bound[rows]
         sure_rows.append(rows[sure])
-        sure_cand.append(np.sort(part[sure, :k], axis=1))
+        # a certified row has exactly k candidates at or below its k-th value
+        sure_cand.append(cand[sure][vals[sure] <= kth[sure, None]].reshape(-1, k))
         if sure.all():
             continue
-        unsure = rows[~sure]
-        inside = A[~sure] <= (kth[~sure] + bound[unsure])[:, None]
-        counts = inside.sum(axis=1)
-        big = counts > m // 4
+        unsure, A_unsure = rows[~sure], A[~sure]
+        inside = A_unsure <= (kth[~sure] + bound[unsure])[:, None]
+        big = np.count_nonzero(inside, axis=1) > m // 4
         exact.append(unsure[big])
         if not big.all():
-            inside, counts = inside[~big], counts[~big]
-            i, j = np.nonzero(inside)  # row by row, columns ascending
-            cand = np.full((len(counts), counts.max()), m)  # m pads the shorter rows
-            cand[i, np.arange(len(j)) - np.repeat(np.cumsum(counts) - counts, counts)] = j
-            _refine(query_t, ref_t, k, unsure[~big], cand, idx, dist)
+            cand, _ = _columns(inside[~big], A_unsure[~big])
+            _refine(query, ref, k, unsure[~big], cand, idx, dist)
     if sure_rows:
-        _refine(query_t, ref_t, k, np.concatenate(sure_rows), np.concatenate(sure_cand), idx, dist)
+        _refine(query, ref, k, np.concatenate(sure_rows), np.concatenate(sure_cand), idx, dist)
     return np.concatenate(exact)
 
 
+def _threshold(A: np.ndarray, k: int) -> np.ndarray:
+    """Per row of `A`, a value at or above its (k+1)-th smallest: the (k+1)-th
+    smallest of its group minima. Column j is in group j mod G, for G =
+    max(k + 1, min(`_GROUPS`, m // 2)) groups; when that leaves groups of
+    one column, the row itself is the group minima. The k + 1 groups at or
+    below the threshold hold k + 1 distinct columns at or below it."""
+    n, m = A.shape
+    groups = max(k + 1, min(_GROUPS, m // 2))
+    width = m // groups
+    if width == 1:
+        gmin = A
+    else:
+        split = groups * width
+        gmin = A[:, :split].reshape(n, width, groups).min(axis=1)
+        # the m - split < G tail columns join groups 0, 1, ...
+        np.minimum(gmin[:, : m - split], A[:, split:], out=gmin[:, : m - split])
+    return np.partition(gmin, k, axis=1)[:, k]
+
+
+def _columns(mask: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The True columns of each row of `mask`, ascending and padded with the
+    column count m, and the values of `A` there, padded with inf."""
+    n, m = mask.shape
+    flat = np.flatnonzero(mask)  # row by row, columns ascending
+    i, j = np.divmod(flat, m)
+    counts = np.bincount(i, minlength=n)
+    pos = np.arange(len(j)) - np.repeat(np.cumsum(counts) - counts, counts)
+    cand = np.full((n, counts.max()), m)
+    cand[i, pos] = j
+    vals = np.full(cand.shape, np.inf)
+    vals[i, pos] = A.ravel()[flat]
+    return cand, vals
+
+
 def _refine(
-    query_t: np.ndarray, ref_t: np.ndarray, k: int, rows: np.ndarray, cand: np.ndarray,
+    query: np.ndarray, ref: np.ndarray, k: int, rows: np.ndarray, cand: np.ndarray,
     idx: np.ndarray, dist: np.ndarray,
 ) -> None:
     """Write the k nearest of each of `rows` among its candidate columns
@@ -208,12 +250,12 @@ def _refine(
     The distances are `pairwise_euclidean`'s ufunc sequence on the same
     operands, so they have its bits.
     """
-    pad = cand == ref_t.shape[1]
+    pad = cand == ref.shape[0]
     gather = np.where(pad, 0, cand)
     acc = np.zeros(cand.shape)
     diff = np.empty_like(acc)
-    for qt, rt in zip(query_t, ref_t):
-        np.subtract(qt[rows, None], rt[gather], out=diff)
+    for t in range(query.shape[1]):
+        np.subtract(query[rows, t, None], ref[:, t][gather], out=diff)
         np.multiply(diff, diff, out=diff)
         acc += diff
     np.sqrt(acc, out=acc)

@@ -221,12 +221,12 @@ def cmd_synth(cfg: dict, out_override: str | None = None) -> Path:
     return out
 
 def cmd_link(cfg: dict, out_override: str | None = None) -> Path:
-    d1, d2 = _load_pair(cfg)  # before the output directory: a data error leaves none
-    out = _out_dir(cfg, out_override)
+    d1, d2 = _load_pair(cfg)
     res = link_detailed(
         d1, d2, cfg["reducer"],
         k=cfg["k"], r=cfg["R"], ae_hyper=_ae_hyper(cfg), seed=cfg["seed"],
     )
+    out = _out_dir(cfg, out_override)  # after the pipeline: an error leaves no directory
     files = [(linked_to_csv, res.d12, linked_columns(res.d12), "D12.csv"),
              (linked_to_csv, res.d21, linked_columns(res.d21), "D21.csv"),
              (neighbors_to_csv, res.neighbors_12, neighbors_columns(res.neighbors_12), "neighbors.csv")]
@@ -249,28 +249,26 @@ def cmd_evaluate(cfg: dict, out_override: str | None = None) -> Path:
     d1, d2 = _load_pair(cfg)
     if d1.k < 2:  # before.svg projects D1 onto its top two principal axes
         raise DataError(f"D1 ({d1.id}) has {d1.k} feature; evaluate's 2-D projection needs at least 2")
-    out = _out_dir(cfg, out_override)
     conditions = ["unlinked", "random", *cfg["reducers"]]
     report = evaluate_conditions(
         d1, d2, conditions,
         folds=cfg["folds"], seeds=cfg["seeds"],
         k=cfg["k"], r=cfg["R"], ae_hyper=_ae_hyper(cfg),
     )
-    (out / "report.json").write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (out / "table.txt").write_text(report.to_table_text(), encoding="utf-8")
-
-    before = export_projection_2d(d1)
-    projection_to_csv(before, out / "before.csv")
-    write_projection_svg(before, out / "before.svg", title=f"{d1.id} before linkage")
-
     linked_conditions = [c for c in cfg["reducers"] if c in report.conditions]
     best = max(
         linked_conditions,
         key=lambda c: (report.conditions[c].mean, -CONDITION_ORDER.index(c)),
     )
+    before = export_projection_2d(d1)
     after = export_projection_2d(link_all_rows(report, best))
+    out = _out_dir(cfg, out_override)  # after the pipeline: an error leaves no directory
+    (out / "report.json").write_text(
+        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    (out / "table.txt").write_text(report.to_table_text(), encoding="utf-8")
+    projection_to_csv(before, out / "before.csv")
+    write_projection_svg(before, out / "before.svg", title=f"{d1.id} before linkage")
     projection_to_csv(after, out / "after.csv")
     write_projection_svg(after, out / "after.svg", title=f"{d1.id} after {best} linkage")
     _write_manifest(out, "evaluate", cfg)

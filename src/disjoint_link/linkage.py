@@ -313,7 +313,12 @@ def link_into(
     to_shared1, to_shared2, *_ = pair_reducers(fit1, fit2)
     z1s = normalize_latent(*(to_shared1(x1) for x1 in x1s))
     (z2,) = normalize_latent(to_shared2(x2))
-    return [link_rows(z1, z2, x2, k) for z1 in z1s]
+    # one search prepares D2's side once; a row's neighbors depend only on it
+    # and D2, so each block's slice is that block's own answer
+    nb, agg = link_rows(np.concatenate(z1s), z2, x2, k)
+    ends = [0, *np.cumsum([len(z1) for z1 in z1s])]
+    return [(NeighborMap(k, nb.neighbors[lo:hi], nb.distances[lo:hi]), agg[lo:hi])
+            for lo, hi in zip(ends, ends[1:])]
 
 
 def _reducer_payload(fit1: FittedReducer, fit2: FittedReducer, pair: FeatureImportancePair | None) -> dict:
@@ -363,6 +368,9 @@ def link_detailed(
     """
     if reducer_kind not in LINK_KINDS:
         raise DataError(f"unknown reducer kind {reducer_kind!r}")
+    if reducer_kind != "random":  # before any fit; the random baseline fits nothing
+        _check_k(k, d2.n)
+        _check_k(k, d1.n)
     d1s, _ = standardize(d1)
     d2s, _ = standardize(d2)
     jobs = fit_jobs([reducer_kind], d2s, [(seed, [d1s])], r=r, ae_hyper=ae_hyper)

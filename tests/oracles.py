@@ -75,6 +75,13 @@ def k_nearest_brute(a, b, k):
     return k_smallest_brute(pairwise_dist_brute(a, b), k)
 
 
+def group_threshold_brute(A, k, groups):
+    """Per row, the (k+1)-th smallest of the minima of the column groups
+    {j : j mod groups = g}."""
+    return np.array([sorted(min(row[g::groups]) for g in range(groups))[k]
+                     for row in np.asarray(A, dtype=float)])
+
+
 @dataclass(frozen=True)
 class LinkageMatrix:
     dist: np.ndarray  # (N, M) non-negative

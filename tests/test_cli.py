@@ -156,6 +156,20 @@ class TestLinkCommand:
         assert "error: [link] column 'caseid' has 60 distinct values" in err
         assert "schema hint or drop the column" in err
 
+    @pytest.mark.parametrize("reducer", ["pca", "autoencoder"])
+    def test_k_above_d1_rows_fails_before_any_fit(self, tmp_path, capsys, monkeypatch, reducer):
+        # D21 links D2's rows into D1's 30, so k = 35 cannot be met; the
+        # error comes before either side is fitted and leaves no directory
+        fits, fit_reducer = [], linkage.fit_reducer
+        monkeypatch.setattr(linkage, "fit_reducer", lambda *job: fits.append(job[0]) or fit_reducer(*job))
+        doc = synth_config(tmp_path / "out", n1=30, n2=40, reducer=reducer, k=35, R=2,
+                           autoencoder={"hidden_dims": [4], "epochs": 3,
+                                        "batch_size": 16, "learning_rate": 0.01})
+        assert main(["link", "--config", str(write_config(tmp_path, doc))]) == 1
+        assert "error: [link] k=35 must lie in [1, 30]" in capsys.readouterr().err
+        assert fits == []
+        assert not (tmp_path / "out").exists()
+
     def test_autoencoder_link_writes_reducer_payload(self, tmp_path):
         doc = synth_config(tmp_path / "out", reducer="autoencoder", k=2, R=2,
                            autoencoder={"hidden_dims": [4], "epochs": 3,
@@ -256,7 +270,8 @@ class TestEvaluateCommand:
         doc = self.evaluate_config(tmp_path / "out")
         assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
         assert 60 not in query_rows
-        assert sorted(set(query_rows)) == [20, 40]  # the folds' blocks and after.svg's D1
+        # one search per link: a cell's 20 training and 20 test rows, and after.svg's D1
+        assert sorted(set(query_rows)) == [40]
 
     def test_training_folds_cap_r_below_the_all_rows_fold(self, tmp_path):
         # 10 rows in 2 folds: the smallest training fold caps the evaluated R
@@ -271,6 +286,16 @@ class TestEvaluateCommand:
         doc["inputs"]["synthetic"]["latent_dim"] = 1
         assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 1
         assert "error: [evaluate] D1 (synth1-seed3) has 1 feature" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"k": 41}, "k=41 exceeds the source dataset size 40"),
+        ({"folds": 20}, "members, fewer than 20 folds"),
+    ])
+    def test_failed_evaluation_leaves_no_directory(self, tmp_path, capsys, change, message):
+        doc = synth_config(tmp_path / "out", n1=30, n2=40, **{"reducers": ["pca"], "folds": 2, "R": 2, **change})
+        assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 1
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_out_flag_overrides(self, tmp_path):

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from disjoint_link import _kernels
 
-from oracles import k_nearest_brute, k_smallest_brute, median_brute, pairwise_dist_brute, sigmoid_two_branch
+from oracles import (
+    group_threshold_brute, k_nearest_brute, k_smallest_brute, median_brute, pairwise_dist_brute, sigmoid_two_branch,
+)
 
 
 @pytest.fixture(params=["numpy", "list"])
@@ -180,6 +182,24 @@ def one_ulp_near_ties(rng, rows, r, k):
     return query, np.array(ref)
 
 
+def filter_groups(m, k):
+    """The filter's group count for m columns, as `_kernels._threshold`
+    documents it: max(k + 1, min(_GROUPS, m // 2)) groups, or m groups of one
+    when that leaves groups of one column."""
+    groups = max(k + 1, min(_kernels._GROUPS, m // 2))
+    return m if m // groups == 1 else groups
+
+
+def grouped_ref(layout, rng):
+    """A 34-row reference in 6 groups of 5 columns plus 4 tail columns (k = 3,
+    `_GROUPS` = 6) and 12 query rows near the origin; far rows everywhere but
+    where `layout` puts the query rows' 4 nearest."""
+    ref = rng.normal(size=(34, 3)) + 40.0
+    near = {"one_group": [1, 7, 13, 19], "tail": [30, 31, 32, 33], "tail_and_group_0": [0, 6, 30, 24]}[layout]
+    ref[near] = rng.normal(scale=0.1, size=(4, 3))
+    return rng.normal(scale=0.1, size=(12, 3)), ref
+
+
 class TestNearest:
     @pytest.mark.parametrize("k_rule", ["one", "all", "any"])
     @pytest.mark.parametrize("block_rule", ["one_row", "non_divisor", "whole"])
@@ -236,6 +256,73 @@ class TestNearest:
         d = pairwise_dist_brute(query, ref)
         for i in range(len(query)):  # rows 5i + 2 and 5i + 3: the farther comes first
             assert d[i, 5 * i + 2] == np.nextafter(d[i, 5 * i + 3], np.inf)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_BLOCK_CELLS", 7 * len(ref))
+            idx, dist = _kernels.nearest(query, ref, 3)
+        want_idx, want_dist = k_nearest_brute(query, ref, 3)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(bits(dist), bits(want_dist))
+
+    @pytest.mark.parametrize("coords", ["integer", "continuous"])
+    @pytest.mark.parametrize("block_rule", ["one_row", "non_divisor"])
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_grouped_filter_matches_full_matrix_oracle(self, block_rule, coords, seed, data):
+        # few filter groups, so that rows of up to 80 columns form groups of
+        # several columns, mostly with tail columns left over
+        rng = np.random.default_rng(seed)
+        n, m, r = data.draw(st.integers(3, 12), label="n"), data.draw(st.integers(2, 80), label="m"), rng.integers(1, 4)
+        k = data.draw(st.integers(1, m - 1), label="k")  # k == m takes no filter
+        if coords == "integer":  # ties everywhere, at the k-th place too
+            query, ref = rng.integers(0, 3, size=(n, r)).astype(float), rng.integers(0, 3, size=(m, r)).astype(float)
+        else:
+            query, ref = rng.normal(size=(n, r)), rng.normal(size=(m, r))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_GROUPS", data.draw(st.integers(1, 8), label="groups"))
+            mp.setattr(_kernels, "_BLOCK_CELLS", block_rows(block_rule, n, 0) * m)
+            idx, dist = _kernels.nearest(query, ref, k)
+        want_idx, want_dist = k_nearest_brute(query, ref, k)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(bits(dist), bits(want_dist))
+
+    @pytest.mark.parametrize("layout", ["one_group", "tail", "tail_and_group_0", "all_equal"])
+    def test_grouped_filter_layouts(self, layout):
+        rng = np.random.default_rng(17)
+        if layout == "all_equal":
+            query, ref = np.ones((12, 3)), np.ones((34, 3))
+        else:
+            query, ref = grouped_ref(layout, rng)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_GROUPS", 6)
+            assert filter_groups(34, 3) == 6
+            idx, dist = _kernels.nearest(query, ref, 3)
+        want_idx, want_dist = k_nearest_brute(query, ref, 3)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(bits(dist), bits(want_dist))
+
+    @pytest.mark.parametrize("coords", ["integer", "continuous"])
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_threshold_is_a_group_minimum_at_or_above_the_k_plus_1th(self, coords, seed, data):
+        rng = np.random.default_rng(seed)
+        n, m = data.draw(st.integers(1, 6), label="n"), data.draw(st.integers(2, 90), label="m")
+        k = data.draw(st.integers(1, m - 1), label="k")
+        A = rng.integers(0, 4, size=(n, m)).astype(float) if coords == "integer" else rng.normal(size=(n, m))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "_GROUPS", data.draw(st.integers(1, 12), label="groups"))
+            t = _kernels._threshold(A, k)
+            groups = filter_groups(m, k)
+        np.testing.assert_array_equal(t, group_threshold_brute(A, k, groups))
+        assert (t >= np.sort(A, axis=1)[:, k]).all()
+
+    def test_wide_one_ulp_near_ties_at_the_kth_place(self):
+        # the near-tie rows of the test above in a reference of 128 groups of
+        # 2 columns plus 81 tail columns; each query's own columns lie in
+        # separate groups
+        query, ref = one_ulp_near_ties(np.random.default_rng(22), rows=60, r=4, k=3)
+        far = np.random.default_rng(23).normal(scale=10.0, size=(37, 4)) + 1e3
+        ref = np.vstack([ref, far])
+        assert filter_groups(len(ref), 3) == 128 and len(ref) % 128
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_kernels, "_BLOCK_CELLS", 7 * len(ref))
             idx, dist = _kernels.nearest(query, ref, 3)

@@ -6,17 +6,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from disjoint_link import _kernels
 from disjoint_link.autoencoder import AutoencoderHyper, fit_autoencoder
 from disjoint_link.data import DataError, standardize
 from disjoint_link.linkage import (
+    fit_reducer,
     link,
     link_detailed,
+    link_into,
     link_rows,
     linked_to_csv,
     median_aggregate,
     neighbors_to_csv,
+    pair_reducers,
 )
-from disjoint_link.reducers import autoencoder_to_payload
+from disjoint_link.reducers import autoencoder_to_payload, normalize_latent
 
 from oracles import LinkageMatrix, distance_matrix, k_nearest, pairwise_dist_brute
 
@@ -254,6 +258,33 @@ class TestLink:
         d1 = make_dataset([[0.0], [1.0]], [0, 1], "d1")
         with pytest.raises(DataError, match="unknown reducer"):
             link(d1, d1, "umap")
+
+
+class TestLinkInto:
+    @pytest.mark.parametrize("cells", [None, 7 * 90])  # the default blocks, and 7-row blocks
+    @pytest.mark.parametrize("kind", ["feature_importance", "pca", "autoencoder"])
+    def test_each_block_is_its_own_search(self, make_dataset, monkeypatch, kind, cells):
+        # link_into searches all its blocks in one call; each block's slice
+        # must be link_rows on that block alone, bit for bit
+        rng = np.random.default_rng(13)
+        X1, X2 = rng.normal(size=(70, 4)), rng.normal(size=(90, 6))
+        d1s, _ = standardize(make_dataset(X1, (X1[:, 0] + 0.3 * rng.normal(size=70) > 0).astype(int), "d1"))
+        d2s, _ = standardize(make_dataset(X2, (X2[:, 1] + 0.3 * rng.normal(size=90) > 0).astype(int), "d2"))
+        hyper = AutoencoderHyper(hidden_dims=(4,), epochs=5, seed=3)
+        fit1, fit2 = fit_reducer(kind, d1s, 2, hyper), fit_reducer(kind, d2s, 2, hyper)
+        if cells:
+            monkeypatch.setattr(_kernels, "_BLOCK_CELLS", cells)
+        blocks = (d1s.X[:50], d1s.X[50:], d1s.X[3:10])
+        linked = link_into(kind, fit1, fit2, d2s.X, 4, None, *blocks)
+        to_shared1, to_shared2, *_ = pair_reducers(fit1, fit2)
+        z1s = normalize_latent(*(to_shared1(x1) for x1 in blocks))
+        (z2,) = normalize_latent(to_shared2(d2s.X))
+        assert len(linked) == len(blocks)
+        for (nb, agg), z1 in zip(linked, z1s):
+            want_nb, want_agg = link_rows(z1, z2, d2s.X, 4)
+            np.testing.assert_array_equal(nb.neighbors, want_nb.neighbors)
+            np.testing.assert_array_equal(nb.distances.view(np.uint64), want_nb.distances.view(np.uint64))
+            np.testing.assert_array_equal(agg.view(np.uint64), want_agg.view(np.uint64))
 
 
 class TestPooledFits:
