@@ -121,8 +121,9 @@ def _filter_refine(
     """Fill the rows of `idx`/`dist` that the GEMM filter can settle; return
     the rows left for the exact full-row path.
 
-    Filter. With c = ref's column mean, a = fl(q - c) and b = fl(r - c), one
-    GEMM of [a, 1] against [-2b, |b|^2] gives A = |b|^2 - 2 a.b, which is the
+    Filter. With c = ref's column mean (its rounding does not matter: the
+    bound below holds for any c), a = fl(q - c) and b = fl(r - c), one GEMM
+    of [a, 1] against [-2b, |b|^2] gives A = |b|^2 - 2 a.b, which is the
     squared distance less the row constant |a|^2. The columns at or below
     `_threshold`, which is at or above the (k+1)-th smallest A, hold each
     row's k + 1 smallest, usually with few others; a values-only partition
@@ -165,7 +166,7 @@ def _filter_refine(
     # non-finite or overflowing inputs make nan and inf here; their rows fail
     # the bounds check and take the exact path, which warns as it always has
     with np.errstate(all="ignore"):
-        c = ref.mean(axis=0)
+        c = np.ones(m) @ ref / m  # a GEMV: mean(axis=0) reduces a narrow array row by row
         a = query - c
         b = ref - c
         na = np.einsum("ij,ij->i", a, a)

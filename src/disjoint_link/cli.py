@@ -20,6 +20,7 @@ from .linkage import (
     DEFAULT_K,
     DEFAULT_R,
     LINK_KINDS,
+    _unwrap,
     link_detailed,
     link_is_large,
     linked_columns,
@@ -139,6 +140,8 @@ def resolve_config(raw: dict, base_dir: Path) -> dict:
     seeds = raw.get("seeds", [0])
     _expect(isinstance(seeds, list) and seeds, "seeds", "must be a non-empty list")
     cfg["seeds"] = [_as_seed(s, f"seeds[{i}]") for i, s in enumerate(seeds)]
+    for i, s in enumerate(cfg["seeds"]):
+        _expect(s not in cfg["seeds"][:i], f"seeds[{i}]", f"repeats seed {s}")
 
     ae = raw.get("autoencoder", {})
     _expect(isinstance(ae, dict), "autoencoder", "must be an object")
@@ -232,12 +235,12 @@ def cmd_link(cfg: dict, out_override: str | None = None) -> Path:
              (neighbors_to_csv, res.neighbors_12, neighbors_columns(res.neighbors_12), "neighbors.csv")]
     blocks = [csv_blocks(columns) for _, _, (_, columns), _ in files]
     # a large link formats every block of its three files on one pool; the
-    # files are written here, in order, so the first error is the serial one
-    in_pool = link_is_large(d1.n, d2.n, cfg["k"])
-    with pooled([(task, in_pool) for file_blocks in blocks for task in file_blocks]) as texts:
-        texts = iter(texts)
-        for (write, obj, _, name), file_blocks in zip(files, blocks):
-            write(obj, out / name, [next(texts) for _ in file_blocks])
+    # texts are read in order, so the first error is the serial one
+    texts = pooled([task for file_blocks in blocks for task in file_blocks],
+                   in_pool=link_is_large(d1.n, d2.n, cfg["k"]))
+    texts = iter([_unwrap(text) for text in texts])
+    for (write, obj, _, name), file_blocks in zip(files, blocks):
+        write(obj, out / name, [next(texts) for _ in file_blocks])
     (out / "reducer.json").write_text(
         json.dumps(res.reducer_payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -372,19 +372,18 @@ def write_csv(
     path: str | Path,
     header: list[str],
     columns: list[np.ndarray],
-    blocks: list[Callable[[], str]] | None = None,
+    texts: list[str] | None = None,
 ) -> None:
     """`header` through `csv.writer` (quoted where a name needs it), then one
     line per row of the equal-length 1-D `columns`: each cell the repr of its
     value (a float's shortest round-trip form, an int's digits), comma-joined,
     with csv's CRLF line end.
 
-    `blocks` are getters of `csv_blocks(columns)`'s text, in order, such as
-    `linkage.pooled`'s; by default each block is formatted here."""
+    `texts` are the results of `csv_blocks(columns)`'s tasks, in order, such
+    as `linkage.pooled` returns; by default each block is formatted here."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)
-        for block in blocks if blocks is not None else csv_blocks(columns):
-            fh.write(block())
+        fh.writelines(texts if texts is not None else (block() for block in csv_blocks(columns)))
 
 
 def dataset_to_csv(d: Dataset, path: str | Path, label_column: str = LABEL_COLUMN) -> None:

@@ -14,19 +14,19 @@ same-shape cells in lockstep (`fit_logistics`), which gives each model the
 bits of a fit on its own. `evaluate_conditions` groups the cells by that
 shape, the training row count and the feature count, which are known before
 any linking, and deals each group into at most one chunk per usable core.
-The chunks run on the package's fork pool: those of conditions without an
-autoencoder next to the autoencoder fits, the autoencoder's on a second pool
-once its fits are back. AUROCs are read back in the serial order. It also
-fits the first CV seed's D1 side of every linked condition on all rows, which
-`link_all_rows` links through that seed's evaluated D2 fit for the
-`after.svg` projection.
+The chunks run on the package's fork pool in two calls: the first runs the
+autoencoder fits and the chunks of the other conditions, the second, once
+the first has returned, the autoencoder's chunks. AUROCs are read back in the
+serial order. It also fits the first CV seed's D1 side of every linked
+condition on all rows, which `link_all_rows` links through that seed's
+evaluated D2 fit for the `after.svg` projection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -46,6 +46,8 @@ from .linkage import (
     FittedReducer,
     LinkedDataset,
     NeighborMap,
+    _caught,
+    _unwrap,
     concat_linked,
     fit_jobs,
     fit_reducer,
@@ -315,9 +317,9 @@ class EvaluationReport:
     r: int
     conditions: dict[str, ConditionSummary] = field(default_factory=dict)
     # the first CV seed's all-rows sides, condition -> ((D1 on all rows, its
-    # fit), (D2, its fit)); each fit is a getter that raises the fit's error.
-    # Not in the JSON
-    all_rows_sides: dict[str, tuple[tuple[Dataset, Callable[[], FittedReducer]], ...]] = field(
+    # fit), (D2, its fit)); each fit is the error it raised if it failed. Not
+    # in the JSON
+    all_rows_sides: dict[str, tuple[tuple[Dataset, FittedReducer | Exception], ...]] = field(
         default_factory=dict, repr=False)
 
     def to_json_dict(self) -> dict:
@@ -364,28 +366,6 @@ def _summary(name: str, per_seed: list[list[float]]) -> ConditionSummary:
     )
 
 
-def _caught(fn: Callable[..., Any], *args) -> Any:
-    """`fn(*args)`, or the error it raised."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return exc
-
-
-def _unwrap(result: Any) -> Any:
-    """`result`, raised if it is an error."""
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
-def _settled(fn: Callable[..., Any], *args) -> Callable[[], Any]:
-    """Run `fn(*args)` now; a callable that returns its result or raises its
-    error, so the error surfaces where the serial loop would have raised it."""
-    result = _caught(fn, *args)
-    return lambda: _unwrap(result)
-
-
 def _chunks(cells: list[tuple], width: Callable[[str], int]) -> list[list[tuple]]:
     """The (seed, condition, fold, train, test) `cells` grouped by the shape
     of their logistic fit, training rows by `width(condition)` features, each
@@ -416,19 +396,24 @@ def evaluate_conditions(
     model, score. The cells run in chunks of the same logistic shape
     (`_chunks`), each chunk one pooled `run_fold_conditions` call whose
     models are fitted in lockstep. The feature-importance and PCA sides are
-    fitted here; then one fork pool (`pooled`) trains the autoencoders, D2's
-    first and the all-rows D1 sides last, and runs the chunks of the other
-    conditions. Once the autoencoder cells' fits are back, a second pool
-    runs their chunks. AUROCs are read in the serial loop's (seed,
-    condition, fold) order, so neither the report nor the first error raised
-    depends on the worker count.
+    fitted here; then one `pooled` call trains the autoencoders, D2's first
+    and the all-rows D1 sides last, and runs the chunks of the other
+    conditions. A second call, which inherits those fits, runs the
+    autoencoder's chunks. Each fit and chunk comes back as its result or its
+    error, and AUROCs are read in the serial loop's (seed, condition, fold)
+    order, so neither the report nor the first error raised depends on the
+    worker count.
 
     The first CV seed's all-rows D1 sides are the fold of all rows that
     `link` fits, at that seed's R; the report hands them back with the seed's
     D2 fits for `link_all_rows`. A failed all-rows fit raises only there.
+    A CV seed listed twice is an error.
     """
     if folds < 2:
         raise DataError("folds must be >= 2")
+    repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
+    if repeated:
+        raise DataError(f"CV seed {repeated[0]} is listed more than once")
     unknown = [c for c in conditions if c not in CONDITION_ORDER]
     if unknown:
         raise DataError(f"unknown conditions: {unknown}")
@@ -446,18 +431,16 @@ def evaluate_conditions(
     for seed, cond, _ in d2_keys:
         jobs[seed, cond, ALL_ROWS] = fit_jobs([cond], d2s, [(seed, [d1s])], r=jobs[seed, cond, None][2],
                                               ae_hyper=ae_hyper)[seed, cond, 0]
-    # fitted here, before the pool forks, so the pooled cells inherit them
-    fits = {key: _settled(fit_reducer, *job) for key, job in jobs.items() if job[0] != "autoencoder"}
+    # fitted here, before the pool forks, so the pooled cells inherit them;
+    # each fit or its error, which a cell raises where the serial loop would
+    fits = {key: _caught(fit_reducer, *job) for key, job in jobs.items() if job[0] != "autoencoder"}
     # D2's fits, the longest, start first; the all-rows fits come last in `jobs`
     ae_keys = sorted((key for key, job in jobs.items() if job[0] == "autoencoder"),
                      key=lambda key: key[2] is not None)
 
-    def reducer(*key):
-        return fits[key]() if key in fits else None
-
     def cell_args(seed: int, cond: str, fold: int, train: Dataset, test: Dataset) -> tuple:
-        ctx = prepare_d2_context(d2s, reducer(seed, cond, None))
-        return cond, train, test, ctx, reducer(seed, cond, fold), seed, fold
+        ctx = prepare_d2_context(d2s, _unwrap(fits.get((seed, cond, None))))
+        return cond, train, test, ctx, _unwrap(fits.get((seed, cond, fold))), seed, fold
 
     def chunk_aurocs(chunk: list[tuple]) -> list[float | Exception]:
         outcomes = run_fold_conditions([_caught(cell_args, *cell) for cell in chunk], k=k)
@@ -469,22 +452,17 @@ def evaluate_conditions(
     cells = [(seed, cond, fold, tr, te)
              for seed, split in runs for cond in ordered for fold, (tr, te) in enumerate(split)]
     chunks = _chunks([cell for cell in cells if cell[1] != "autoencoder"], width)
-    tasks = [(partial(fit_reducer, *jobs[key]), True) for key in ae_keys] + [
-        (partial(chunk_aurocs, chunk), True) for chunk in chunks]
-    with pooled(tasks) as results:
-        # the second pool forks once the autoencoder cells' fits are settled
-        # here, and inherits them; after.svg's all-rows fits may still train
-        fits.update((key, _settled(result) if key[2] != ALL_ROWS else result)
-                    for key, result in zip(ae_keys, results))
-        ae_chunks = _chunks([cell for cell in cells if cell[1] == "autoencoder"], width)
-        with pooled([(partial(chunk_aurocs, chunk), True) for chunk in ae_chunks]) as ae_results:
-            getters = results[len(ae_keys):] + ae_results
-            slot = {cell[:3]: (get, pos) for chunk, get in zip(chunks + ae_chunks, getters)
-                    for pos, cell in enumerate(chunk)}
-            aurocs = [_unwrap(get()[pos]) for get, pos in (slot[cell[:3]] for cell in cells)]
-        all_rows_sides = {
-            cond: ((d1s, _settled(fits[seed, cond, ALL_ROWS])), (d2s, _settled(fits[seed, cond, None])))
-            for seed, cond, _ in d2_keys}
+    results = pooled([partial(fit_reducer, *jobs[key]) for key in ae_keys]
+                     + [partial(chunk_aurocs, chunk) for chunk in chunks])
+    # the second pool forks after the first returns, and inherits its fits
+    fits.update(zip(ae_keys, results))
+    ae_chunks = _chunks([cell for cell in cells if cell[1] == "autoencoder"], width)
+    chunk_results = results[len(ae_keys):] + pooled([partial(chunk_aurocs, chunk) for chunk in ae_chunks])
+    slot = {cell[:3]: (result, pos) for chunk, result in zip(chunks + ae_chunks, chunk_results)
+            for pos, cell in enumerate(chunk)}
+    aurocs = [_unwrap(_unwrap(result)[pos]) for result, pos in (slot[cell[:3]] for cell in cells)]
+    all_rows_sides = {cond: ((d1s, fits[seed, cond, ALL_ROWS]), (d2s, fits[seed, cond, None]))
+                      for seed, cond, _ in d2_keys}
     per_seed = np.reshape(aurocs, (len(seeds), len(ordered), folds))
     return EvaluationReport(
         d1_id=d1.id,
@@ -507,5 +485,6 @@ def link_all_rows(report: EvaluationReport, condition: str) -> LinkedDataset:
     all-rows fold's, this is `link_detailed(..., seed=report.seeds[0]).d12`.
     """
     (d1s, fit1), (d2s, fit2) = report.all_rows_sides[condition]
-    ((_, agg),) = link_into(condition, fit1(), fit2(), d2s.X, report.k, random_rng(report.seeds[0], 0), d1s.X)
+    ((_, agg),) = link_into(condition, _unwrap(fit1), _unwrap(fit2), d2s.X, report.k,
+                            random_rng(report.seeds[0], 0), d1s.X)
     return concat_linked(d1s, agg, d2s)

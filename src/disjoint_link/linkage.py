@@ -9,21 +9,21 @@ sides into row transforms into one shared R-dimensional space,
 `normalize_latent` z-scores each side's latent axes, and `link_rows` gives
 every query row the feature-wise median of its k nearest reference rows (the
 random baseline draws its neighbors instead). The search streams over row
-blocks, so the full distance matrix is never built. `pooled` runs a command's
-slow tasks on a fork pool: its autoencoder fits, evaluate's chunks of
-same-shape fold-by-condition cells and, for a large link (`link_is_large`), the two search directions and
-the formatting of the CSV blocks that `linked_to_csv` and `neighbors_to_csv`
-write.
+blocks, so the full distance matrix is never built. `pooled` runs a
+command's slow tasks, on a fork pool or in this process, and returns each
+one's result or error in order: the autoencoder fits, evaluate's chunks of
+same-shape fold-by-condition cells and, for a large link (`link_is_large`),
+the two search directions and the formatting of the CSV blocks that
+`linked_to_csv` and `neighbors_to_csv` write.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -233,41 +233,51 @@ def usable_cores() -> int:
     return len(os.sched_getaffinity(0))
 
 
-@contextmanager
-def pooled(tasks: list[tuple[Callable[[], Any], bool]]) -> Iterator[list[Callable[[], Any]]]:
-    """One getter per (task, in_pool) pair, in order, that returns the task's
-    result or raises its error.
+def _caught(fn: Callable[..., Any], *args) -> Any:
+    """`fn(*args)`, or the error it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
 
-    The package's one process pool. The tasks with `in_pool` set start on
-    entry, in the order given, on a fork pool of at most one worker per usable
-    core and never more workers than such tasks; any other task runs in this
-    process when its getter is called. A worker inherits the task list when it
-    forks and is sent only a task's index, so no task's data is pickled, only
-    its result. On exit, pooled tasks not yet started are cancelled and the
-    workers joined, so no child process outlives the block.
+
+def _unwrap(result: Any) -> Any:
+    """`result`, raised if it is an error."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def pooled(tasks: list[Callable[[], Any]], in_pool: bool = True) -> list[Any]:
+    """Each task's result, or the error it raised, in the order given.
+
+    The package's one process pool. With `in_pool` set, the tasks start in
+    the order given on a fork pool of at most one worker per usable core and
+    never more workers than tasks; otherwise they run in this process, one
+    after another. A worker inherits the task list when it forks and is sent
+    only a task's index, so no task's data is pickled, only its result. Every
+    worker is joined before the call returns, so no child process outlives it.
     """
-    n_pooled = sum(in_pool for _, in_pool in tasks)
-    if not n_pooled:
-        yield [task for task, _ in tasks]
-        return
+    if not (in_pool and tasks):
+        return [_caught(task) for task in tasks]
     # imported here: at module level they add 20-25 ms to the start-up of
     # every command, including those that open no pool
     import concurrent.futures
     import multiprocessing
 
     pool = concurrent.futures.ProcessPoolExecutor(
-        min(n_pooled, usable_cores()),
+        min(len(tasks), usable_cores()),
         # fork, not spawn: a spawned worker imports numpy and the package
         # again, about 0.3 s each, and could not inherit the tasks. The
         # package runs no threads, and a fork pool forks every worker before
         # it starts its own
         mp_context=multiprocessing.get_context("fork"),
         initializer=_adopt_tasks,
-        initargs=([task for task, _ in tasks],),
+        initargs=(tasks,),
     )
     try:
-        yield [pool.submit(_run_task, i).result if in_pool else task
-               for i, (task, in_pool) in enumerate(tasks)]
+        futures = [pool.submit(_run_task, i) for i in range(len(tasks))]
+        return [_caught(future.result) for future in futures]
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -375,17 +385,16 @@ def link_detailed(
     d2s, _ = standardize(d2)
     jobs = fit_jobs([reducer_kind], d2s, [(seed, [d1s])], r=r, ae_hyper=ae_hyper)
     keys = [(seed, reducer_kind, 0), (seed, reducer_kind, None)]  # D1 first: its error is the one raised
-    tasks = [(partial(fit_reducer, *jobs[key]), reducer_kind == "autoencoder") for key in keys if key in jobs]
-    with pooled(tasks) as fitted:
-        fit1, fit2 = [result() for result in fitted] or (None, None)  # random fits nothing
+    tasks = [partial(fit_reducer, *jobs[key]) for key in keys if key in jobs]
+    fitted = pooled(tasks, in_pool=reducer_kind == "autoencoder")
+    fit1, fit2 = [_unwrap(fit) for fit in fitted] or (None, None)  # random fits nothing
     # D12 first, its error the one raised. The random baseline's D21 draws
     # continue D12's rng, so it links in this process
     rng = random_rng(seed, 0)
     ways = [partial(link_into, reducer_kind, fit1, fit2, d2s.X, k, rng, d1s.X),
             partial(link_into, reducer_kind, fit2, fit1, d1s.X, k, rng, d2s.X)]
-    in_pool = reducer_kind != "random" and link_is_large(d1.n, d2.n, k)
-    with pooled([(way, in_pool) for way in ways]) as linked:
-        ((nb12, agg12),), ((nb21, agg21),) = [result() for result in linked]
+    linked = pooled(ways, in_pool=reducer_kind != "random" and link_is_large(d1.n, d2.n, k))
+    ((nb12, agg12),), ((nb21, agg21),) = [_unwrap(way) for way in linked]
     if reducer_kind == "random":
         r_eff, payload = None, {"k": k, "seed": seed}
     else:
@@ -439,15 +448,11 @@ def neighbors_columns(nb: NeighborMap) -> tuple[list[str], list[np.ndarray]]:
         nb.neighbors.ravel(), nb.distances.ravel()]
 
 
-def linked_to_csv(
-    d: LinkedDataset, path: str | Path, blocks: list[Callable[[], str]] | None = None
-) -> None:
-    """`d` as CSV (`linked_columns`); `blocks` as in `write_csv`."""
-    write_csv(path, *linked_columns(d), blocks)
+def linked_to_csv(d: LinkedDataset, path: str | Path, texts: list[str] | None = None) -> None:
+    """`d` as CSV (`linked_columns`); `texts` as in `write_csv`."""
+    write_csv(path, *linked_columns(d), texts)
 
 
-def neighbors_to_csv(
-    nb: NeighborMap, path: str | Path, blocks: list[Callable[[], str]] | None = None
-) -> None:
-    """`nb` as CSV (`neighbors_columns`); `blocks` as in `write_csv`."""
-    write_csv(path, *neighbors_columns(nb), blocks)
+def neighbors_to_csv(nb: NeighborMap, path: str | Path, texts: list[str] | None = None) -> None:
+    """`nb` as CSV (`neighbors_columns`); `texts` as in `write_csv`."""
+    write_csv(path, *neighbors_columns(nb), texts)

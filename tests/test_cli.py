@@ -1,6 +1,4 @@
 import concurrent.futures
-import contextlib
-import functools
 import json
 import multiprocessing
 import os
@@ -182,8 +180,8 @@ class TestLinkCommand:
 
 
 def inline_pool(tasks):
-    """`linkage.pooled` run in this process, each task at most once."""
-    return contextlib.nullcontext([functools.cache(task) for task, _ in tasks])
+    """`linkage.pooled` run in this process."""
+    return linkage.pooled(tasks, in_pool=False)
 
 
 class TestEvaluateCommand:
@@ -549,6 +547,15 @@ class TestValidation:
         assert main(["evaluate", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "[config] seeds[1]:" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_evaluate_seed_named(self, tmp_path, capsys):
+        # a repeated CV seed would list its folds twice in report.json and
+        # count them twice in the mean and sd
+        doc = synth_config(tmp_path / "out", reducers=["pca"], seeds=[0, 3, 0])
+        cfg = write_config(tmp_path, doc)
+        assert main(["evaluate", "--config", str(cfg)]) == 2
+        assert "error: [config] seeds[2]: repeats seed 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_synthetic_seed_beyond_64_bits_named(self, tmp_path, capsys):

@@ -1,5 +1,3 @@
-import contextlib
-import functools
 import multiprocessing
 import os
 
@@ -277,6 +275,11 @@ class TestEvaluateConditions:
         with pytest.raises(DataError, match="exceeds the source"):
             evaluate_conditions(d1, d2, ["random"], folds=2, seeds=[0], k=d2.n + 1)
 
+    def test_repeated_seed_rejected(self):
+        d1, d2 = small_pair()
+        with pytest.raises(DataError, match="^CV seed 0 is listed more than once$"):
+            evaluate_conditions(d1, d2, ["unlinked"], folds=2, seeds=[0, 0])
+
     def test_report_serialization(self):
         d1, d2 = small_pair()
         report = evaluate_conditions(d1, d2, ["unlinked", "random"], folds=2, seeds=[0], k=2, r=2)
@@ -410,8 +413,7 @@ class TestPooledFits:
             shapes.append(sorted({np.shape(X) for X in Xs}))
             return fit_logistics(Xs, ys, hyper)
 
-        monkeypatch.setattr(evaluation, "pooled",
-                            lambda tasks: contextlib.nullcontext([functools.cache(t) for t, _ in tasks]))
+        monkeypatch.setattr(evaluation, "pooled", lambda tasks: linkage.pooled(tasks, in_pool=False))
         monkeypatch.setattr(evaluation, "fit_logistics", recording_fits)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         d1, d2 = small_pair(5)

@@ -1,12 +1,14 @@
+import concurrent.futures
 import multiprocessing
 import os
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from disjoint_link import _kernels
+from disjoint_link import _kernels, linkage
 from disjoint_link.autoencoder import AutoencoderHyper, fit_autoencoder
 from disjoint_link.data import DataError, standardize
 from disjoint_link.linkage import (
@@ -19,6 +21,7 @@ from disjoint_link.linkage import (
     median_aggregate,
     neighbors_to_csv,
     pair_reducers,
+    pooled,
 )
 from disjoint_link.reducers import autoencoder_to_payload, normalize_latent
 
@@ -287,6 +290,15 @@ class TestLinkInto:
             np.testing.assert_array_equal(agg.view(np.uint64), want_agg.view(np.uint64))
 
 
+def no_fork():
+    raise AssertionError("a process was started")
+
+
+def outcomes(results):
+    """`pooled`'s results with each error as its type and args, which compare."""
+    return [(type(r), r.args) if isinstance(r, Exception) else r for r in results]
+
+
 class TestPooledFits:
     def test_autoencoder_sides_keep_their_rows_and_seeds(self, make_dataset):
         # the evaluation's seeds for the fold of all D1 rows: D1 trains with
@@ -304,15 +316,73 @@ class TestPooledFits:
             assert res.reducer_payload[side] == autoencoder_to_payload(want), side
 
     def test_no_autoencoder_starts_no_process(self, make_dataset, monkeypatch):
-        def no_fork():
-            raise AssertionError("a process was started")
-
         monkeypatch.setattr(os, "fork", no_fork)
         rng = np.random.default_rng(14)
         d1 = make_dataset(rng.normal(size=(12, 3)), [0, 1] * 6, "d1")
         d2 = make_dataset(rng.normal(size=(16, 4)), [0, 1] * 8, "d2")
         for kind in ("pca", "feature_importance"):
             link_detailed(d1, d2, kind, k=2, r=2)
+
+
+class TestPooled:
+    """`pooled`'s one contract: each task's result, or the error it raised,
+    in the order given, whether the tasks run on the fork pool or here."""
+
+    def test_both_modes_return_results_and_errors_in_order(self):
+        calls = []
+
+        def task(i):
+            calls.append(i)  # seen only when the task runs in this process
+            if i == 1:
+                raise DataError("task 1 failed")
+            return 10 * i
+
+        tasks = [partial(task, i) for i in range(3)]
+        in_process = pooled(tasks, in_pool=False)
+        assert calls == [0, 1, 2]  # in order, and the error stopped no later task
+        forked = pooled(tasks)
+        assert calls == [0, 1, 2]  # the pool ran them in its workers
+        assert multiprocessing.active_children() == []  # none left, after an error too
+        assert outcomes(in_process) == outcomes(forked) == [0, (DataError, ("task 1 failed",)), 20]
+
+    @pytest.mark.parametrize("n_tasks, cores, size", [(1, {0, 1}, 1), (3, {0, 1}, 2), (2, {0, 1, 2}, 2)])
+    def test_pool_size_is_the_tasks_capped_by_usable_cores(self, monkeypatch, n_tasks, cores, size):
+        sizes = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        assert pooled([partial(int, i) for i in range(n_tasks)]) == list(range(n_tasks))
+        assert sizes == [size]
+        assert multiprocessing.active_children() == []
+
+    def test_no_tasks_or_in_process_forks_nothing(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert pooled([]) == []
+        assert outcomes(pooled([partial(int, "4"), partial(int, "x")], in_pool=False)) == [
+            4, (ValueError, ("invalid literal for int() with base 10: 'x'",))]
+
+    def test_failing_directions_of_a_small_link_report_d12s_error(self, make_dataset, monkeypatch):
+        # every file of this link is one CSV block, so both directions are
+        # searched here, D21 after D12 failed, and D12's error is raised
+        searched = []
+
+        def failing_link_into(kind, fit1, fit2, x2, k, rng, x1):
+            searched.append(len(x1))
+            raise DataError("D12 failed" if len(x1) == 12 else "D21 failed")
+
+        monkeypatch.setattr(linkage, "link_into", failing_link_into)
+        monkeypatch.setattr(os, "fork", no_fork)
+        rng = np.random.default_rng(15)
+        d1 = make_dataset(rng.normal(size=(12, 3)), [0, 1] * 6, "d1")
+        d2 = make_dataset(rng.normal(size=(16, 4)), [0, 1] * 8, "d2")
+        with pytest.raises(DataError, match="^D12 failed$"):
+            link_detailed(d1, d2, "pca", k=2, r=2)
+        assert searched == [12, 16]
 
 
 class TestRandomLink:
