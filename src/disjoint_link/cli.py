@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .autoencoder import AutoencoderHyper
 from .data import Dataset, DataError, csv_blocks, dataset_to_csv, load_csv, write_schema
-from .evaluation import CONDITION_ORDER, evaluate_conditions, link_all_rows
+from .evaluation import CONDITION_ORDER, evaluate_conditions
 from .figures import export_projection_2d, projection_to_csv, write_projection_svg
 from .linkage import (
     DEFAULT_K,
@@ -264,7 +264,7 @@ def cmd_evaluate(cfg: dict, out_override: str | None = None) -> Path:
         key=lambda c: (report.conditions[c].mean, -CONDITION_ORDER.index(c)),
     )
     before = export_projection_2d(d1)
-    after = export_projection_2d(link_all_rows(report, best))
+    after = export_projection_2d(_unwrap(report.after[best]))
     out = _out_dir(cfg, out_override)  # after the pipeline: an error leaves no directory
     (out / "report.json").write_text(
         json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -18,8 +18,9 @@ The chunks run on the package's fork pool in two calls: the first runs the
 autoencoder fits and the chunks of the other conditions, the second, once
 the first has returned, the autoencoder's chunks. AUROCs are read back in the
 serial order. It also fits the first CV seed's D1 side of every linked
-condition on all rows, which `link_all_rows` links through that seed's
-evaluated D2 fit for the `after.svg` projection.
+condition on all rows and, as a pooled task ahead of that condition's chunks,
+links it through that seed's evaluated D2 fit: the D12 that `after.svg`
+projects.
 """
 
 from __future__ import annotations
@@ -316,11 +317,12 @@ class EvaluationReport:
     k: int
     r: int
     conditions: dict[str, ConditionSummary] = field(default_factory=dict)
-    # the first CV seed's all-rows sides, condition -> ((D1 on all rows, its
-    # fit), (D2, its fit)); each fit is the error it raised if it failed. Not
-    # in the JSON
-    all_rows_sides: dict[str, tuple[tuple[Dataset, FittedReducer | Exception], ...]] = field(
-        default_factory=dict, repr=False)
+    # condition -> the first CV seed's D12, which `after.svg` projects: the
+    # all-rows D1 side linked through that seed's evaluated D2 fit, or the
+    # error its fit or link raised. Unless the seed's smallest training fold
+    # capped R below the all-rows fold's, this is
+    # `link_detailed(..., seed=seeds[0]).d12`. Not in the JSON
+    after: dict[str, LinkedDataset | Exception] = field(default_factory=dict, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -397,17 +399,19 @@ def evaluate_conditions(
     (`_chunks`), each chunk one pooled `run_fold_conditions` call whose
     models are fitted in lockstep. The feature-importance and PCA sides are
     fitted here; then one `pooled` call trains the autoencoders, D2's first
-    and the all-rows D1 sides last, and runs the chunks of the other
-    conditions. A second call, which inherits those fits, runs the
-    autoencoder's chunks. Each fit and chunk comes back as its result or its
+    and the all-rows D1 sides last, links the all-rows D12 of feature
+    importance and PCA, and runs the chunks of the other conditions. A second
+    call, which inherits those fits, links the autoencoder's all-rows D12 and
+    runs its chunks. Each fit, link and chunk comes back as its result or its
     error, and AUROCs are read in the serial loop's (seed, condition, fold)
     order, so neither the report nor the first error raised depends on the
     worker count.
 
     The first CV seed's all-rows D1 sides are the fold of all rows that
-    `link` fits, at that seed's R; the report hands them back with the seed's
-    D2 fits for `link_all_rows`. A failed all-rows fit raises only there.
-    A CV seed listed twice is an error.
+    `link` fits, at that seed's R, linked through the seed's evaluated D2
+    fits into the report's `after`. A failed all-rows fit or link is stored
+    there, and raises only when it is read. A CV seed listed twice is an
+    error.
     """
     if folds < 2:
         raise DataError("folds must be >= 2")
@@ -446,23 +450,36 @@ def evaluate_conditions(
         outcomes = run_fold_conditions([_caught(cell_args, *cell) for cell in chunk], k=k)
         return [out if isinstance(out, Exception) else out.auroc for out in outcomes]
 
+    def link_after(cond: str) -> LinkedDataset:
+        seed = seeds[0]
+        ((_, agg),) = link_into(cond, _unwrap(fits[seed, cond, ALL_ROWS]), _unwrap(fits[seed, cond, None]),
+                                d2s.X, k, random_rng(seed, 0), d1s.X)
+        return concat_linked(d1s, agg, d2s)
+
     def width(cond: str) -> int:
         return d1.k + (d2.k if cond != "unlinked" else 0)
 
     cells = [(seed, cond, fold, tr, te)
              for seed, split in runs for cond in ordered for fold, (tr, te) in enumerate(split)]
     chunks = _chunks([cell for cell in cells if cell[1] != "autoencoder"], width)
+    # all-rows D12s go ahead of the chunks; the autoencoder's waits for its fit
+    early = [cond for _, cond, _ in d2_keys if cond != "autoencoder"]
+    late = [cond for _, cond, _ in d2_keys if cond == "autoencoder"]
     results = pooled([partial(fit_reducer, *jobs[key]) for key in ae_keys]
+                     + [partial(link_after, cond) for cond in early]
                      + [partial(chunk_aurocs, chunk) for chunk in chunks])
     # the second pool forks after the first returns, and inherits its fits
     fits.update(zip(ae_keys, results))
+    after = dict(zip(early, results[len(ae_keys):]))
+    chunk_results = results[len(ae_keys) + len(early):]
     ae_chunks = _chunks([cell for cell in cells if cell[1] == "autoencoder"], width)
-    chunk_results = results[len(ae_keys):] + pooled([partial(chunk_aurocs, chunk) for chunk in ae_chunks])
+    results = pooled([partial(link_after, cond) for cond in late]
+                     + [partial(chunk_aurocs, chunk) for chunk in ae_chunks])
+    after.update(zip(late, results))
+    chunk_results += results[len(late):]
     slot = {cell[:3]: (result, pos) for chunk, result in zip(chunks + ae_chunks, chunk_results)
             for pos, cell in enumerate(chunk)}
     aurocs = [_unwrap(_unwrap(result)[pos]) for result, pos in (slot[cell[:3]] for cell in cells)]
-    all_rows_sides = {cond: ((d1s, fits[seed, cond, ALL_ROWS]), (d2s, fits[seed, cond, None]))
-                      for seed, cond, _ in d2_keys}
     per_seed = np.reshape(aurocs, (len(seeds), len(ordered), folds))
     return EvaluationReport(
         d1_id=d1.id,
@@ -472,19 +489,6 @@ def evaluate_conditions(
         k=k,
         r=r,
         conditions={c: _summary(c, per_seed[:, j].tolist()) for j, c in enumerate(ordered)},
-        all_rows_sides=all_rows_sides,
+        after=after,
     )
 
-
-def link_all_rows(report: EvaluationReport, condition: str) -> LinkedDataset:
-    """`link`'s D12 for the report's first CV seed, which `after.svg` plots.
-
-    It links the all-rows D1 side and the evaluated D2 side of `condition`
-    that `evaluate_conditions` fitted, so it fits nothing; D21 is never
-    built. Unless the seed's smallest training fold capped R below the
-    all-rows fold's, this is `link_detailed(..., seed=report.seeds[0]).d12`.
-    """
-    (d1s, fit1), (d2s, fit2) = report.all_rows_sides[condition]
-    ((_, agg),) = link_into(condition, _unwrap(fit1), _unwrap(fit2), d2s.X, report.k,
-                            random_rng(report.seeds[0], 0), d1s.X)
-    return concat_linked(d1s, agg, d2s)

@@ -41,13 +41,8 @@ def scatter_svg(p: Projection2D, title: str = "") -> str:
     xmin, ymin = xs.min(), ys.min()
     xspan = max(xs.max() - xmin, 1e-12)
     yspan = max(ys.max() - ymin, 1e-12)
-
-    def sx(v):
-        return margin + (v - xmin) / xspan * (width - 2 * margin)
-
-    def sy(v):
-        return height - margin - (v - ymin) / yspan * (height - 2 * margin)
-
+    cx = margin + (xs - xmin) / xspan * (width - 2 * margin)
+    cy = height - margin - (ys - ymin) / yspan * (height - 2 * margin)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
@@ -64,12 +59,9 @@ def scatter_svg(p: Projection2D, title: str = "") -> str:
         )
     # negatives first so the rare positives stay visible on top
     for target, color in ((0, NEGATIVE_COLOR), (1, POSITIVE_COLOR)):
-        for (x, y), lab in zip(p.points, p.labels):
-            if lab != target:
-                continue
-            parts.append(
-                f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="{color}" fill-opacity="0.7"/>'
-            )
+        mine = p.labels == target
+        parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}" fill-opacity="0.7"/>'
+                  for x, y in zip(cx[mine].tolist(), cy[mine].tolist())]
     parts.append(
         f'<text x="{width / 2:.0f}" y="{height - 12:.0f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">pc1</text>'

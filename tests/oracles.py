@@ -10,7 +10,8 @@ does not need. `sigmoid_two_branch` and `fit_logistic_reference` are the forms
 `_kernels.sigmoid` and the logistic fit had before the sigmoid went
 branch-free; `logistic_loss` is the loss whose gradient the fit descends. The CSV references are the cell-by-cell loader and the
 row-by-row `csv.writer` writers the package's one-pass forms must equal byte
-for byte.
+for byte. `scatter_svg_reference` is the per-point loop `figures.scatter_svg`
+had before it scaled the points as arrays.
 """
 
 import csv
@@ -24,6 +25,7 @@ import numpy as np
 
 from disjoint_link import _kernels
 from disjoint_link.data import DataError, Dataset, FeatureSchema
+from disjoint_link.figures import NEGATIVE_COLOR, POSITIVE_COLOR
 from disjoint_link.linkage import NeighborMap
 
 
@@ -457,3 +459,48 @@ def neighbors_rows_reference(nb):
     for i in range(nb.neighbors.shape[0]):
         for rank in range(nb.k):
             yield [i, rank, int(nb.neighbors[i, rank]), repr(float(nb.distances[i, rank]))]
+
+
+def scatter_svg_reference(p, title=""):
+    width, height, margin = 640.0, 480.0, 48.0
+    xs, ys = p.points[:, 0], p.points[:, 1]
+    xmin, ymin = xs.min(), ys.min()
+    xspan = max(xs.max() - xmin, 1e-12)
+    yspan = max(ys.max() - ymin, 1e-12)
+
+    def sx(v):
+        return margin + (v - xmin) / xspan * (width - 2 * margin)
+
+    def sy(v):
+        return height - margin - (v - ymin) / yspan * (height - 2 * margin)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
+        f'viewBox="0 0 {width:.0f} {height:.0f}">',
+        f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
+        f'<rect x="{margin:.0f}" y="{margin:.0f}" width="{width - 2 * margin:.0f}" '
+        f'height="{height - 2 * margin:.0f}" fill="none" stroke="#cccccc"/>',
+    ]
+    if title:
+        text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        parts.append(
+            f'<text x="{width / 2:.0f}" y="{margin / 2 + 6:.0f}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="14">{text}</text>'
+        )
+    for target, color in ((0, NEGATIVE_COLOR), (1, POSITIVE_COLOR)):
+        for (x, y), lab in zip(p.points, p.labels):
+            if lab != target:
+                continue
+            parts.append(
+                f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="{color}" fill-opacity="0.7"/>'
+            )
+    parts.append(
+        f'<text x="{width / 2:.0f}" y="{height - 12:.0f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">pc1</text>'
+    )
+    parts.append(
+        f'<text x="16" y="{height / 2:.0f}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="12" transform="rotate(-90 16 {height / 2:.0f})">pc2</text>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

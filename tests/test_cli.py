@@ -271,6 +271,40 @@ class TestEvaluateCommand:
         # one search per link: a cell's 20 training and 20 test rows, and after.svg's D1
         assert sorted(set(query_rows)) == [40]
 
+    def test_a_failed_all_rows_fit_raises_only_for_the_best_condition(self, tmp_path, monkeypatch, capsys):
+        # after.svg projects the best condition's all-rows D12 alone: another
+        # condition's failed all-rows fit is stored and never read
+        doc = self.evaluate_config(tmp_path / "ok")
+        assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
+        want = read_all_bytes(tmp_path / "ok")
+        del want["manifest.json"]  # it names the output directory
+        report = json.loads(want["report.json"])
+        reducers = doc["reducers"]
+        best = max(reducers, key=lambda c: (report["conditions"][c]["mean"], -CONDITION_ORDER.index(c)))
+        fit_reducer, failing = linkage.fit_reducer, []
+
+        def failing_fit(kind, d, *args):
+            if d.n == 40 and kind in failing:  # D1's all rows; its training folds have 20
+                raise DataError(f"{kind} all-rows fit failed")
+            return fit_reducer(kind, d, *args)
+
+        monkeypatch.setattr(evaluation, "fit_reducer", failing_fit)
+        use_cores(monkeypatch, {0, 1})
+        for cond in reducers:
+            failing[:] = [cond]
+            doc = self.evaluate_config(tmp_path / cond)
+            code = main(["evaluate", "--config", str(write_config(tmp_path, doc))])
+            if cond == best:
+                assert code == 1
+                assert f"error: [evaluate] {cond} all-rows fit failed" in capsys.readouterr().err
+                assert not (tmp_path / cond).exists()
+            else:
+                assert code == 0, cond
+                got = read_all_bytes(tmp_path / cond)
+                del got["manifest.json"]
+                assert got == want, cond
+            assert multiprocessing.active_children() == []
+
     def test_training_folds_cap_r_below_the_all_rows_fold(self, tmp_path):
         # 10 rows in 2 folds: the smallest training fold caps the evaluated R
         # below the all-rows fold's 6, so after.svg's D1 fit must take the
@@ -406,6 +440,25 @@ class TestPooledFits:
             err = capsys.readouterr().err
             assert f"error: [{command}] non-finite reconstruction loss at epoch {epoch};" in err
             assert multiprocessing.active_children() == []
+
+    def test_no_search_runs_in_the_main_process(self, tmp_path, monkeypatch):
+        # every search of evaluate, the cells' and after.svg's all-rows D12s,
+        # runs in a pool worker; the main process only reads results
+        log, nearest = tmp_path / "pids.log", _kernels.nearest
+
+        def recording_nearest(*args):
+            with open(log, "a", encoding="utf-8") as fh:  # one line per search, from any process
+                fh.write(f"{os.getpid()}\n")
+            return nearest(*args)
+
+        monkeypatch.setattr(_kernels, "nearest", recording_nearest)
+        use_cores(monkeypatch, {0, 1})
+        doc = TestEvaluateCommand().evaluate_config(tmp_path / "out")
+        assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
+        pids = log.read_text(encoding="utf-8").split()
+        # three linked conditions: 2 fold cells and 1 all-rows D12 each
+        assert len(pids) == 3 * (2 + 1)
+        assert str(os.getpid()) not in pids
 
     def test_cli_import_loads_no_pool_module(self):
         # every command pays its imports (`setup_s`); the pool's modules

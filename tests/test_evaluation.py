@@ -20,7 +20,6 @@ from disjoint_link.evaluation import (
     evaluate_conditions,
     fit_logistic,
     fit_logistics,
-    link_all_rows,
     predict_proba,
     prepare_d2_context,
     run_fold_condition,
@@ -444,21 +443,17 @@ class TestOnePipeline:
 
 class TestLinkAllRows:
     def test_fits_nothing_and_equals_link(self, monkeypatch):
-        # evaluate fitted every linked condition's all-rows D1 side, so
-        # after.svg's D12 is `link`'s without one more fit
+        # evaluate links every linked condition's all-rows D1 side through the
+        # D2 fit it evaluated, on its pool, so after.svg's D12 is `link`'s and
+        # reading it fits nothing
         d1, d2 = small_pair(3)
         hyper = AutoencoderHyper(hidden_dims=(4,), epochs=5)
         conditions = ["feature_importance", "pca", "autoencoder"]
         report = evaluate_conditions(d1, d2, conditions, folds=3, seeds=[2], k=3, r=2, ae_hyper=hyper)
         want = {c: link_detailed(d1, d2, c, k=3, r=2, ae_hyper=hyper, seed=2).d12 for c in conditions}
-
-        def no_fit(*job):
-            raise AssertionError(f"link_all_rows fitted {job[0]}")
-
-        monkeypatch.setattr(evaluation, "fit_reducer", no_fit)
-        monkeypatch.setattr(linkage, "fit_reducer", no_fit)
+        assert sorted(report.after) == sorted(conditions)
         for cond in conditions:
-            got = link_all_rows(report, cond)
+            got = report.after[cond]
             assert got.X.tobytes() == want[cond].X.tobytes(), cond
             assert got.provenance == want[cond].provenance
 

@@ -5,13 +5,14 @@ import pytest
 
 from disjoint_link.data import DataError
 from disjoint_link.figures import (
+    Projection2D,
     export_projection_2d,
     projection_to_csv,
     scatter_svg,
     write_projection_svg,
 )
 
-from oracles import pairwise_dist_brute
+from oracles import pairwise_dist_brute, scatter_svg_reference
 
 
 class TestProjection:
@@ -93,3 +94,39 @@ class TestExports:
         text = path.read_text()
         assert text.count(NEGATIVE_COLOR) == 3
         assert text.count(POSITIVE_COLOR) == 3
+
+
+def _points(case):
+    rng = np.random.default_rng(7)
+    labels = (rng.random(40) < 0.3).astype(np.int64)
+    if case == "random":
+        return rng.normal(size=(40, 2)) * [3.0, 0.2] + [1.0, -5.0], labels
+    if case == "repeated":
+        return np.repeat(rng.normal(size=(5, 2)), 8, axis=0), labels
+    if case == "equal x":
+        return np.column_stack([np.full(40, 2.5), rng.normal(size=40)]), labels
+    if case == "equal y":
+        return np.column_stack([rng.normal(size=40), np.full(40, -1.0)]), labels
+    if case == "x span below the floor":
+        return np.column_stack([rng.choice([0.0, 2e-13, 5e-13], size=40), rng.normal(size=40)]), labels
+    if case == "one point":
+        return np.full((40, 2), 0.1), labels
+    if case == "negative zero":
+        return rng.choice([-0.0, 0.0, 1.0, -1e-300], size=(40, 2)), labels
+    if case == "all -0.0":
+        return np.full((40, 2), -0.0), labels
+    if case == "only negatives":
+        return rng.normal(size=(40, 2)), np.zeros(40, dtype=np.int64)
+    if case == "only positives":
+        return rng.normal(size=(40, 2)), np.ones(40, dtype=np.int64)
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case", ["random", "repeated", "equal x", "equal y", "x span below the floor",
+                                  "one point", "negative zero", "all -0.0", "only negatives", "only positives"])
+def test_svg_equals_the_per_point_reference(case):
+    # equal or nearly equal coordinates take the 1e-12 span floor; each
+    # class may be empty
+    points, labels = _points(case)
+    proj = Projection2D(points=points, labels=labels)
+    assert scatter_svg(proj, title="t") == scatter_svg_reference(proj, title="t")

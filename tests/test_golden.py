@@ -10,12 +10,16 @@ replaced by a placeholder before hashing.
 
 Bits depend on the numpy and BLAS build, so the digests are stored with the
 fingerprint of the build that made them, read as `perfbench/run.py` reads
-it. On another build the test fails naming both fingerprints.
+it. On another build the test fails naming both fingerprints. They also
+depend on the CPU kernel that an OpenBLAS built for several CPUs picks at
+load time; the pinned kernel is stored as `blas_core`, outside the
+fingerprint, and a digest mismatch names it next to this machine's.
 
 A change that alters outputs on purpose re-pins in the same commit, with
 `PYTHONPATH=src python tests/test_golden.py`, and says so in CHANGES.md.
 """
 
+import ctypes
 import hashlib
 import json
 import tempfile
@@ -49,6 +53,21 @@ RUNS = {
 def fingerprint() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}"}
+
+
+def blas_core() -> str | None:
+    """The CPU kernel OpenBLAS runs, such as "SkylakeX", from the OpenBLAS
+    library mapped into this process as `perfbench/run.py`'s ENV_PROBE finds
+    it; None without OpenBLAS."""
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    for path in paths:
+        for name in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            get = getattr(ctypes.CDLL(path), name, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                return get().decode()
+    return None
 
 
 def write_csv_pair(tmp: Path) -> dict:
@@ -111,11 +130,12 @@ def test_outputs_match_pinned_digests(name, tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     if fingerprint() != golden["fingerprint"]:
         pytest.fail(f"digests were pinned on {golden['fingerprint']}; this build is {fingerprint()}")
-    assert run_digests(name, tmp_path) == golden["runs"][name]
+    assert run_digests(name, tmp_path) == golden["runs"][name], (
+        f"pinned on BLAS core {golden.get('blas_core')}; this machine's is {blas_core()}")
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         runs = {name: run_digests(name, Path(tmp) / name) for name in RUNS}
-    GOLDEN.write_text(json.dumps({"fingerprint": fingerprint(), "runs": runs}, indent=2, sort_keys=True) + "\n",
-                      encoding="utf-8")
+    GOLDEN.write_text(json.dumps({"blas_core": blas_core(), "fingerprint": fingerprint(), "runs": runs},
+                                 indent=2, sort_keys=True) + "\n", encoding="utf-8")
