@@ -28,13 +28,7 @@ from .evaluation import (
     predict_proba,
 )
 from .figures import export_projection_2d
-from .linkage import (
-    LinkedDataset,
-    NeighborMap,
-    link,
-    link_rows,
-    median_aggregate,
-)
+from .linkage import NeighborMap, link_rows, median_aggregate
 from .reducers import (
     FeatureImportancePair,
     PcaReducer,
@@ -57,7 +51,6 @@ __all__ = [
     "EvaluationReport",
     "FeatureImportancePair",
     "FeatureSchema",
-    "LinkedDataset",
     "LogisticHyper",
     "LogisticModel",
     "NeighborMap",
@@ -73,7 +66,6 @@ __all__ = [
     "fit_autoencoder",
     "fit_logistic",
     "fit_pca",
-    "link",
     "link_rows",
     "load_csv",
     "median_aggregate",

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .autoencoder import AutoencoderHyper
-from .data import Dataset, DataError, csv_blocks, dataset_to_csv, load_csv, write_schema
+from .data import Dataset, DataError, csv_blocks, dataset_columns, dataset_to_csv, load_csv, write_schema
 from .evaluation import CONDITION_ORDER, evaluate_conditions
 from .figures import export_projection_2d, projection_to_csv, write_projection_svg
 from .linkage import (
@@ -23,7 +23,6 @@ from .linkage import (
     _unwrap,
     link_detailed,
     link_is_large,
-    linked_columns,
     linked_to_csv,
     neighbors_columns,
     neighbors_to_csv,
@@ -59,16 +58,26 @@ def _as_num(value, path: str) -> float:
     return float(value)
 
 
+def _known(obj: dict, path: str, *fields: str) -> None:
+    """Reject a key of `obj` that is not one of `fields`, such as a misspelled
+    field that would otherwise take its default silently."""
+    for key in obj:
+        _expect(key in fields, f"{path}.{key}" if path else key, "unknown field")
+
+
 def resolve_config(raw: dict, base_dir: Path) -> dict:
     """Validate a config document and fill defaults; error messages carry the
     offending field path."""
-    _expect(isinstance(raw, dict), "config", "must be a JSON object")
-    if set(raw) == {"command", "config"}:  # a manifest round-trips as a config
+    if isinstance(raw, dict) and set(raw) == {"command", "config"}:  # a manifest round-trips as a config
         raw = raw["config"]
+    _expect(isinstance(raw, dict), "config", "must be a JSON object")
+    _known(raw, "", "inputs", "reducer", "reducers", "R", "k", "folds", "seed", "seeds", "autoencoder",
+           "output_dir")
     cfg: dict = {}
 
     inputs = raw.get("inputs")
     _expect(isinstance(inputs, dict), "inputs", "must be an object")
+    _known(inputs, "inputs", "files", "synthetic")
     has_files = "files" in inputs
     has_synth = "synthetic" in inputs
     _expect(has_files != has_synth, "inputs", "needs exactly one of 'files' or 'synthetic'")
@@ -76,11 +85,13 @@ def resolve_config(raw: dict, base_dir: Path) -> dict:
     if has_synth:
         s = inputs["synthetic"]
         _expect(isinstance(s, dict), "inputs.synthetic", "must be an object")
+        ints, nums = ("latent_dim", "n1", "n2", "k1", "k2", "seed"), ("noise_sigma", "positive_rate")
+        _known(s, "inputs.synthetic", *ints, *nums)
         out = {}
-        for name in ("latent_dim", "n1", "n2", "k1", "k2", "seed"):
+        for name in ints:
             _expect(name in s, f"inputs.synthetic.{name}", "is required")
             out[name] = _as_int(s[name], f"inputs.synthetic.{name}")
-        for name in ("noise_sigma", "positive_rate"):
+        for name in nums:
             _expect(name in s, f"inputs.synthetic.{name}", "is required")
             out[name] = _as_num(s[name], f"inputs.synthetic.{name}")
         _expect(out["latent_dim"] >= 1, "inputs.synthetic.latent_dim", "must be >= 1")
@@ -98,10 +109,12 @@ def resolve_config(raw: dict, base_dir: Path) -> dict:
     else:
         f = inputs["files"]
         _expect(isinstance(f, dict), "inputs.files", "must be an object")
+        _known(f, "inputs.files", "d1", "d2")
         out = {}
         for side in ("d1", "d2"):
             _expect(side in f and isinstance(f[side], dict), f"inputs.files.{side}", "is required")
             entry = f[side]
+            _known(entry, f"inputs.files.{side}", "path", "label_column")
             _expect(isinstance(entry.get("path"), str), f"inputs.files.{side}.path", "must be a string")
             _expect(
                 isinstance(entry.get("label_column"), str),
@@ -145,6 +158,7 @@ def resolve_config(raw: dict, base_dir: Path) -> dict:
 
     ae = raw.get("autoencoder", {})
     _expect(isinstance(ae, dict), "autoencoder", "must be an object")
+    _known(ae, "autoencoder", "hidden_dims", "epochs", "batch_size", "learning_rate")
     hidden = ae.get("hidden_dims", [32])
     _expect(isinstance(hidden, list), "autoencoder.hidden_dims", "must be a list")
     cfg["autoencoder"] = {
@@ -230,8 +244,8 @@ def cmd_link(cfg: dict, out_override: str | None = None) -> Path:
         k=cfg["k"], r=cfg["R"], ae_hyper=_ae_hyper(cfg), seed=cfg["seed"],
     )
     out = _out_dir(cfg, out_override)  # after the pipeline: an error leaves no directory
-    files = [(linked_to_csv, res.d12, linked_columns(res.d12), "D12.csv"),
-             (linked_to_csv, res.d21, linked_columns(res.d21), "D21.csv"),
+    files = [(linked_to_csv, res.d12, dataset_columns(res.d12), "D12.csv"),
+             (linked_to_csv, res.d21, dataset_columns(res.d21), "D21.csv"),
              (neighbors_to_csv, res.neighbors_12, neighbors_columns(res.neighbors_12), "neighbors.csv")]
     blocks = [csv_blocks(columns) for _, _, (_, columns), _ in files]
     # a large link formats every block of its three files on one pool; the

@@ -55,11 +55,19 @@ def _check_schema(schema: list[FeatureSchema]) -> None:
     names = [s.name for s in schema]
     if len(set(names)) != len(names):
         raise DataError("feature names must be unique within a schema")
+    seen: set[str] = set()
+    for name in (n for s in schema for n in s.encoded_names):
+        if name in seen:
+            raise DataError(f"two features encode to the column name {name!r}")
+        seen.add(name)
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """N samples by K encoded numeric features plus binary outcome labels."""
+    """N samples by K encoded numeric features plus binary outcome labels.
+
+    Every table the package builds is one: D1 and D2, the linked D12 and D21
+    (`linkage.concat_linked`) and the 2-D projections (`figures`)."""
 
     schema: tuple[FeatureSchema, ...]
     X: np.ndarray
@@ -386,8 +394,14 @@ def write_csv(
         fh.writelines(texts if texts is not None else (block() for block in csv_blocks(columns)))
 
 
+def dataset_columns(d: Dataset, label_column: str = LABEL_COLUMN) -> tuple[list[str], list[np.ndarray]]:
+    """The CSV header and columns of `d`: its feature names and columns, the
+    label last."""
+    return d.feature_names + [label_column], [*d.X.T, d.y]
+
+
 def dataset_to_csv(d: Dataset, path: str | Path, label_column: str = LABEL_COLUMN) -> None:
-    write_csv(path, d.feature_names + [label_column], [*d.X.T, d.y])
+    write_csv(path, *dataset_columns(d, label_column))
 
 
 def schema_to_json(schema: tuple[FeatureSchema, ...] | list[FeatureSchema]) -> list[dict]:

@@ -45,7 +45,6 @@ from .linkage import (
     DEFAULT_K,
     DEFAULT_R,
     FittedReducer,
-    LinkedDataset,
     NeighborMap,
     _caught,
     _unwrap,
@@ -87,7 +86,6 @@ class LogisticHyper:
 class LogisticModel:
     weights: np.ndarray
     bias: float
-    hyper: LogisticHyper
 
 
 def _logistic_grad(w: np.ndarray, b, X: np.ndarray, y: np.ndarray, l2: float):
@@ -131,7 +129,7 @@ def fit_logistics(
         gw, gb = _logistic_grad(w, b, X, y, hyper.l2_lambda)
         w = w - hyper.learning_rate * gw
         b = b - hyper.learning_rate * gb
-    return [LogisticModel(weights=w_s, bias=float(b_s), hyper=hyper) for w_s, b_s in zip(w, b)]
+    return [LogisticModel(weights=w_s, bias=float(b_s)) for w_s, b_s in zip(w, b)]
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, hyper: LogisticHyper | None = None) -> LogisticModel:
@@ -322,7 +320,7 @@ class EvaluationReport:
     # error its fit or link raised. Unless the seed's smallest training fold
     # capped R below the all-rows fold's, this is
     # `link_detailed(..., seed=seeds[0]).d12`. Not in the JSON
-    after: dict[str, LinkedDataset | Exception] = field(default_factory=dict, repr=False)
+    after: dict[str, Dataset | Exception] = field(default_factory=dict, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -450,7 +448,7 @@ def evaluate_conditions(
         outcomes = run_fold_conditions([_caught(cell_args, *cell) for cell in chunk], k=k)
         return [out if isinstance(out, Exception) else out.auroc for out in outcomes]
 
-    def link_after(cond: str) -> LinkedDataset:
+    def link_after(cond: str) -> Dataset:
         seed = seeds[0]
         ((_, agg),) = link_into(cond, _unwrap(fits[seed, cond, ALL_ROWS]), _unwrap(fits[seed, cond, None]),
                                 d2s.X, k, random_rng(seed, 0), d1s.X)

@@ -1,43 +1,36 @@
-"""2-D principal-component projections exported as CSV and SVG scatter plots."""
+"""2-D principal-component projections exported as CSV and SVG scatter plots.
+
+A projection is a `Dataset` with the features `pc1` and `pc2`, so it is
+written as any table is (`dataset_columns`).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .data import DataError, write_csv
+from .data import Dataset, DataError, FeatureSchema, dataset_columns, write_csv
 from .reducers import fit_pca, project_pca
 
 NEGATIVE_COLOR = "#4477aa"
 POSITIVE_COLOR = "#ee6677"
+PC_AXES = (FeatureSchema("pc1", "numeric"), FeatureSchema("pc2", "numeric"))
 
 
-@dataclass(frozen=True)
-class Projection2D:
-    points: np.ndarray  # (n, 2)
-    labels: np.ndarray
-
-
-def export_projection_2d(d) -> Projection2D:
-    """Project any object with .X and .y onto its top two principal axes."""
-    X = np.asarray(d.X, dtype=np.float64)
-    if X.shape[1] < 2:
+def export_projection_2d(d: Dataset) -> Dataset:
+    """`d`'s rows on its top two principal axes, with `d`'s labels and id."""
+    if d.k < 2:
         raise DataError("2-D projection needs at least 2 features")
-    reducer = fit_pca(X, 2)
-    z = project_pca(reducer, X)
-    return Projection2D(points=z, labels=np.asarray(d.y))
+    return Dataset(PC_AXES, project_pca(fit_pca(d.X, 2), d.X), d.y, d.id)
 
 
-def projection_to_csv(p: Projection2D, path: str | Path) -> None:
-    write_csv(path, ["pc1", "pc2", "label"], [*p.points.T, p.labels.astype(np.int64)])
+def projection_to_csv(p: Dataset, path: str | Path) -> None:
+    write_csv(path, *dataset_columns(p))
 
 
-def scatter_svg(p: Projection2D, title: str = "") -> str:
+def scatter_svg(p: Dataset, title: str = "") -> str:
     """Self-contained SVG scatter, one marker color per class."""
     width, height, margin = 640.0, 480.0, 48.0
-    xs, ys = p.points[:, 0], p.points[:, 1]
+    xs, ys = p.X[:, 0], p.X[:, 1]
     xmin, ymin = xs.min(), ys.min()
     xspan = max(xs.max() - xmin, 1e-12)
     yspan = max(ys.max() - ymin, 1e-12)
@@ -59,7 +52,7 @@ def scatter_svg(p: Projection2D, title: str = "") -> str:
         )
     # negatives first so the rare positives stay visible on top
     for target, color in ((0, NEGATIVE_COLOR), (1, POSITIVE_COLOR)):
-        mine = p.labels == target
+        mine = p.y == target
         parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{color}" fill-opacity="0.7"/>'
                   for x, y in zip(cx[mine].tolist(), cy[mine].tolist())]
     parts.append(
@@ -74,5 +67,5 @@ def scatter_svg(p: Projection2D, title: str = "") -> str:
     return "\n".join(parts) + "\n"
 
 
-def write_projection_svg(p: Projection2D, path: str | Path, title: str = "") -> None:
+def write_projection_svg(p: Dataset, path: str | Path, title: str = "") -> None:
     Path(path).write_text(scatter_svg(p, title), encoding="utf-8")

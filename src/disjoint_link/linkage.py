@@ -9,12 +9,14 @@ sides into row transforms into one shared R-dimensional space,
 `normalize_latent` z-scores each side's latent axes, and `link_rows` gives
 every query row the feature-wise median of its k nearest reference rows (the
 random baseline draws its neighbors instead). The search streams over row
-blocks, so the full distance matrix is never built. `pooled` runs a
-command's slow tasks, on a fork pool or in this process, and returns each
-one's result or error in order: the autoencoder fits, evaluate's chunks of
-same-shape fold-by-condition cells and, for a large link (`link_is_large`),
-the two search directions and the formatting of the CSV blocks that
-`linked_to_csv` and `neighbors_to_csv` write.
+blocks, so the full distance matrix is never built. A linked table is a
+`Dataset` (`concat_linked`) whose feature names are its CSV header:
+`own.<feature>` for the base rows, `agg.<other id>.<feature>` for the
+medians. `pooled` runs a command's slow tasks, on a fork pool or in this
+process, and returns each one's result or error in order: the autoencoder
+fits, evaluate's chunks of same-shape fold-by-condition cells and, for a
+large link (`link_is_large`), the two search directions and the formatting
+of the CSV blocks that `linked_to_csv` and `neighbors_to_csv` write.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .autoencoder import AutoencoderHyper, AutoencoderReducer, encode, fit_autoe
 from .data import (
     Dataset,
     DataError,
-    LABEL_COLUMN,
+    FeatureSchema,
+    dataset_columns,
     standardize,
     write_csv,
 )
@@ -61,26 +64,6 @@ class NeighborMap:
     k: int
     neighbors: np.ndarray  # (N, k) column indices, ascending distance
     distances: np.ndarray  # (N, k) matching distances, for audits
-
-
-@dataclass(frozen=True)
-class ColumnProvenance:
-    tag: str  # "own" | "aggregated"
-    source_id: str
-    feature: str
-
-
-@dataclass(frozen=True)
-class LinkedDataset:
-    X: np.ndarray
-    y: np.ndarray
-    provenance: tuple[ColumnProvenance, ...]
-    base_id: str
-    other_id: str
-
-    def __post_init__(self):
-        if self.X.shape[1] != len(self.provenance):
-            raise DataError("provenance must tag every column")
 
 
 def _check_dims(r_a: int, r_b: int) -> None:
@@ -135,15 +118,14 @@ def random_rng(seed: int, fold: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, fold, _RANDOM_TAG]))
 
 
-def concat_linked(base: Dataset, agg: np.ndarray, other: Dataset) -> LinkedDataset:
-    """`base`'s standardized rows with `agg` appended; `other` names the
-    aggregated columns."""
-    X = np.hstack([base.X, agg])
-    prov = tuple(
-        [ColumnProvenance("own", base.id, name) for name in base.feature_names]
-        + [ColumnProvenance("aggregated", other.id, name) for name in other.feature_names]
-    )
-    return LinkedDataset(X=X, y=base.y.copy(), provenance=prov, base_id=base.id, other_id=other.id)
+def concat_linked(base: Dataset, agg: np.ndarray, other: Dataset) -> Dataset:
+    """`base`'s standardized rows with `agg` appended, under `base`'s id and
+    labels. Each feature name carries its provenance: `own.<feature>` for
+    `base`'s columns, `agg.<other.id>.<feature>` for the aggregated ones."""
+    names = [f"own.{name}" for name in base.feature_names] + [
+        f"agg.{other.id}.{name}" for name in other.feature_names]
+    schema = tuple(FeatureSchema(name, "numeric") for name in names)
+    return Dataset(schema, np.hstack([base.X, agg]), base.y, base.id)
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +322,8 @@ def _reducer_payload(fit1: FittedReducer, fit2: FittedReducer, pair: FeatureImpo
 
 @dataclass(frozen=True)
 class LinkResult:
-    d12: LinkedDataset
-    d21: LinkedDataset
-    reducer_kind: str
+    d12: Dataset
+    d21: Dataset
     r: int | None  # None for the random baseline
     neighbors_12: NeighborMap
     neighbors_21: NeighborMap
@@ -403,7 +384,6 @@ def link_detailed(
     return LinkResult(
         d12=concat_linked(d1s, agg12, d2s),
         d21=concat_linked(d2s, agg21, d1s),
-        reducer_kind=reducer_kind,
         r=r_eff,
         neighbors_12=nb12,
         neighbors_21=nb21,
@@ -411,33 +391,9 @@ def link_detailed(
     )
 
 
-def link(
-    d1: Dataset,
-    d2: Dataset,
-    reducer_kind: str,
-    *,
-    k: int = DEFAULT_K,
-    r: int = DEFAULT_R,
-    ae_hyper: AutoencoderHyper | None = None,
-    seed: int = 0,
-) -> tuple[LinkedDataset, LinkedDataset]:
-    res = link_detailed(d1, d2, reducer_kind, k=k, r=r, ae_hyper=ae_hyper, seed=seed)
-    return res.d12, res.d21
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-
-def linked_columns(d: LinkedDataset) -> tuple[list[str], list[np.ndarray]]:
-    """The CSV header and columns of a linked dataset: each feature tagged
-    `own.<feature>` or `agg.<source_id>.<feature>`, the label last."""
-    header = [
-        f"own.{p.feature}" if p.tag == "own" else f"agg.{p.source_id}.{p.feature}"
-        for p in d.provenance
-    ] + [LABEL_COLUMN]
-    return header, [*d.X.T, d.y]
 
 
 def neighbors_columns(nb: NeighborMap) -> tuple[list[str], list[np.ndarray]]:
@@ -448,9 +404,9 @@ def neighbors_columns(nb: NeighborMap) -> tuple[list[str], list[np.ndarray]]:
         nb.neighbors.ravel(), nb.distances.ravel()]
 
 
-def linked_to_csv(d: LinkedDataset, path: str | Path, texts: list[str] | None = None) -> None:
-    """`d` as CSV (`linked_columns`); `texts` as in `write_csv`."""
-    write_csv(path, *linked_columns(d), texts)
+def linked_to_csv(d: Dataset, path: str | Path, texts: list[str] | None = None) -> None:
+    """`d` as CSV (`dataset_columns`); `texts` as in `write_csv`."""
+    write_csv(path, *dataset_columns(d), texts)
 
 
 def neighbors_to_csv(nb: NeighborMap, path: str | Path, texts: list[str] | None = None) -> None:

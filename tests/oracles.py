@@ -463,7 +463,7 @@ def neighbors_rows_reference(nb):
 
 def scatter_svg_reference(p, title=""):
     width, height, margin = 640.0, 480.0, 48.0
-    xs, ys = p.points[:, 0], p.points[:, 1]
+    xs, ys = p.X[:, 0], p.X[:, 1]
     xmin, ymin = xs.min(), ys.min()
     xspan = max(xs.max() - xmin, 1e-12)
     yspan = max(ys.max() - ymin, 1e-12)
@@ -488,7 +488,7 @@ def scatter_svg_reference(p, title=""):
             f'font-family="sans-serif" font-size="14">{text}</text>'
         )
     for target, color in ((0, NEGATIVE_COLOR), (1, POSITIVE_COLOR)):
-        for (x, y), lab in zip(p.points, p.labels):
+        for (x, y), lab in zip(p.X, p.y):
             if lab != target:
                 continue
             parts.append(

@@ -31,7 +31,7 @@ from disjoint_link.evaluation import (
     run_fold_condition,
     standardized_folds,
 )
-from disjoint_link.linkage import fit_jobs, fit_reducer, link, median_aggregate
+from disjoint_link.linkage import fit_jobs, fit_reducer, link_detailed, median_aggregate
 from disjoint_link.reducers import fit_pca, project_pca
 from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair
 
@@ -227,8 +227,8 @@ def test_criterion_7_pipeline_invariant_suite(tmp_path):
 
     d1 = numeric_dataset(rng.normal(size=(7, 3)), [0, 1] * 3 + [0], "d1")
     d2 = numeric_dataset(rng.normal(size=(11, 5)), [0, 1] * 5 + [1], "d2")
-    d12, d21 = link(d1, d2, "pca", k=3, r=8)
-    assert d12.X.shape == (7, 8) and d21.X.shape == (11, 8)
+    res = link_detailed(d1, d2, "pca", k=3, r=8)
+    assert res.d12.X.shape == (7, 8) and res.d21.X.shape == (11, 8)
 
     # bit-identical reruns from manifests
     config = {

@@ -579,6 +579,23 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "inputs.files.d1.path" in err
 
+    @pytest.mark.parametrize("field", ["fold", "inputs.source", "inputs.synthetic.n3", "inputs.files.d3",
+                                       "inputs.files.d1.label", "autoencoder.epoch"])
+    def test_unknown_field_named(self, tmp_path, capsys, field):
+        # a misspelled field would otherwise take its default silently
+        doc = synth_config(tmp_path / "out", reducers=["pca"], autoencoder={"epochs": 5})
+        if ".files" in field:
+            doc["inputs"] = {"files": {side: {"path": "x.csv", "label_column": "label"} for side in ("d1", "d2")}}
+        *parents, key = field.split(".")
+        node = doc
+        for name in parents:
+            node = node[name]
+        node[key] = 3
+        cfg = write_config(tmp_path, doc)
+        assert main(["evaluate", "--config", str(cfg)]) == 2
+        assert f"[config] {field}: unknown field" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_reducer_name(self, tmp_path, capsys):
         doc = synth_config(tmp_path / "out", reducer="umap")
         cfg = write_config(tmp_path, doc)

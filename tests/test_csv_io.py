@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 
 from disjoint_link import data
 from disjoint_link.data import DataError, Dataset, FeatureSchema, dataset_to_csv, load_csv
-from disjoint_link.figures import Projection2D, projection_to_csv
+from disjoint_link.figures import PC_AXES, projection_to_csv
 from disjoint_link.linkage import (
-    ColumnProvenance,
-    LinkedDataset,
     NeighborMap,
     linked_to_csv,
     neighbors_to_csv,
@@ -89,14 +87,14 @@ class TestWriterBytes:
             rows = lambda: labelled_rows_reference(X, y)  # noqa: E731
             same_bytes(tmp, lambda p: data.write_csv(p, header + ["label"], [*X.T, y]),
                        lambda p: write_rows_reference(p, header + ["label"], rows()))
-            p2 = Projection2D(points=np.column_stack([X[:, 0], X[:, -1]]), labels=y)
+            if len(X) < 2:  # a Dataset holds at least 2 rows
+                X, y = np.vstack([X, X]), np.concatenate([y, y])
+            p2 = Dataset(PC_AXES, np.column_stack([X[:, 0], X[:, -1]]), y, "p")
             same_bytes(tmp, lambda p: projection_to_csv(p2, p),
                        lambda p: write_rows_reference(p, ["pc1", "pc2", "label"],
-                                                      labelled_rows_reference(p2.points, y)))
-            prov = tuple(ColumnProvenance("own" if j % 2 else "aggregated", "src,1", name)
-                         for j, name in enumerate(header))
-            linked = LinkedDataset(X=X, y=y, provenance=prov, base_id="b", other_id="src,1")
+                                                      labelled_rows_reference(p2.X, y)))
             linked_header = [f"own.{n}" if j % 2 else f"agg.src,1.{n}" for j, n in enumerate(header)]
+            linked = Dataset(tuple(FeatureSchema(n, "numeric") for n in linked_header), X, y, "b")
             same_bytes(tmp, lambda p: linked_to_csv(linked, p),
                        lambda p: write_rows_reference(p, linked_header + ["label"], rows()))
 
@@ -197,6 +195,7 @@ LOADER_CASES = {
     "quoted numbers": ('x,label\n"1",0\n2,"1"\n', None),
     "quoted header names": ('"x,1","say ""hi""",label\n1,2,0\n3,4,1\n', None),
     "header name with a line break": ('"x\r\ny",label\r\n1,0\r\n2,1\r\n', None),
+    "two columns encode to one name": ("site,site=A,label\nA,1,0\nB,2,1\n", None),
 }
 
 
@@ -290,6 +289,14 @@ class TestLoaderParity:
         with pytest.raises(DataError, match=r"^column 'x' has no values to impute from$"):
             load_csv(path, "label", [FeatureSchema("x", "numeric")])
 
+
+    def test_columns_that_encode_to_one_name_are_named(self, tmp_path):
+        # a categorical `site` beside a numeric `site=A` would write a linked
+        # header that names `own.site=A` twice
+        path = tmp_path / "in.csv"
+        path.write_text(LOADER_CASES["two columns encode to one name"][0], encoding="utf-8")
+        with pytest.raises(DataError, match=r"^two features encode to the column name 'site=A'$"):
+            load_csv(path, "label")
 
     def test_an_id_column_is_named_with_its_count(self, tmp_path):
         path = tmp_path / "in.csv"

@@ -131,20 +131,20 @@ class TestLogistic:
     def test_predict_hand_case(self):
         from disjoint_link.evaluation import LogisticModel
 
-        model = LogisticModel(weights=np.array([2.0]), bias=-1.0, hyper=LogisticHyper())
+        model = LogisticModel(weights=np.array([2.0]), bias=-1.0)
         p = predict_proba(model, np.array([[1.0]]))
         assert p[0] == pytest.approx(0.7310585786300049, abs=1e-12)
 
     def test_zero_model_gives_half(self):
         from disjoint_link.evaluation import LogisticModel
 
-        model = LogisticModel(weights=np.zeros(2), bias=0.0, hyper=LogisticHyper())
+        model = LogisticModel(weights=np.zeros(2), bias=0.0)
         np.testing.assert_array_equal(predict_proba(model, np.zeros((4, 2))), np.full(4, 0.5))
 
     def test_probabilities_in_open_interval(self):
         from disjoint_link.evaluation import LogisticModel
 
-        model = LogisticModel(weights=np.array([1000.0]), bias=0.0, hyper=LogisticHyper())
+        model = LogisticModel(weights=np.array([1000.0]), bias=0.0)
         p = predict_proba(model, np.array([[-5.0], [5.0]]))
         assert 0.0 < p[0] and p[1] < 1.0
 
@@ -455,7 +455,7 @@ class TestLinkAllRows:
         for cond in conditions:
             got = report.after[cond]
             assert got.X.tobytes() == want[cond].X.tobytes(), cond
-            assert got.provenance == want[cond].provenance
+            assert got.feature_names == want[cond].feature_names
 
 
 class TestTestRows:

@@ -3,9 +3,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from disjoint_link.data import DataError
+from disjoint_link.data import Dataset, DataError
 from disjoint_link.figures import (
-    Projection2D,
+    PC_AXES,
     export_projection_2d,
     projection_to_csv,
     scatter_svg,
@@ -22,20 +22,20 @@ class TestProjection:
         d = make_dataset(X, [0, 1] * 6)
         proj = export_projection_2d(d)
         want = pairwise_dist_brute(X - X.mean(axis=0), X - X.mean(axis=0))
-        got = pairwise_dist_brute(proj.points, proj.points)
+        got = pairwise_dist_brute(proj.X, proj.X)
         np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_row_count_preserved(self, make_dataset):
         rng = np.random.default_rng(1)
         d = make_dataset(rng.normal(size=(17, 5)), [0, 1] * 8 + [0])
-        assert export_projection_2d(d).points.shape == (17, 2)
+        assert export_projection_2d(d).X.shape == (17, 2)
 
     def test_collinear_data_flat_second_axis(self, make_dataset):
         t = np.linspace(-2, 2, 10)
         X = np.stack([t, 3 * t, -t], axis=1)
         d = make_dataset(X, [0, 1] * 5)
         proj = export_projection_2d(d)
-        np.testing.assert_allclose(proj.points[:, 1], 0.0, atol=1e-8)
+        np.testing.assert_allclose(proj.X[:, 1], 0.0, atol=1e-8)
 
     def test_single_feature_rejected(self, make_dataset):
         d = make_dataset([[1.0], [2.0]], [0, 1])
@@ -43,13 +43,13 @@ class TestProjection:
             export_projection_2d(d)
 
     def test_works_on_linked_dataset(self, make_dataset):
-        from disjoint_link.linkage import link
+        from disjoint_link.linkage import link_detailed
 
         rng = np.random.default_rng(2)
         d1 = make_dataset(rng.normal(size=(8, 2)), [0, 1] * 4, "d1")
         d2 = make_dataset(rng.normal(size=(9, 3)), [0, 1, 0] * 3, "d2")
-        d12, _ = link(d1, d2, "pca", k=2, r=2)
-        assert export_projection_2d(d12).points.shape == (8, 2)
+        d12 = link_detailed(d1, d2, "pca", k=2, r=2).d12
+        assert export_projection_2d(d12).X.shape == (8, 2)
 
 
 class TestExports:
@@ -128,5 +128,5 @@ def test_svg_equals_the_per_point_reference(case):
     # equal or nearly equal coordinates take the 1e-12 span floor; each
     # class may be empty
     points, labels = _points(case)
-    proj = Projection2D(points=points, labels=labels)
+    proj = Dataset(PC_AXES, points, labels, "p")
     assert scatter_svg(proj, title="t") == scatter_svg_reference(proj, title="t")

@@ -13,7 +13,6 @@ from disjoint_link.autoencoder import AutoencoderHyper, fit_autoencoder
 from disjoint_link.data import DataError, standardize
 from disjoint_link.linkage import (
     fit_reducer,
-    link,
     link_detailed,
     link_into,
     link_rows,
@@ -184,7 +183,7 @@ class TestLink:
         y = [0, 1, 0, 1, 0, 1]
         d = make_dataset(X, y, "base")
         copy = make_dataset(X.copy(), y, "copy")
-        d12, _ = link(d, copy, "pca", k=1, r=2)
+        d12 = link_detailed(d, copy, "pca", k=1, r=2).d12
         own = d12.X[:, :2]
         agg = d12.X[:, 2:]
         np.testing.assert_allclose(agg, own, atol=1e-12)
@@ -193,11 +192,11 @@ class TestLink:
         rng = np.random.default_rng(9)
         d1 = make_dataset(rng.normal(size=(7, 3)), [0, 1] * 3 + [0], "d1")
         d2 = make_dataset(rng.normal(size=(11, 5)), [0, 1] * 5 + [1], "d2")
-        d12, d21 = link(d1, d2, "pca", k=3, r=8)
-        assert d12.X.shape == (7, 8)
-        assert d21.X.shape == (11, 8)
-        assert sum(p.tag == "own" for p in d12.provenance) == 3
-        assert sum(p.tag == "aggregated" for p in d12.provenance) == 5
+        res = link_detailed(d1, d2, "pca", k=3, r=8)
+        assert res.d12.X.shape == (7, 8)
+        assert res.d21.X.shape == (11, 8)
+        assert sum(name.startswith("own.") for name in res.d12.feature_names) == 3
+        assert sum(name.startswith("agg.") for name in res.d12.feature_names) == 5
 
     def test_golden_hand_trace(self, make_dataset):
         # d1 raw [[0],[2]] -> standardized [[-1],[1]]; d2 raw [[10],[14]] -> [[-1],[1]]
@@ -228,7 +227,7 @@ class TestLink:
         rng = np.random.default_rng(10)
         d1 = make_dataset(rng.normal(size=(8, 3)) * 4 + 2, [0, 1] * 4, "d1")
         d2 = make_dataset(rng.normal(size=(12, 4)), [0, 1] * 6, "d2")
-        d12, _ = link(d1, d2, "pca", k=2, r=2)
+        d12 = link_detailed(d1, d2, "pca", k=2, r=2).d12
         want, _ = standardize(d1)
         assert np.array_equal(d12.X[:, :3], want.X)
 
@@ -239,10 +238,10 @@ class TestLink:
         from disjoint_link.autoencoder import AutoencoderHyper
 
         hyper = AutoencoderHyper(epochs=5, seed=3)
-        a12, a21 = link(d1, d2, "autoencoder", k=3, r=2, ae_hyper=hyper, seed=9)
-        b12, b21 = link(d1, d2, "autoencoder", k=3, r=2, ae_hyper=hyper, seed=9)
-        assert np.array_equal(a12.X, b12.X)
-        assert np.array_equal(a21.X, b21.X)
+        a = link_detailed(d1, d2, "autoencoder", k=3, r=2, ae_hyper=hyper, seed=9)
+        b = link_detailed(d1, d2, "autoencoder", k=3, r=2, ae_hyper=hyper, seed=9)
+        assert np.array_equal(a.d12.X, b.d12.X)
+        assert np.array_equal(a.d21.X, b.d21.X)
 
     def test_feature_importance_link(self, make_dataset):
         rng = np.random.default_rng(12)
@@ -260,7 +259,7 @@ class TestLink:
     def test_unknown_reducer(self, make_dataset):
         d1 = make_dataset([[0.0], [1.0]], [0, 1], "d1")
         with pytest.raises(DataError, match="unknown reducer"):
-            link(d1, d1, "umap")
+            link_detailed(d1, d1, "umap")
 
 
 class TestLinkInto:
@@ -390,23 +389,23 @@ class TestRandomLink:
         rng = np.random.default_rng(13)
         d1 = make_dataset(rng.normal(size=(8, 2)), [0, 1] * 4, "d1")
         d2 = make_dataset(rng.normal(size=(9, 3)), [0, 1, 0] * 3, "d2")
-        a12, a21 = link(d1, d2, "random", k=2, seed=5)
-        b12, b21 = link(d1, d2, "random", k=2, seed=5)
-        assert np.array_equal(a12.X, b12.X) and np.array_equal(a21.X, b21.X)
+        a = link_detailed(d1, d2, "random", k=2, seed=5)
+        b = link_detailed(d1, d2, "random", k=2, seed=5)
+        assert np.array_equal(a.d12.X, b.d12.X) and np.array_equal(a.d21.X, b.d21.X)
 
     def test_k_equals_m_matches_true_linkage(self, make_dataset):
         rng = np.random.default_rng(14)
         d1 = make_dataset(rng.normal(size=(6, 2)), [0, 1] * 3, "d1")
         d2 = make_dataset(rng.normal(size=(6, 3)), [0, 1] * 3, "d2")
-        r12, r21 = link(d1, d2, "random", k=6, seed=0)
-        t12, t21 = link(d1, d2, "pca", k=6, r=2)
-        np.testing.assert_allclose(r12.X, t12.X, atol=1e-12)
-        np.testing.assert_allclose(r21.X, t21.X, atol=1e-12)
+        rand = link_detailed(d1, d2, "random", k=6, seed=0)
+        true = link_detailed(d1, d2, "pca", k=6, r=2)
+        np.testing.assert_allclose(rand.d12.X, true.d12.X, atol=1e-12)
+        np.testing.assert_allclose(rand.d21.X, true.d21.X, atol=1e-12)
 
     def test_k_too_large(self, make_dataset):
         d1 = make_dataset([[0.0], [1.0]], [0, 1], "d1")
         with pytest.raises(DataError):
-            link(d1, d1, "random", k=3, seed=0)
+            link_detailed(d1, d1, "random", k=3, seed=0)
 
     def test_uniform_selection_frequency(self, make_dataset):
         # 10 rows x 1000 seeds with k=1: each column expected at rate 0.1,
@@ -443,7 +442,7 @@ class TestSerialization:
         rng = np.random.default_rng(17)
         d1 = make_dataset(rng.normal(size=(5, 2)), [0, 1, 0, 1, 0], "one")
         d2 = make_dataset(rng.normal(size=(6, 3)), [0, 1] * 3, "two")
-        d12, _ = link(d1, d2, "pca", k=2, r=2)
+        d12 = link_detailed(d1, d2, "pca", k=2, r=2).d12
         path = tmp_path / "d12.csv"
         linked_to_csv(d12, path)
         header = path.read_text().splitlines()[0].split(",")

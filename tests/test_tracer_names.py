@@ -3,11 +3,17 @@
 traced runs without failing anything in the package."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import disjoint_link
+from disjoint_link.cli import main
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_tracer():
@@ -30,3 +36,32 @@ def test_every_traced_name_exists():
 
 def test_environment_probe_names_exist():
     assert isinstance(disjoint_link.DEFAULT_BACKEND, str)
+
+
+def test_traced_commands_run_and_count(tmp_path):
+    # the tracer reads some arguments by position (a CSV writer's `path` is
+    # argument 1), so a changed signature fails only a traced run
+    synth = {"inputs": {"synthetic": {"latent_dim": 2, "n1": 40, "n2": 60, "k1": 3, "k2": 4,
+                                      "noise_sigma": 0.5, "positive_rate": 0.3, "seed": 3}}}
+    (tmp_path / "synth.json").write_text(json.dumps(synth), encoding="utf-8")
+    assert main(["synth", "--config", str(tmp_path / "synth.json"), "--out", str(tmp_path / "in")]) == 0
+    config = {"inputs": {"files": {side: {"path": str(tmp_path / "in" / f"{side.upper()}.csv"),
+                                          "label_column": "label"} for side in ("d1", "d2")}},
+              "reducer": "pca", "reducers": ["pca"], "R": 2, "k": 2, "folds": 2}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                                     os.environ.get("PYTHONPATH")]))}
+    totals = {}
+    for command in ("link", "evaluate"):
+        trace = tmp_path / f"trace-{command}.json"
+        run = subprocess.run(
+            [sys.executable, str(TRACER), str(trace), command, "--config", str(tmp_path / "config.json"),
+             "--out", str(tmp_path / command)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        totals[command] = json.loads(trace.read_text(encoding="utf-8"))
+    assert totals["link"]["data.load_csv"]["bytes"] > 0
+    assert totals["link"]["linkage.csv_write"]["bytes"] > 0
+    assert totals["evaluate"]["data.load_csv"]["bytes"] > 0
+    assert totals["evaluate"]["figures.export_projection_2d"]["calls"] > 0
+    assert totals["evaluate"]["figures.write"]["calls"] > 0
