@@ -5,7 +5,18 @@ R-dimensional space, every cross-dataset sample pair gets an exact Euclidean
 distance, and each sample is extended with the median of its k nearest
 neighbors' features from the other dataset. `evaluation` quantifies the
 resulting AUROC lift against unlinked and randomly linked baselines.
+
+Importing the package sets the BLAS to one thread per process, unless the
+environment already names a thread count: the fork pool runs one worker per
+core, and a threaded BLAS in each worker would compete with the others for
+the same cores. The setting takes effect only if numpy is not imported yet.
 """
+
+import os
+
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")  # before numpy, which reads them once
+del _name
 
 from ._kernels import DEFAULT_BACKEND
 from .autoencoder import AutoencoderHyper, AutoencoderReducer, encode, fit_autoencoder
@@ -28,7 +39,7 @@ from .evaluation import (
     predict_proba,
 )
 from .figures import export_projection_2d
-from .linkage import NeighborMap, link_rows, median_aggregate
+from .linkage import NeighborMap
 from .reducers import (
     FeatureImportancePair,
     PcaReducer,
@@ -66,9 +77,7 @@ __all__ = [
     "fit_autoencoder",
     "fit_logistic",
     "fit_pca",
-    "link_rows",
     "load_csv",
-    "median_aggregate",
     "normalize_latent",
     "predict_proba",
     "project_pca",

@@ -244,12 +244,14 @@ def load_csv(
     """Read a CSV into a Dataset: infer column kinds, impute, one-hot encode.
 
     Numeric gaps are filled with the column median, categorical gaps with the
-    column mode (ties broken lexicographically). A column hinted numeric must
-    hold a number or nothing in every cell. An inferred categorical column
-    may hold at most `MAX_CATEGORIES` distinct values, so an id column fails
-    here instead of one-hot encoding into one column per row; where some of
-    its cells are numbers, the error names the first that is not, such as a
-    missing-value code like `NA`. Labels must coerce to {0,1}.
+    column mode (ties broken lexicographically); a median that overflows
+    fails by name. A schema hint must name a feature column, and a column
+    hinted numeric must hold a number or nothing in every cell. An inferred
+    categorical column may hold at most `MAX_CATEGORIES` distinct values, so
+    an id column fails here instead of one-hot encoding into one column per
+    row; where some of its cells are numbers, the error names the first that
+    is not, such as a missing-value code like `NA`. Labels must coerce to
+    {0,1}.
     A leading UTF-8 byte-order mark is skipped.
 
     Without schema hints, a file of finite numbers with 0/1 labels is parsed
@@ -293,6 +295,9 @@ def _load_general_csv(path: Path, label_column: str, schema_hints: list[FeatureS
     y = labels.astype(np.int64)
 
     hints = {h.name: h for h in (schema_hints or [])}
+    for name in hints:
+        if name == label_column or name not in header:
+            raise DataError(f"schema hint {name!r} names no feature column of {path}")
     schema: list[FeatureSchema] = []
     blocks: list[np.ndarray] = []
     for name in header:
@@ -313,7 +318,10 @@ def _load_general_csv(path: Path, label_column: str, schema_hints: list[FeatureS
             for i, (cell, v) in enumerate(zip(cells, vals)):  # a hinted column's text is no gap
                 if v is None and cell != "":
                     raise DataError(f"non-numeric value {cell!r} in column {name!r} at row {i + 2} of {path}")
-            med = float(np.median(known))
+            with np.errstate(over="ignore"):  # the midpoint of two huge values
+                med = float(np.median(known))
+            if not np.isfinite(med) and np.all(np.isfinite(known)):
+                raise DataError(f"column {name!r} has a median that overflows, so its gaps cannot be filled")
             col = np.array([med if v is None else v for v in vals], dtype=np.float64)
         if col is not None:
             if not np.all(np.isfinite(col)):

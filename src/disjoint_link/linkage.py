@@ -6,10 +6,11 @@ are all of D1. `fit_jobs` lists a run's reducer fits with their seeds and R,
 `fit_reducer` fits one dataset's side of a reducer on its standardized rows,
 and `link_into` is the one linking step: `pair_reducers` turns the two fitted
 sides into row transforms into one shared R-dimensional space,
-`normalize_latent` z-scores each side's latent axes, and `link_rows` gives
-every query row the feature-wise median of its k nearest reference rows (the
-random baseline draws its neighbors instead). The search streams over row
-blocks, so the full distance matrix is never built. A linked table is a
+`normalize_latent` z-scores each side's latent axes, one exact search
+(`_kernels.nearest`) finds every query row's k nearest reference rows (the
+random baseline draws them instead), and each row gets their feature-wise
+median (`_kernels.median_over_rows`). The search streams over row blocks, so
+the full distance matrix is never built. A linked table is a
 `Dataset` (`concat_linked`) whose feature names are its CSV header:
 `own.<feature>` for the base rows, `agg.<other id>.<feature>` for the
 medians. `pooled` runs a command's slow tasks, on a fork pool or in this
@@ -40,7 +41,6 @@ from .data import (
     write_csv,
 )
 from .reducers import (
-    FeatureImportancePair,
     PcaReducer,
     TScoreReport,
     autoencoder_to_payload,
@@ -66,42 +66,9 @@ class NeighborMap:
     distances: np.ndarray  # (N, k) matching distances, for audits
 
 
-def _check_dims(r_a: int, r_b: int) -> None:
-    if r_a != r_b:
-        raise DataError(f"reduced dimensions differ: {r_a} vs {r_b}")
-
-
 def _check_k(k: int, n_cols: int) -> None:
     if not 1 <= k <= n_cols:
         raise DataError(f"k={k} must lie in [1, {n_cols}]")
-
-
-def median_aggregate(neighbors: NeighborMap, source_features: np.ndarray) -> np.ndarray:
-    """Feature-wise median over each row's neighbors in the source dataset.
-
-    Even k uses the midpoint of the two middle values. Source labels are
-    never part of the aggregated features.
-    """
-    source_features = np.asarray(source_features, dtype=np.float64)
-    if neighbors.neighbors.max() >= source_features.shape[0]:
-        raise DataError("neighbor index exceeds the source dataset")
-    return _kernels.median_over_rows(source_features, neighbors.neighbors)
-
-
-def link_rows(
-    z_query: np.ndarray, z_ref: np.ndarray, ref_features: np.ndarray, k: int
-) -> tuple[NeighborMap, np.ndarray]:
-    """Each query row's k nearest reference rows and the feature-wise median
-    of their `ref_features`.
-
-    The neighbors are the k smallest of each row of the exact distance
-    matrix, ties to the lower index, but the search streams over blocks of
-    query rows, so no matrix is built.
-    """
-    _check_dims(z_query.shape[1], z_ref.shape[1])
-    _check_k(k, z_ref.shape[0])
-    nb = NeighborMap(k, *_kernels.nearest(z_query, z_ref, k))
-    return nb, median_aggregate(nb, ref_features)
 
 
 def random_neighbor_map(n_rows: int, n_cols: int, k: int, rng: np.random.Generator) -> NeighborMap:
@@ -137,19 +104,6 @@ RowTransform = Callable[[np.ndarray], np.ndarray]
 FitJob = tuple[str, Dataset, int, AutoencoderHyper]  # fit_reducer's arguments
 
 
-def effective_r(requested: int, *limits: int) -> int:
-    r = min(requested, *limits)
-    if r < 1:
-        raise DataError(f"no valid reduced dimension (requested {requested}, limits {limits})")
-    return r
-
-
-def r_limits(kind: str, d: Dataset) -> tuple[int, ...]:
-    """The caps one dataset puts on R: PCA needs R <= min(n, k), an
-    autoencoder latent only R <= k. Feature importance ignores R."""
-    return (d.k,) if kind == "autoencoder" else (d.n, d.k)
-
-
 def _ae_seeded(ae_hyper: AutoencoderHyper | None, *tags: int) -> AutoencoderHyper:
     seed = int(np.random.SeedSequence(list(tags)).generate_state(1)[0])
     return replace(ae_hyper or AutoencoderHyper(), seed=seed)
@@ -172,13 +126,19 @@ def fit_jobs(
     The one seed rule: D2's autoencoder of CV seed s trains with
     SeedSequence([s, 2]) and fold f's D1 autoencoder with
     SeedSequence([s, f, 1]). The one R rule: both sides of a (seed,
-    condition) share one R, capped by the seed's smallest training fold.
+    condition) share one R, capped by the seed's smallest training fold, by
+    both sides' feature counts and, but for the autoencoder, by D2's rows.
+    Feature importance ignores R.
     """
     linked = [c for c in conditions if c not in ("unlinked", "random")]
     jobs = {}
     for seed, train in runs:
         for cond in linked:
-            r_eff = effective_r(r, min(d.n for d in train), train[0].k, *r_limits(cond, d2s))
+            d2_limits = (d2s.k,) if cond == "autoencoder" else (d2s.n, d2s.k)
+            limits = (min(d.n for d in train), train[0].k, *d2_limits)
+            r_eff = min(r, *limits)
+            if r_eff < 1:
+                raise DataError(f"no valid reduced dimension (requested {r}, limits {limits})")
             jobs[seed, cond, None] = (cond, d2s, r_eff, _ae_seeded(ae_hyper, seed, 2))
             for fold, d1_tr in enumerate(train):
                 jobs[seed, cond, fold] = (cond, d1_tr, r_eff, _ae_seeded(ae_hyper, seed, fold, 1))
@@ -264,22 +224,18 @@ def pooled(tasks: list[Callable[[], Any]], in_pool: bool = True) -> list[Any]:
         pool.shutdown(cancel_futures=True)
 
 
-def pair_reducers(
-    fit1: FittedReducer, fit2: FittedReducer
-) -> tuple[RowTransform, RowTransform, int, FeatureImportancePair | None]:
-    """Row transforms of two fitted sides into one shared space, its R, and
-    the feature-importance pairing (None for the other reducers).
+def pair_reducers(fit1: FittedReducer, fit2: FittedReducer) -> tuple[RowTransform, RowTransform]:
+    """Row transforms of two fitted sides into one shared space.
 
     Only feature importance pairs anything: each side keeps the columns whose
     t-score sign and rank match a column of the other side.
     """
     if isinstance(fit1, TScoreReport):
         pair = feature_importance_pair(fit1, fit2)
-        return (lambda X: X[:, pair.sel1]), (lambda X: X[:, pair.sel2]), pair.r, pair
+        return (lambda X: X[:, pair.sel1]), (lambda X: X[:, pair.sel2])
     if isinstance(fit1, PcaReducer):
-        r = fit1.components.shape[0]
-        return (lambda X: project_pca(fit1, X)), (lambda X: project_pca(fit2, X)), r, None
-    return (lambda X: encode(fit1, X)), (lambda X: encode(fit2, X)), fit1.latent_dim, None
+        return (lambda X: project_pca(fit1, X)), (lambda X: project_pca(fit2, X))
+    return (lambda X: encode(fit1, X)), (lambda X: encode(fit2, X))
 
 
 def link_into(
@@ -296,35 +252,39 @@ def link_into(
     and `fit2`, as its neighbors in D2 and their feature-wise medians.
 
     The first block sets D1's latent statistics and later blocks (a fold's
-    test rows) pass through them. The random baseline fits nothing (None)
-    and draws each block's neighbors from `rng` in turn.
+    test rows) pass through them. The neighbors are the k smallest of each
+    row of the exact distance matrix, ties to the lower index; an even k's
+    median is the midpoint of the two middle values. The random baseline
+    fits nothing (None) and draws each block's neighbors from `rng` in turn.
     """
     if kind == "random":
         nbs = [random_neighbor_map(x1.shape[0], x2.shape[0], k, rng) for x1 in x1s]
-        return [(nb, median_aggregate(nb, x2)) for nb in nbs]
-    to_shared1, to_shared2, *_ = pair_reducers(fit1, fit2)
-    z1s = normalize_latent(*(to_shared1(x1) for x1 in x1s))
-    (z2,) = normalize_latent(to_shared2(x2))
-    # one search prepares D2's side once; a row's neighbors depend only on it
-    # and D2, so each block's slice is that block's own answer
-    nb, agg = link_rows(np.concatenate(z1s), z2, x2, k)
-    ends = [0, *np.cumsum([len(z1) for z1 in z1s])]
-    return [(NeighborMap(k, nb.neighbors[lo:hi], nb.distances[lo:hi]), agg[lo:hi])
-            for lo, hi in zip(ends, ends[1:])]
+    else:
+        to_shared1, to_shared2 = pair_reducers(fit1, fit2)
+        z1s = normalize_latent(*(to_shared1(x1) for x1 in x1s))
+        (z2,) = normalize_latent(to_shared2(x2))
+        # one search prepares D2's side once; a row's neighbors depend only on
+        # it and D2, so each block's slice is that block's own answer
+        idx, dist = _kernels.nearest(np.concatenate(z1s), z2, k)
+        ends = np.cumsum([len(z1) for z1 in z1s])[:-1]
+        nbs = [NeighborMap(k, i, d) for i, d in zip(np.split(idx, ends), np.split(dist, ends))]
+    return [(nb, _kernels.median_over_rows(x2, nb.neighbors)) for nb in nbs]
 
 
-def _reducer_payload(fit1: FittedReducer, fit2: FittedReducer, pair: FeatureImportancePair | None) -> dict:
-    if pair is not None:
-        return pair_to_payload(pair, fit1.t, fit2.t)
-    to_payload = pca_to_payload if isinstance(fit1, PcaReducer) else autoencoder_to_payload
-    return {"d1": to_payload(fit1), "d2": to_payload(fit2)}
+def _reducer_payload(fit1: FittedReducer, fit2: FittedReducer) -> dict:
+    """reducer.json's body for two fitted sides, their shared R included."""
+    if isinstance(fit1, TScoreReport):
+        pair = feature_importance_pair(fit1, fit2)
+        return {"R": pair.r, **pair_to_payload(pair, fit1.t, fit2.t)}
+    if isinstance(fit1, PcaReducer):
+        return {"R": fit1.components.shape[0], "d1": pca_to_payload(fit1), "d2": pca_to_payload(fit2)}
+    return {"R": fit1.latent_dim, "d1": autoencoder_to_payload(fit1), "d2": autoencoder_to_payload(fit2)}
 
 
 @dataclass(frozen=True)
 class LinkResult:
     d12: Dataset
     d21: Dataset
-    r: int | None  # None for the random baseline
     neighbors_12: NeighborMap
     neighbors_21: NeighborMap
     reducer_payload: dict
@@ -376,15 +336,10 @@ def link_detailed(
             partial(link_into, reducer_kind, fit2, fit1, d1s.X, k, rng, d2s.X)]
     linked = pooled(ways, in_pool=reducer_kind != "random" and link_is_large(d1.n, d2.n, k))
     ((nb12, agg12),), ((nb21, agg21),) = [_unwrap(way) for way in linked]
-    if reducer_kind == "random":
-        r_eff, payload = None, {"k": k, "seed": seed}
-    else:
-        _, _, r_eff, pair = pair_reducers(fit1, fit2)
-        payload = {"R": r_eff, **_reducer_payload(fit1, fit2, pair)}
+    payload = {"k": k, "seed": seed} if reducer_kind == "random" else _reducer_payload(fit1, fit2)
     return LinkResult(
         d12=concat_linked(d1s, agg12, d2s),
         d21=concat_linked(d2s, agg21, d1s),
-        r=r_eff,
         neighbors_12=nb12,
         neighbors_21=nb21,
         reducer_payload={"kind": reducer_kind, **payload},

@@ -4,7 +4,7 @@ Everything here is deliberately written in the most literal way possible
 (scalar loops, textbook formulas) and stays independent of the code paths it
 verifies. The full-matrix forms (`distance_matrix`, `k_nearest`) are the
 exception: they hold the whole N x M matrix from the exact kernels, the form
-the streaming search `link_rows` must equal. `roc_curve`,
+the streaming search `_kernels.nearest` must equal. `roc_curve`,
 `invert_standardization` and `schema_from_json` are plain forms the pipeline
 does not need. `sigmoid_two_branch` and `fit_logistic_reference` are the forms
 `_kernels.sigmoid` and the logistic fit had before the sigmoid went
@@ -377,6 +377,9 @@ def load_csv_reference(
     y = np.array(labels, dtype=np.int64)
 
     hints = {h.name: h for h in (schema_hints or [])}
+    for name in hints:
+        if name == label_column or name not in header:
+            raise DataError(f"schema hint {name!r} names no feature column of {path}")
     schema: list[FeatureSchema] = []
     blocks: list[np.ndarray] = []
     for name in header:
@@ -395,7 +398,11 @@ def load_csv_reference(
             for i, cell in enumerate(cells):
                 if cell != "" and _parse_float(cell) is None:
                     raise DataError(f"non-numeric value {cell!r} in column {name!r} at row {i + 2} of {path}")
-            med = float(np.median([v for v in vals if v is not None]))
+            known = [v for v in vals if v is not None]
+            with np.errstate(over="ignore"):
+                med = float(np.median(known))
+            if math.isinf(med) and None in vals and all(math.isfinite(v) for v in known):
+                raise DataError(f"column {name!r} has a median that overflows, so its gaps cannot be filled")
             col = np.array([med if v is None else v for v in vals], dtype=np.float64)
             if not np.all(np.isfinite(col)):
                 raise DataError(f"column {name!r} contains non-finite values")

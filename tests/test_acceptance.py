@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from disjoint_link import _kernels
 from disjoint_link.autoencoder import (
     AutoencoderHyper,
     _layer_dims,
@@ -31,7 +32,7 @@ from disjoint_link.evaluation import (
     run_fold_condition,
     standardized_folds,
 )
-from disjoint_link.linkage import fit_jobs, fit_reducer, link_detailed, median_aggregate
+from disjoint_link.linkage import fit_jobs, fit_reducer, link_detailed
 from disjoint_link.reducers import fit_pca, project_pca
 from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair
 
@@ -218,9 +219,9 @@ def test_criterion_7_pipeline_invariant_suite(tmp_path):
 
     # median aggregation oracle on hand cases
     nb3 = k_nearest(LinkageMatrix(np.array([[1.0, 2.0, 3.0]]), "a", "b"), 3)
-    assert median_aggregate(nb3, np.array([[1.0], [5.0], [100.0]]))[0, 0] == 5.0
+    assert _kernels.median_over_rows(np.array([[1.0], [5.0], [100.0]]), nb3.neighbors)[0, 0] == 5.0
     nb4 = k_nearest(LinkageMatrix(np.array([[1.0, 2.0, 3.0, 4.0]]), "a", "b"), 4)
-    assert median_aggregate(nb4, np.array([[1.0], [3.0], [5.0], [100.0]]))[0, 0] == 4.0
+    assert _kernels.median_over_rows(np.array([[1.0], [3.0], [5.0], [100.0]]), nb4.neighbors)[0, 0] == 4.0
 
     # D12/D21 dimension contracts
     from conftest import numeric_dataset

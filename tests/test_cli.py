@@ -469,6 +469,35 @@ class TestPooledFits:
                              check=True, timeout=60)
         assert run.stdout == "[]\n"
 
+    def test_blas_runs_one_thread_per_process_unless_set(self):
+        # each pool worker already has a core; a threaded BLAS in every
+        # worker would compete for them. A thread count the user set wins
+        names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        code = """if True:
+            import ctypes, json, os
+            import disjoint_link, numpy
+            threads = None  # as OpenBLAS reports it, when numpy links OpenBLAS
+            for path in sorted({line.split()[-1] for line in open("/proc/self/maps") if "openblas" in line.lower()}):
+                for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+                    get = getattr(ctypes.CDLL(path), name, None)
+                    threads = get() if get is not None else threads
+            print(json.dumps([[os.environ.get(name) for name in %r], threads]))
+        """ % (names,)
+        env = {name: value for name, value in os.environ.items() if name not in names}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+
+        def child(**extra):
+            run = subprocess.run([sys.executable, "-c", code], env={**env, **extra}, capture_output=True,
+                                 text=True, check=True, timeout=60)
+            return json.loads(run.stdout)
+
+        values, threads = child()
+        assert values == ["1", "1", "1"]
+        assert threads in (None, 1)
+        values, threads = child(OPENBLAS_NUM_THREADS="3")
+        assert values == ["1", "3", "1"]
+        assert threads is None or threads > 1 or len(os.sched_getaffinity(0)) == 1
+
 
 def no_fork():
     raise AssertionError("a process was started")

@@ -167,6 +167,9 @@ LOADER_CASES = {
     "categorical hint on numbers": ("x,label\n1,0\n2,1\n1,0\n",
                                     [FeatureSchema("x", "categorical", ("1", "2", "3"))]),
     "categorical hint, unknown value": ("x,label\n1,0\n2,1\n", [FeatureSchema("x", "categorical", ("1", "3"))]),
+    "hint on no column": ("x,label\n1,0\n2,1\n3,0\n", [FeatureSchema("xx", "categorical", ("a", "b"))]),
+    "hint on the label": ("x,label\n1,0\n2,1\n3,0\n", [FeatureSchema("label", "numeric")]),
+    "overflowing median": ("x,z,label\n1e308,1,0\n1e308,2,1\n,3,0\n", None),
     "whitespace and underscores": ("x,z,label\n 1.5 ,1_000,0\n\t2,-0.0,1\n3e-320, 7 ,0\n", None),
     "nan cell": ("x,label\n1,0\nnan,1\n", None),
     "inf cell": ("x,label\n1,0\n-Infinity,1\n", None),
@@ -289,6 +292,23 @@ class TestLoaderParity:
         with pytest.raises(DataError, match=r"^column 'x' has no values to impute from$"):
             load_csv(path, "label", [FeatureSchema("x", "numeric")])
 
+
+    def test_a_hint_must_name_a_feature_column(self, tmp_path):
+        # a misspelled hint would leave its column inferred, silently
+        path = tmp_path / "in.csv"
+        for case in ("hint on no column", "hint on the label"):
+            text, hints = LOADER_CASES[case]
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(DataError, match=rf"^schema hint '{hints[0].name}' names no feature column of "):
+                load_csv(path, "label", hints)
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_median_is_named(self, tmp_path):
+        # every cell is finite; only the midpoint of the two 1e308 cells is not
+        path = tmp_path / "in.csv"
+        path.write_text(LOADER_CASES["overflowing median"][0], encoding="utf-8")
+        with pytest.raises(DataError, match=r"^column 'x' has a median that overflows, so its gaps cannot be filled$"):
+            load_csv(path, "label")
 
     def test_columns_that_encode_to_one_name_are_named(self, tmp_path):
         # a categorical `site` beside a numeric `site=A` would write a linked

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from disjoint_link import evaluation, linkage
+from disjoint_link import _kernels, evaluation, linkage
 from disjoint_link.autoencoder import AutoencoderHyper
 from disjoint_link.data import (
     DataError,
@@ -26,7 +26,7 @@ from disjoint_link.evaluation import (
     run_fold_conditions,
     standardized_folds,
 )
-from disjoint_link.linkage import fit_jobs, fit_reducer, link_detailed, link_rows, pair_reducers
+from disjoint_link.linkage import fit_jobs, fit_reducer, link_detailed, pair_reducers
 from disjoint_link.reducers import normalize_latent
 from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair
 
@@ -469,12 +469,12 @@ class TestTestRows:
         jobs = fit_jobs([condition], d2s, [(0, [train])], r=2, ae_hyper=AutoencoderHyper(epochs=5))
         fits = {fold: fit_reducer(*job) for (_, _, fold), job in jobs.items()}
         out = run_fold_condition(condition, train, test, prepare_d2_context(d2s, fits[None]), fits[0], k=3)
-        to_shared1, to_shared2, *_ = pair_reducers(fits[0], fits[None])
+        to_shared1, to_shared2 = pair_reducers(fits[0], fits[None])
         z_te = normalize_latent(to_shared1(train.X), to_shared1(test.X))[1]
         (z2,) = normalize_latent(to_shared2(d2s.X))
-        want, _ = link_rows(z_te, z2, d2s.X, 3)
-        assert np.array_equal(out.neighbors_test.neighbors, want.neighbors)
-        assert np.array_equal(out.neighbors_test.distances, want.distances)
+        want_idx, want_dist = _kernels.nearest(z_te, z2, 3)
+        assert np.array_equal(out.neighbors_test.neighbors, want_idx)
+        assert np.array_equal(out.neighbors_test.distances, want_dist)
 
 
 class TestLeakageAudit:

@@ -15,9 +15,7 @@ from disjoint_link.linkage import (
     fit_reducer,
     link_detailed,
     link_into,
-    link_rows,
     linked_to_csv,
-    median_aggregate,
     neighbors_to_csv,
     pair_reducers,
     pooled,
@@ -112,25 +110,18 @@ class TestKNearest:
 
 
 class TestNearestNeighbors:
-    """The exact neighbor search of `link_rows`."""
+    """The exact neighbor search `link_into` runs, `_kernels.nearest`."""
 
     def test_equals_k_nearest_of_the_matrix(self):
         rng = np.random.default_rng(4)
         a, b = reduced(rng.integers(0, 3, size=(9, 2))), reduced(rng.integers(0, 3, size=(13, 2)))
         ref_features = rng.normal(size=(13, 3))
-        got, agg = link_rows(a, b, ref_features, 4)
+        idx, dist = _kernels.nearest(a, b, 4)
+        agg = _kernels.median_over_rows(ref_features, idx)
         want = k_nearest(distance_matrix(a, b), 4)
-        np.testing.assert_array_equal(got.neighbors, want.neighbors)
-        np.testing.assert_array_equal(got.distances, want.distances)
-        np.testing.assert_array_equal(agg, median_aggregate(want, ref_features))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DataError):
-            link_rows(np.array([[1.0, 2.0]]), np.array([[1.0]]), np.zeros((1, 1)), 1)
-
-    def test_k_too_large(self):
-        with pytest.raises(DataError):
-            link_rows(np.array([[1.0]]), np.array([[1.0], [2.0]]), np.zeros((2, 1)), 3)
+        np.testing.assert_array_equal(idx, want.neighbors)
+        np.testing.assert_array_equal(dist, want.distances)
+        np.testing.assert_array_equal(agg, _kernels.median_over_rows(ref_features, want.neighbors))
 
     def test_memory_stays_below_half_a_matrix(self):
         n = m = 4000
@@ -138,42 +129,40 @@ class TestNearestNeighbors:
         a, b = rng.normal(size=(n, 8)), rng.normal(size=(m, 8))
         tracemalloc.start()
         try:
-            nb, _ = link_rows(a, b, b, 5)
+            idx, _ = _kernels.nearest(a, b, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert nb.neighbors.shape == (n, 5)
+        assert idx.shape == (n, 5)
         assert peak < 8 * n * m / 2
 
 
 class TestMedianAggregate:
+    """The neighbors' feature-wise median `link_into` appends, `_kernels.median_over_rows`."""
+
     def test_k1_identity(self):
         m = LinkageMatrix(np.array([[0.5, 0.1], [0.2, 0.9]]), "a", "b")
         nb = k_nearest(m, 1)
         src = np.array([[10.0, 1.0], [20.0, 2.0]])
-        out = median_aggregate(nb, src)
+        out = _kernels.median_over_rows(src, nb.neighbors)
         np.testing.assert_array_equal(out, src[[1, 0]])
 
     def test_odd_median(self):
         nb = k_nearest(LinkageMatrix(np.array([[1.0, 2.0, 3.0]]), "a", "b"), 3)
-        out = median_aggregate(nb, np.array([[1.0], [5.0], [100.0]]))
+        out = _kernels.median_over_rows(np.array([[1.0], [5.0], [100.0]]), nb.neighbors)
         assert out[0, 0] == 5.0
 
     def test_even_midpoint(self):
         nb = k_nearest(LinkageMatrix(np.array([[1.0, 2.0, 3.0, 4.0]]), "a", "b"), 4)
-        out = median_aggregate(nb, np.array([[1.0], [3.0], [5.0], [100.0]]))
+        out = _kernels.median_over_rows(np.array([[1.0], [3.0], [5.0], [100.0]]), nb.neighbors)
         assert out[0, 0] == 4.0
 
     def test_neighbor_permutation_invariance(self):
-        from disjoint_link.linkage import NeighborMap
-
         rng = np.random.default_rng(7)
         src = rng.normal(size=(10, 3))
         idx = np.array([[0, 3, 7, 9], [2, 4, 5, 8]])
         shuffled = idx[:, [2, 0, 3, 1]]
-        nb1 = NeighborMap(4, idx, np.zeros_like(idx, dtype=float))
-        nb2 = NeighborMap(4, shuffled, np.zeros_like(idx, dtype=float))
-        np.testing.assert_array_equal(median_aggregate(nb1, src), median_aggregate(nb2, src))
+        np.testing.assert_array_equal(_kernels.median_over_rows(src, idx), _kernels.median_over_rows(src, shuffled))
 
 
 class TestLink:
@@ -212,7 +201,7 @@ class TestLink:
         np.testing.assert_allclose(res.d12.X, [[-1.0, -1.0], [1.0, 1.0]], atol=1e-12)
         np.testing.assert_allclose(res.d21.X, [[-1.0, -1.0], [1.0, 1.0]], atol=1e-12)
         assert res.d12.y.tolist() == [0, 1]
-        assert res.r == 1
+        assert res.reducer_payload["R"] == 1
 
     def test_result_holds_no_pair_matrix(self, make_dataset):
         rng = np.random.default_rng(12)
@@ -254,7 +243,7 @@ class TestLink:
         res = link_detailed(d1, d2, "feature_importance", k=3)
         assert res.d12.X.shape == (30, 10)
         assert res.reducer_payload["kind"] == "feature_importance"
-        assert res.r == res.reducer_payload["R"]
+        assert res.reducer_payload["R"] == len(res.reducer_payload["sel1"]) == len(res.reducer_payload["sel2"])
 
     def test_unknown_reducer(self, make_dataset):
         d1 = make_dataset([[0.0], [1.0]], [0, 1], "d1")
@@ -267,7 +256,7 @@ class TestLinkInto:
     @pytest.mark.parametrize("kind", ["feature_importance", "pca", "autoencoder"])
     def test_each_block_is_its_own_search(self, make_dataset, monkeypatch, kind, cells):
         # link_into searches all its blocks in one call; each block's slice
-        # must be link_rows on that block alone, bit for bit
+        # must be the search and median of that block alone, bit for bit
         rng = np.random.default_rng(13)
         X1, X2 = rng.normal(size=(70, 4)), rng.normal(size=(90, 6))
         d1s, _ = standardize(make_dataset(X1, (X1[:, 0] + 0.3 * rng.normal(size=70) > 0).astype(int), "d1"))
@@ -278,14 +267,15 @@ class TestLinkInto:
             monkeypatch.setattr(_kernels, "_BLOCK_CELLS", cells)
         blocks = (d1s.X[:50], d1s.X[50:], d1s.X[3:10])
         linked = link_into(kind, fit1, fit2, d2s.X, 4, None, *blocks)
-        to_shared1, to_shared2, *_ = pair_reducers(fit1, fit2)
+        to_shared1, to_shared2 = pair_reducers(fit1, fit2)
         z1s = normalize_latent(*(to_shared1(x1) for x1 in blocks))
         (z2,) = normalize_latent(to_shared2(d2s.X))
         assert len(linked) == len(blocks)
         for (nb, agg), z1 in zip(linked, z1s):
-            want_nb, want_agg = link_rows(z1, z2, d2s.X, 4)
-            np.testing.assert_array_equal(nb.neighbors, want_nb.neighbors)
-            np.testing.assert_array_equal(nb.distances.view(np.uint64), want_nb.distances.view(np.uint64))
+            want_idx, want_dist = _kernels.nearest(z1, z2, 4)
+            want_agg = _kernels.median_over_rows(d2s.X, want_idx)
+            np.testing.assert_array_equal(nb.neighbors, want_idx)
+            np.testing.assert_array_equal(nb.distances.view(np.uint64), want_dist.view(np.uint64))
             np.testing.assert_array_equal(agg.view(np.uint64), want_agg.view(np.uint64))
 
 

@@ -112,8 +112,8 @@ class TestFeatureImportancePair:
         y[2:4] = 0
         d = make_dataset(X, y)
         fit = fit_reducer("feature_importance", d, 1, None)
-        to_shared1, to_shared2, r, _ = pair_reducers(fit, fit)
-        assert r == 5
+        to_shared1, to_shared2 = pair_reducers(fit, fit)
+        assert feature_importance_pair(fit, fit).r == 5
         np.testing.assert_array_equal(to_shared1(d.X), to_shared2(d.X))
 
     def test_all_negative_boundary(self):
