@@ -71,21 +71,10 @@ def k_smallest(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     reproducible order: the first k of a stable argsort of each row.
     """
     dist = np.ascontiguousarray(dist, dtype=np.float64)
-    n, m = dist.shape
-    if not 1 <= k <= m:
-        raise ValueError(f"k={k} out of range for {m} columns")
-    if k == m:
-        order = np.argsort(dist, axis=1, kind="stable")
-        return order.astype(np.int64), np.take_along_axis(dist, order, axis=1)
-    # every entry at or below the row's k-th value is a candidate; a row whose
-    # k-th value is NaN keeps all its columns, which a stable sort puts last
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k]
-    rows, cols = np.nonzero((dist <= kth) | np.isnan(kth))
-    vals = dist[rows, cols]
-    order = np.lexsort((cols, vals, rows))
-    counts = np.bincount(rows, minlength=n)
-    take = order[((np.cumsum(counts) - counts)[:, None] + np.arange(k)).ravel()]
-    return cols[take].reshape(n, k).astype(np.int64, copy=False), vals[take].reshape(n, k)
+    if not 1 <= k <= dist.shape[1]:
+        raise ValueError(f"k={k} out of range for {dist.shape[1]} columns")
+    order = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    return order.astype(np.int64, copy=False), np.take_along_axis(dist, order, axis=1)
 
 
 def nearest(query: np.ndarray, ref: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,24 +3,24 @@
 The target dataset is split with stratified cross-validation; for every
 condition (unlinked, each reducer-based linkage, random linkage) the fold's
 training rows drive every fitted artifact — standardization, t-scores,
-reducers, latent normalization, neighbor search — while the other dataset is
-treated as fully available context. Test rows only ever pass through already
-fitted transforms.
+reducers, the reduced axes' z-scores, neighbor search — while the other
+dataset is treated as fully available context. Test rows only ever pass
+through already fitted transforms.
 
-A cell is one (seed, condition, fold): link the fold's rows (`link_into`),
-fit the logistic model, score the test rows. `run_fold_conditions` runs a
-list of cells: it links each on its own and fits the logistic models of
-same-shape cells in lockstep (`fit_logistics`), which gives each model the
-bits of a fit on its own. `evaluate_conditions` groups the cells by that
-shape, the training row count and the feature count, which are known before
-any linking, and deals each group into at most one chunk per usable core.
-The chunks run on the package's fork pool in two calls: the first runs the
-autoencoder fits and the chunks of the other conditions, the second, once
-the first has returned, the autoencoder's chunks. AUROCs are read back in the
-serial order. It also fits the first CV seed's D1 side of every linked
-condition on all rows and, as a pooled task ahead of that condition's chunks,
-links it through that seed's evaluated D2 fit: the D12 that `after.svg`
-projects.
+A cell is one (seed, condition, fold) key: link the fold's rows
+(`link_into`), fit the logistic model, score the test rows.
+`run_fold_conditions` runs a list of cells that share one logistic shape:
+it links each on its own and fits their models in lockstep
+(`fit_logistics`), which gives each model the bits of a fit on its own.
+`evaluate_conditions` groups the keys by that shape, the training row count
+and the feature count, which are known before any linking, and deals each
+group into at most one chunk per usable core. It runs two waves, each one
+call of the package's fork pool: the first runs the autoencoder fits, the
+all-rows links of the other conditions and their chunks; the second, which
+inherits those fits, the autoencoder's all-rows link and chunks. AUROCs are
+read back in the serial order. The all-rows links are the first CV seed's D1
+side of each linked condition, fitted on all rows and linked through that
+seed's evaluated D2 fit: the D12 that `after.svg` projects.
 """
 
 from __future__ import annotations
@@ -187,7 +187,6 @@ class D2Context:
 
 @dataclass(frozen=True)
 class FoldOutcome:
-    condition: str
     auroc: float
     scores: np.ndarray
     model: LogisticModel
@@ -236,13 +235,11 @@ def _fold_features(
     return feat_tr, feat_te, nb_tr, nb_te
 
 
-def _fold_outcome(cell: tuple, feat_te: np.ndarray, nb_tr: NeighborMap | None, nb_te: NeighborMap | None,
-                  model: LogisticModel) -> FoldOutcome:
-    condition, _, test, *_ = cell
+def _fold_outcome(y_te: np.ndarray, feat_te: np.ndarray, nb_tr: NeighborMap | None,
+                  nb_te: NeighborMap | None, model: LogisticModel) -> FoldOutcome:
     scores = predict_proba(model, feat_te)
     return FoldOutcome(
-        condition=condition,
-        auroc=auroc(scores, test.y),
+        auroc=auroc(scores, y_te),
         scores=scores,
         model=model,
         neighbors_train=nb_tr,
@@ -258,20 +255,17 @@ def run_fold_conditions(
     seed, fold); a cell given as an error, one whose inputs failed, stays
     that error.
 
-    Each cell links on its own; the cells whose training features share a
-    shape then fit their logistic models in one `fit_logistics` call, which
-    gives each model the bits of its fit alone."""
-    outcomes: list = list(cells)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, cell in enumerate(cells):
-        if not isinstance(cell, Exception):
-            outcomes[i] = _caught(_fold_features, *cell, k)
-            if not isinstance(outcomes[i], Exception):
-                groups.setdefault(outcomes[i][0].shape, []).append(i)
-    for members in groups.values():
-        models = fit_logistics([outcomes[i][0] for i in members], [cells[i][1].y for i in members])
-        for i, model in zip(members, models):
-            outcomes[i] = _caught(_fold_outcome, cells[i], *outcomes[i][1:], model)
+    The cells must share one logistic shape, training rows by features, as
+    each of `evaluate_conditions`' chunks and `run_fold_condition`'s one cell
+    do. Each cell links on its own; the cells that linked then fit their
+    models in one `fit_logistics` call, which gives each model the bits of
+    its fit alone."""
+    outcomes = [cell if isinstance(cell, Exception) else _caught(_fold_features, *cell, k) for cell in cells]
+    linked = [i for i, out in enumerate(outcomes) if not isinstance(out, Exception)]
+    if linked:
+        models = fit_logistics([outcomes[i][0] for i in linked], [cells[i][1].y for i in linked])
+        for i, model in zip(linked, models):
+            outcomes[i] = _caught(_fold_outcome, cells[i][2].y, *outcomes[i][1:], model)
     return outcomes
 
 
@@ -296,7 +290,6 @@ def run_fold_condition(
 
 @dataclass(frozen=True)
 class ConditionSummary:
-    name: str
     per_seed: tuple[tuple[float, ...], ...]  # [seed][fold]
     mean: float
     sd: float  # sample standard deviation over all fold-by-seed values
@@ -355,25 +348,24 @@ class EvaluationReport:
         return "\n".join(lines) + "\n"
 
 
-def _summary(name: str, per_seed: list[list[float]]) -> ConditionSummary:
+def _summary(per_seed: list[list[float]]) -> ConditionSummary:
     flat = np.array([v for fl in per_seed for v in fl])
     sd = float(flat.std(ddof=1)) if flat.size > 1 else 0.0
     return ConditionSummary(
-        name=name,
         per_seed=tuple(tuple(fl) for fl in per_seed),
         mean=float(flat.mean()),
         sd=sd,
     )
 
 
-def _chunks(cells: list[tuple], width: Callable[[str], int]) -> list[list[tuple]]:
-    """The (seed, condition, fold, train, test) `cells` grouped by the shape
-    of their logistic fit, training rows by `width(condition)` features, each
-    group dealt round-robin into at most one chunk per usable core. Fold
-    sizes that differ by a row make separate groups: no fit is padded."""
+def _chunks(keys: list[tuple], shape: Callable[[tuple], tuple[int, int]]) -> list[list[tuple]]:
+    """The (seed, condition, fold) `keys` grouped by `shape(key)`, the shape
+    of their logistic fit (training rows, features), each group dealt
+    round-robin into at most one chunk per usable core. Fold sizes that
+    differ by a row make separate groups: no fit is padded."""
     groups: dict[tuple[int, int], list[tuple]] = {}
-    for cell in cells:
-        groups.setdefault((cell[3].n, width(cell[1])), []).append(cell)
+    for key in keys:
+        groups.setdefault(shape(key), []).append(key)
     cores = usable_cores()
     return [group[j::cores] for group in groups.values() for j in range(min(cores, len(group)))]
 
@@ -392,24 +384,25 @@ def evaluate_conditions(
     """Per-fold AUROC of every condition under stratified cross-validation.
 
     All conditions in one seed share the identical fold split, so comparisons
-    are paired. A cell is one (seed, condition, fold): link, fit the logistic
-    model, score. The cells run in chunks of the same logistic shape
+    are paired. A cell is its (seed, condition, fold) key: link, fit the
+    logistic model, score. The keys run in chunks of one logistic shape
     (`_chunks`), each chunk one pooled `run_fold_conditions` call whose
     models are fitted in lockstep. The feature-importance and PCA sides are
-    fitted here; then one `pooled` call trains the autoencoders, D2's first
-    and the all-rows D1 sides last, links the all-rows D12 of feature
-    importance and PCA, and runs the chunks of the other conditions. A second
-    call, which inherits those fits, links the autoencoder's all-rows D12 and
-    runs its chunks. Each fit, link and chunk comes back as its result or its
-    error, and AUROCs are read in the serial loop's (seed, condition, fold)
-    order, so neither the report nor the first error raised depends on the
-    worker count.
+    fitted here; then two waves run, each one `pooled` call. The first trains
+    the autoencoders, D2's first and the all-rows D1 sides last, links the
+    all-rows D12 of the other linked conditions and runs the chunks of every
+    condition but the autoencoder. The second, which inherits those fits,
+    links the autoencoder's all-rows D12 and runs its chunks; without an
+    autoencoder it has no task and forks nothing. Each fit, link and chunk
+    comes back as its result or its error, and AUROCs are read in the serial
+    loop's (seed, condition, fold) order, so neither the report nor the
+    first error raised depends on the worker count.
 
     The first CV seed's all-rows D1 sides are the fold of all rows that
     `link` fits, at that seed's R, linked through the seed's evaluated D2
     fits into the report's `after`. A failed all-rows fit or link is stored
-    there, and raises only when it is read. A CV seed listed twice is an
-    error.
+    there, and raises only when it is read. A k outside [1, D2's rows] and a
+    CV seed listed twice are errors, raised before any fit.
     """
     if folds < 2:
         raise DataError("folds must be >= 2")
@@ -419,20 +412,23 @@ def evaluate_conditions(
     unknown = [c for c in conditions if c not in CONDITION_ORDER]
     if unknown:
         raise DataError(f"unknown conditions: {unknown}")
+    if k < 1:
+        raise DataError(f"k={k} must be at least 1")
     if k > d2.n:
         raise DataError(f"k={k} exceeds the source dataset size {d2.n}")
     d1.require_both_classes()
     d2.require_both_classes()
     ordered = [c for c in CONDITION_ORDER if c in set(conditions)]
-    runs = [(seed, standardized_folds(d1, stratified_kfold(d1, folds, seed))) for seed in seeds]
+    runs = {seed: standardized_folds(d1, stratified_kfold(d1, folds, seed)) for seed in seeds}
     d1s, _ = standardize(d1)
     d2s, _ = standardize(d2)  # once: every seed and condition shares D2's rows
-    jobs = fit_jobs(ordered, d2s, [(seed, [tr for tr, _ in split]) for seed, split in runs],
+    jobs = fit_jobs(ordered, d2s, [(seed, [tr for tr, _ in split]) for seed, split in runs.items()],
                     r=r, ae_hyper=ae_hyper)
-    d2_keys = [key for key in jobs if key[0] == seeds[0] and key[2] is None]
-    for seed, cond, _ in d2_keys:
-        jobs[seed, cond, ALL_ROWS] = fit_jobs([cond], d2s, [(seed, [d1s])], r=jobs[seed, cond, None][2],
-                                              ae_hyper=ae_hyper)[seed, cond, 0]
+    first = seeds[0]  # the CV seed whose all-rows D12s `after` holds
+    linked = [cond for seed, cond, fold in jobs if seed == first and fold is None]
+    for cond in linked:
+        jobs[first, cond, ALL_ROWS] = fit_jobs([cond], d2s, [(first, [d1s])], r=jobs[first, cond, None][2],
+                                               ae_hyper=ae_hyper)[first, cond, 0]
     # fitted here, before the pool forks, so the pooled cells inherit them;
     # each fit or its error, which a cell raises where the serial loop would
     fits = {key: _caught(fit_reducer, *job) for key, job in jobs.items() if job[0] != "autoencoder"}
@@ -440,45 +436,43 @@ def evaluate_conditions(
     ae_keys = sorted((key for key, job in jobs.items() if job[0] == "autoencoder"),
                      key=lambda key: key[2] is not None)
 
-    def cell_args(seed: int, cond: str, fold: int, train: Dataset, test: Dataset) -> tuple:
+    def cell_args(seed: int, cond: str, fold: int) -> tuple:
+        train, test = runs[seed][fold]
         ctx = prepare_d2_context(d2s, _unwrap(fits.get((seed, cond, None))))
         return cond, train, test, ctx, _unwrap(fits.get((seed, cond, fold))), seed, fold
 
     def chunk_aurocs(chunk: list[tuple]) -> list[float | Exception]:
-        outcomes = run_fold_conditions([_caught(cell_args, *cell) for cell in chunk], k=k)
+        outcomes = run_fold_conditions([_caught(cell_args, *key) for key in chunk], k=k)
         return [out if isinstance(out, Exception) else out.auroc for out in outcomes]
 
     def link_after(cond: str) -> Dataset:
-        seed = seeds[0]
-        ((_, agg),) = link_into(cond, _unwrap(fits[seed, cond, ALL_ROWS]), _unwrap(fits[seed, cond, None]),
-                                d2s.X, k, random_rng(seed, 0), d1s.X)
+        ((_, agg),) = link_into(cond, _unwrap(fits[first, cond, ALL_ROWS]), _unwrap(fits[first, cond, None]),
+                                d2s.X, k, random_rng(first, 0), d1s.X)
         return concat_linked(d1s, agg, d2s)
 
-    def width(cond: str) -> int:
-        return d1.k + (d2.k if cond != "unlinked" else 0)
+    def shape(key: tuple) -> tuple[int, int]:
+        seed, cond, fold = key
+        return runs[seed][fold][0].n, d1.k + (d2.k if cond != "unlinked" else 0)
 
-    cells = [(seed, cond, fold, tr, te)
-             for seed, split in runs for cond in ordered for fold, (tr, te) in enumerate(split)]
-    chunks = _chunks([cell for cell in cells if cell[1] != "autoencoder"], width)
-    # all-rows D12s go ahead of the chunks; the autoencoder's waits for its fit
-    early = [cond for _, cond, _ in d2_keys if cond != "autoencoder"]
-    late = [cond for _, cond, _ in d2_keys if cond == "autoencoder"]
-    results = pooled([partial(fit_reducer, *jobs[key]) for key in ae_keys]
-                     + [partial(link_after, cond) for cond in early]
-                     + [partial(chunk_aurocs, chunk) for chunk in chunks])
-    # the second pool forks after the first returns, and inherits its fits
-    fits.update(zip(ae_keys, results))
-    after = dict(zip(early, results[len(ae_keys):]))
-    chunk_results = results[len(ae_keys) + len(early):]
-    ae_chunks = _chunks([cell for cell in cells if cell[1] == "autoencoder"], width)
-    results = pooled([partial(link_after, cond) for cond in late]
-                     + [partial(chunk_aurocs, chunk) for chunk in ae_chunks])
-    after.update(zip(late, results))
-    chunk_results += results[len(late):]
-    slot = {cell[:3]: (result, pos) for chunk, result in zip(chunks + ae_chunks, chunk_results)
-            for pos, cell in enumerate(chunk)}
-    aurocs = [_unwrap(_unwrap(result)[pos]) for result, pos in (slot[cell[:3]] for cell in cells)]
-    per_seed = np.reshape(aurocs, (len(seeds), len(ordered), folds))
+    keys = [(seed, cond, fold) for seed in seeds for cond in ordered for fold in range(folds)]
+    after: dict[str, Dataset | Exception] = {}
+    aurocs: dict[tuple, float | Exception] = {}
+    # the autoencoder's links and cells wait for its fits: its wave forks
+    # after the first returns, and inherits them
+    for ae_wave in (False, True):
+        fit_keys = [] if ae_wave else ae_keys
+        wave_linked = [cond for cond in linked if (cond == "autoencoder") == ae_wave]
+        chunks = _chunks([key for key in keys if (key[1] == "autoencoder") == ae_wave], shape)
+        results = iter(pooled([partial(fit_reducer, *jobs[key]) for key in fit_keys]
+                              + [partial(link_after, cond) for cond in wave_linked]
+                              + [partial(chunk_aurocs, chunk) for chunk in chunks]))
+        # read in the order submitted: zip takes each key before its result,
+        # so it stops after its last key's result
+        fits.update(zip(fit_keys, results))
+        after.update(zip(wave_linked, results))
+        for chunk, result in zip(chunks, results):  # a failed chunk fails each of its cells
+            aurocs.update(zip(chunk, result if isinstance(result, list) else [result] * len(chunk)))
+    per_seed = np.reshape([_unwrap(aurocs[key]) for key in keys], (len(seeds), len(ordered), folds))
     return EvaluationReport(
         d1_id=d1.id,
         d2_id=d2.id,
@@ -486,7 +480,6 @@ def evaluate_conditions(
         seeds=tuple(int(s) for s in seeds),
         k=k,
         r=r,
-        conditions={c: _summary(c, per_seed[:, j].tolist()) for j, c in enumerate(ordered)},
+        conditions={c: _summary(per_seed[:, j].tolist()) for j, c in enumerate(ordered)},
         after=after,
     )
-

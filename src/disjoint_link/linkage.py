@@ -319,9 +319,8 @@ def link_detailed(
     """
     if reducer_kind not in LINK_KINDS:
         raise DataError(f"unknown reducer kind {reducer_kind!r}")
-    if reducer_kind != "random":  # before any fit; the random baseline fits nothing
-        _check_k(k, d2.n)
-        _check_k(k, d1.n)
+    _check_k(k, d2.n)  # before any fit or draw
+    _check_k(k, d1.n)
     d1s, _ = standardize(d1)
     d2s, _ = standardize(d2)
     jobs = fit_jobs([reducer_kind], d2s, [(seed, [d1s])], r=r, ae_hyper=ae_hyper)

@@ -154,7 +154,7 @@ class TestLinkCommand:
         assert "error: [link] column 'caseid' has 60 distinct values" in err
         assert "schema hint or drop the column" in err
 
-    @pytest.mark.parametrize("reducer", ["pca", "autoencoder"])
+    @pytest.mark.parametrize("reducer", ["pca", "autoencoder", "random"])
     def test_k_above_d1_rows_fails_before_any_fit(self, tmp_path, capsys, monkeypatch, reducer):
         # D21 links D2's rows into D1's 30, so k = 35 cannot be met; the
         # error comes before either side is fitted and leaves no directory

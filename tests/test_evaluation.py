@@ -273,6 +273,9 @@ class TestEvaluateConditions:
         d1, d2 = small_pair()
         with pytest.raises(DataError, match="exceeds the source"):
             evaluate_conditions(d1, d2, ["random"], folds=2, seeds=[0], k=d2.n + 1)
+        for conditions in (["unlinked", "random"], ["unlinked", "pca"]):  # a k below 1, too
+            with pytest.raises(DataError, match="^k=0 must be at least 1$"):
+                evaluate_conditions(d1, d2, conditions, folds=2, seeds=[0], k=0)
 
     def test_repeated_seed_rejected(self):
         d1, d2 = small_pair()
@@ -402,6 +405,48 @@ class TestPooledFits:
         assert reports[0] == reports[1]
         assert reports[0]["conditions"]["autoencoder"]["per_seed"] == [
             list(v) for v in serial_per_seed(d1, d2, "autoencoder", 3, [0, 1], k=3, r=2, ae_hyper=hyper)]
+
+    def test_the_pooled_schedule(self, monkeypatch):
+        # the first pool call starts the autoencoder fits, D2's (the longest)
+        # first and the all-rows D1 fit last, then the other conditions'
+        # all-rows links and chunks; the second holds only the autoencoder's
+        # all-rows link and chunks, and has no task without an autoencoder
+        calls = []
+
+        def recording_pool(tasks):
+            calls.append(tasks)
+            return linkage.pooled(tasks)
+
+        def schedule(tasks):
+            # ("fit", kind, rows), ("link", condition) or ("chunk", its conditions)
+            return [("fit", task.args[0], task.args[1].n) if task.func is linkage.fit_reducer
+                    else ("link", task.args[0]) if isinstance(task.args[0], str)
+                    else ("chunk", sorted(cell[1] for cell in task.args[0])) for task in tasks]
+
+        monkeypatch.setattr(evaluation, "pooled", recording_pool)
+        d1, d2 = small_pair(4)
+        hyper = AutoencoderHyper(hidden_dims=(4,), epochs=5)
+        evaluate_conditions(d1, d2, list(evaluation.CONDITION_ORDER), folds=3, seeds=[0, 1], k=3, r=2,
+                            ae_hyper=hyper)
+        first, second = [schedule(tasks) for tasks in calls]
+        fits = first[:9]  # per CV seed D2's and 3 folds', and the first seed's all-rows fit
+        assert [kind for _, kind, _ in fits] == ["autoencoder"] * 9
+        rows = [n for *_, n in fits]
+        assert rows[:2] == [d2.n, d2.n] and rows[-1] == d1.n
+        assert all(n < d1.n for n in rows[2:-1])
+        assert first[9:11] == [("link", "feature_importance"), ("link", "pca")]
+        assert all(kind == "chunk" for kind, _ in first[11:])
+        assert sorted(c for _, conds in first[11:] for c in conds) == sorted(
+            ["unlinked", "random", "feature_importance", "pca"] * 2 * 3)
+        assert second[0] == ("link", "autoencoder")
+        assert all(kind == "chunk" for kind, _ in second[1:])
+        assert [c for _, conds in second[1:] for c in conds] == ["autoencoder"] * 2 * 3
+        calls.clear()
+        evaluate_conditions(d1, d2, ["unlinked", "pca"], folds=3, seeds=[0], k=3, r=2)
+        first, second = [schedule(tasks) for tasks in calls]
+        assert first[0] == ("link", "pca") and all(kind == "chunk" for kind, _ in first[1:])
+        assert second == []
+        assert multiprocessing.active_children() == []
 
     def test_cells_fit_in_same_shape_stacks(self, monkeypatch):
         # with the pool run here, every lockstep fit stacks one shape, and
