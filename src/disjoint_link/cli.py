@@ -20,6 +20,7 @@ from .linkage import (
     DEFAULT_K,
     DEFAULT_R,
     LINK_KINDS,
+    REDUCER_KINDS,
     _unwrap,
     link_detailed,
     link_is_large,
@@ -40,15 +41,10 @@ def _expect(cond: bool, path: str, msg: str) -> None:
         raise ConfigError(f"{path}: {msg}")
 
 
-def _as_int(value, path: str) -> int:
+def _as_int(value, path: str, at_least: int | None = None) -> int:
     _expect(isinstance(value, int) and not isinstance(value, bool), path, "must be an integer")
+    _expect(at_least is None or value >= at_least, path, f"must be >= {at_least}")
     return value
-
-
-def _as_seed(value, path: str) -> int:
-    seed = _as_int(value, path)
-    _expect(seed >= 0, path, "must be >= 0")  # numpy's generators take no negative seed
-    return seed
 
 
 def _as_num(value, path: str) -> float:
@@ -85,26 +81,18 @@ def resolve_config(raw: dict, base_dir: Path) -> dict:
     if has_synth:
         s = inputs["synthetic"]
         _expect(isinstance(s, dict), "inputs.synthetic", "must be an object")
-        ints, nums = ("latent_dim", "n1", "n2", "k1", "k2", "seed"), ("noise_sigma", "positive_rate")
-        _known(s, "inputs.synthetic", *ints, *nums)
+        ints = {"latent_dim": 1, "n1": 2, "n2": 2, "k1": None, "k2": None, "seed": 0}  # name: lower bound
+        _known(s, "inputs.synthetic", *ints, "noise_sigma", "positive_rate")
         out = {}
-        for name in ints:
-            _expect(name in s, f"inputs.synthetic.{name}", "is required")
-            out[name] = _as_int(s[name], f"inputs.synthetic.{name}")
-        for name in nums:
-            _expect(name in s, f"inputs.synthetic.{name}", "is required")
-            out[name] = _as_num(s[name], f"inputs.synthetic.{name}")
-        _expect(out["latent_dim"] >= 1, "inputs.synthetic.latent_dim", "must be >= 1")
-        _expect(
-            out["latent_dim"] <= min(out["k1"], out["k2"]),
-            "inputs.synthetic.latent_dim",
-            "must be <= min(k1, k2)",
-        )
+        for name in (*ints, "noise_sigma", "positive_rate"):
+            path = f"inputs.synthetic.{name}"
+            _expect(name in s, path, "is required")
+            out[name] = _as_int(s[name], path, ints[name]) if name in ints else _as_num(s[name], path)
+        _expect(out["latent_dim"] <= min(out["k1"], out["k2"]), "inputs.synthetic.latent_dim",
+                "must be <= min(k1, k2)")
         _expect(out["noise_sigma"] >= 0, "inputs.synthetic.noise_sigma", "must be >= 0")
         _expect(0 < out["positive_rate"] < 1, "inputs.synthetic.positive_rate", "must be in (0, 1)")
-        _expect(out["n1"] >= 2 and out["n2"] >= 2, "inputs.synthetic.n1", "sample counts must be >= 2")
-        seed = _as_seed(out["seed"], "inputs.synthetic.seed")
-        _expect(seed < 2**64, "inputs.synthetic.seed", "must be < 2**64")  # the generator's bound
+        _expect(out["seed"] < 2**64, "inputs.synthetic.seed", "must be < 2**64")  # the generator's bound
         cfg["inputs"] = {"synthetic": out}
     else:
         f = inputs["files"]
@@ -132,45 +120,35 @@ def resolve_config(raw: dict, base_dir: Path) -> dict:
     _expect(reducer in LINK_KINDS, "reducer", f"must be one of {list(LINK_KINDS)}")
     cfg["reducer"] = reducer
 
-    reducers = raw.get("reducers", ["feature_importance", "pca", "autoencoder"])
+    reducers = raw.get("reducers", list(REDUCER_KINDS))
     _expect(isinstance(reducers, list) and reducers, "reducers", "must be a non-empty list")
     for i, name in enumerate(reducers):
-        _expect(
-            name in ("feature_importance", "pca", "autoencoder"),
-            f"reducers[{i}]",
-            "must be feature_importance, pca or autoencoder",
-        )
+        _expect(name in REDUCER_KINDS, f"reducers[{i}]", "must be feature_importance, pca or autoencoder")
     cfg["reducers"] = list(dict.fromkeys(reducers))
 
-    cfg["R"] = _as_int(raw.get("R", DEFAULT_R), "R")
-    _expect(cfg["R"] >= 1, "R", "must be >= 1")
-    cfg["k"] = _as_int(raw.get("k", DEFAULT_K), "k")
-    _expect(cfg["k"] >= 1, "k", "must be >= 1")
-    cfg["folds"] = _as_int(raw.get("folds", 5), "folds")
-    _expect(cfg["folds"] >= 2, "folds", "must be >= 2")
-    cfg["seed"] = _as_seed(raw.get("seed", 0), "seed")
+    cfg["R"] = _as_int(raw.get("R", DEFAULT_R), "R", 1)
+    cfg["k"] = _as_int(raw.get("k", DEFAULT_K), "k", 1)
+    cfg["folds"] = _as_int(raw.get("folds", 5), "folds", 2)
+    cfg["seed"] = _as_int(raw.get("seed", 0), "seed", 0)  # numpy's generators take no negative seed
 
     seeds = raw.get("seeds", [0])
     _expect(isinstance(seeds, list) and seeds, "seeds", "must be a non-empty list")
-    cfg["seeds"] = [_as_seed(s, f"seeds[{i}]") for i, s in enumerate(seeds)]
+    cfg["seeds"] = [_as_int(s, f"seeds[{i}]", 0) for i, s in enumerate(seeds)]
     for i, s in enumerate(cfg["seeds"]):
         _expect(s not in cfg["seeds"][:i], f"seeds[{i}]", f"repeats seed {s}")
 
     ae = raw.get("autoencoder", {})
     _expect(isinstance(ae, dict), "autoencoder", "must be an object")
     _known(ae, "autoencoder", "hidden_dims", "epochs", "batch_size", "learning_rate")
-    hidden = ae.get("hidden_dims", [32])
+    default = AutoencoderHyper()  # its seed is no config field: each fit sets its own
+    hidden = ae.get("hidden_dims", list(default.hidden_dims))
     _expect(isinstance(hidden, list), "autoencoder.hidden_dims", "must be a list")
     cfg["autoencoder"] = {
-        "hidden_dims": [_as_int(h, f"autoencoder.hidden_dims[{i}]") for i, h in enumerate(hidden)],
-        "epochs": _as_int(ae.get("epochs", 200), "autoencoder.epochs"),
-        "batch_size": _as_int(ae.get("batch_size", 32), "autoencoder.batch_size"),
-        "learning_rate": _as_num(ae.get("learning_rate", 0.01), "autoencoder.learning_rate"),
+        "hidden_dims": [_as_int(h, f"autoencoder.hidden_dims[{i}]", 1) for i, h in enumerate(hidden)],
+        "epochs": _as_int(ae.get("epochs", default.epochs), "autoencoder.epochs", 1),
+        "batch_size": _as_int(ae.get("batch_size", default.batch_size), "autoencoder.batch_size", 1),
+        "learning_rate": _as_num(ae.get("learning_rate", default.learning_rate), "autoencoder.learning_rate"),
     }
-    for i, h in enumerate(cfg["autoencoder"]["hidden_dims"]):
-        _expect(h >= 1, f"autoencoder.hidden_dims[{i}]", "must be >= 1")
-    _expect(cfg["autoencoder"]["epochs"] >= 1, "autoencoder.epochs", "must be >= 1")
-    _expect(cfg["autoencoder"]["batch_size"] >= 1, "autoencoder.batch_size", "must be >= 1")
     _expect(cfg["autoencoder"]["learning_rate"] > 0, "autoencoder.learning_rate", "must be positive")
 
     out_dir = raw.get("output_dir", "out")
@@ -188,17 +166,6 @@ def load_config(path: str | Path) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: {path} is not valid JSON: {exc}") from exc
     return resolve_config(raw, path.parent.resolve())
-
-
-def _ae_hyper(cfg: dict) -> AutoencoderHyper:
-    """The configured autoencoder; each fit sets its own seed."""
-    ae = cfg["autoencoder"]
-    return AutoencoderHyper(
-        hidden_dims=tuple(ae["hidden_dims"]),
-        epochs=ae["epochs"],
-        batch_size=ae["batch_size"],
-        learning_rate=ae["learning_rate"],
-    )
 
 
 def _load_pair(cfg: dict) -> tuple[Dataset, Dataset]:
@@ -241,7 +208,7 @@ def cmd_link(cfg: dict, out_override: str | None = None) -> Path:
     d1, d2 = _load_pair(cfg)
     res = link_detailed(
         d1, d2, cfg["reducer"],
-        k=cfg["k"], r=cfg["R"], ae_hyper=_ae_hyper(cfg), seed=cfg["seed"],
+        k=cfg["k"], r=cfg["R"], ae_hyper=AutoencoderHyper(**cfg["autoencoder"]), seed=cfg["seed"],
     )
     out = _out_dir(cfg, out_override)  # after the pipeline: an error leaves no directory
     files = [(linked_to_csv, res.d12, dataset_columns(res.d12), "D12.csv"),
@@ -270,7 +237,7 @@ def cmd_evaluate(cfg: dict, out_override: str | None = None) -> Path:
     report = evaluate_conditions(
         d1, d2, conditions,
         folds=cfg["folds"], seeds=cfg["seeds"],
-        k=cfg["k"], r=cfg["R"], ae_hyper=_ae_hyper(cfg),
+        k=cfg["k"], r=cfg["R"], ae_hyper=AutoencoderHyper(**cfg["autoencoder"]),
     )
     linked_conditions = [c for c in cfg["reducers"] if c in report.conditions]
     best = max(

@@ -141,11 +141,9 @@ def apply_standardization(params: StandardizationParams, X: np.ndarray) -> np.nd
     return out
 
 
-def standardize(d: Dataset) -> tuple[Dataset, StandardizationParams]:
+def standardize(d: Dataset) -> Dataset:
     """Z-score every column (population stddev); constant columns become zero."""
-    params = fit_standardization(d.X)
-    out = Dataset(d.schema, apply_standardization(params, d.X), d.y, d.id)
-    return out, params
+    return Dataset(d.schema, apply_standardization(fit_standardization(d.X), d.X), d.y, d.id)
 
 
 def stratified_kfold(d: Dataset, folds: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -312,12 +310,10 @@ def _load_general_csv(path: Path, label_column: str, schema_hints: list[FeatureS
         if col is None and (hint.kind == "numeric" if hint
                             else all(_parse_float(c) is not None for c in present)):
             vals = [_parse_float(c) for c in cells]
-            known = [v for v in vals if v is not None]
-            if not known:
-                raise DataError(f"column {name!r} has no values to impute from")
             for i, (cell, v) in enumerate(zip(cells, vals)):  # a hinted column's text is no gap
                 if v is None and cell != "":
                     raise DataError(f"non-numeric value {cell!r} in column {name!r} at row {i + 2} of {path}")
+            known = [v for v in vals if v is not None]  # not empty: every cell of `present` parsed
             with np.errstate(over="ignore"):  # the midpoint of two huge values
                 med = float(np.median(known))
             if not np.isfinite(med) and np.all(np.isfinite(known)):

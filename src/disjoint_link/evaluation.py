@@ -44,6 +44,7 @@ from .data import (
 from .linkage import (
     DEFAULT_K,
     DEFAULT_R,
+    REDUCER_KINDS,
     FittedReducer,
     NeighborMap,
     _caught,
@@ -59,7 +60,7 @@ from .linkage import (
 
 ALL_ROWS = "all rows"  # the fold key of the first CV seed's all-rows D1 fits
 
-CONDITION_ORDER = ("unlinked", "random", "feature_importance", "pca", "autoencoder")
+CONDITION_ORDER = ("unlinked", "random", *REDUCER_KINDS)
 
 DISPLAY_NAMES = {
     "unlinked": "Unlinked",
@@ -420,8 +421,8 @@ def evaluate_conditions(
     d2.require_both_classes()
     ordered = [c for c in CONDITION_ORDER if c in set(conditions)]
     runs = {seed: standardized_folds(d1, stratified_kfold(d1, folds, seed)) for seed in seeds}
-    d1s, _ = standardize(d1)
-    d2s, _ = standardize(d2)  # once: every seed and condition shares D2's rows
+    d1s = standardize(d1)
+    d2s = standardize(d2)  # once: every seed and condition shares D2's rows
     jobs = fit_jobs(ordered, d2s, [(seed, [tr for tr, _ in split]) for seed, split in runs.items()],
                     r=r, ae_hyper=ae_hyper)
     first = seeds[0]  # the CV seed whose all-rows D12s `after` holds

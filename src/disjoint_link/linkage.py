@@ -55,7 +55,8 @@ from .reducers import (
 
 DEFAULT_K = 5
 DEFAULT_R = 8
-LINK_KINDS = ("feature_importance", "pca", "autoencoder", "random")
+REDUCER_KINDS = ("feature_importance", "pca", "autoencoder")
+LINK_KINDS = (*REDUCER_KINDS, "random")
 _RANDOM_TAG = 7919  # namespaces the random-baseline rng away from the fits' seeds
 
 
@@ -321,8 +322,8 @@ def link_detailed(
         raise DataError(f"unknown reducer kind {reducer_kind!r}")
     _check_k(k, d2.n)  # before any fit or draw
     _check_k(k, d1.n)
-    d1s, _ = standardize(d1)
-    d2s, _ = standardize(d2)
+    d1s = standardize(d1)
+    d2s = standardize(d2)
     jobs = fit_jobs([reducer_kind], d2s, [(seed, [d1s])], r=r, ae_hyper=ae_hyper)
     keys = [(seed, reducer_kind, 0), (seed, reducer_kind, None)]  # D1 first: its error is the one raised
     tasks = [partial(fit_reducer, *jobs[key]) for key in keys if key in jobs]

@@ -393,8 +393,6 @@ def load_csv_reference(
         numeric = hint.kind == "numeric" if hint else all(_parse_float(c) is not None for c in present)
         if numeric:
             vals = [_parse_float(c) for c in cells]
-            if all(v is None for v in vals):
-                raise DataError(f"column {name!r} has no values to impute from")
             for i, cell in enumerate(cells):
                 if cell != "" and _parse_float(cell) is None:
                     raise DataError(f"non-numeric value {cell!r} in column {name!r} at row {i + 2} of {path}")

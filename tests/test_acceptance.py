@@ -255,7 +255,7 @@ def test_criterion_7_pipeline_invariant_suite(tmp_path):
     e1, e2 = synthesize_disjoint_pair(pair_cfg)
     hyper = AutoencoderHyper(epochs=5)
     tr, te = stratified_kfold(e1, 3, 0)[0]
-    e2s, _ = standardize(e2)
+    e2s = standardize(e2)
 
     def run_fold(condition, d):
         ((d_tr, d_te),) = standardized_folds(d, [(tr, te)])

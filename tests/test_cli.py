@@ -576,6 +576,26 @@ class TestPooledLink:
         assert (tmp_path / "evaluate" / "after.csv").exists()
 
 
+BOUNDED_FIELDS = [  # the field set, its value, and the error's path and message
+    ("R", 0, "R: must be >= 1"),
+    ("k", 0, "k: must be >= 1"),
+    ("folds", 1, "folds: must be >= 2"),
+    ("seed", -1, "seed: must be >= 0"),
+    ("seeds", [0, -1], "seeds[1]: must be >= 0"),
+    ("inputs.synthetic.latent_dim", 0, "inputs.synthetic.latent_dim: must be >= 1"),
+    ("inputs.synthetic.n1", 1, "inputs.synthetic.n1: must be >= 2"),
+    ("inputs.synthetic.n2", 1, "inputs.synthetic.n2: must be >= 2"),
+    ("inputs.synthetic.seed", -1, "inputs.synthetic.seed: must be >= 0"),
+    ("inputs.synthetic.seed", 2**64, "inputs.synthetic.seed: must be < 2**64"),
+    ("inputs.synthetic.noise_sigma", -1, "inputs.synthetic.noise_sigma: must be >= 0"),
+    ("inputs.synthetic.positive_rate", 1, "inputs.synthetic.positive_rate: must be in (0, 1)"),
+    ("autoencoder.hidden_dims", [4, 0], "autoencoder.hidden_dims[1]: must be >= 1"),
+    ("autoencoder.epochs", 0, "autoencoder.epochs: must be >= 1"),
+    ("autoencoder.batch_size", 0, "autoencoder.batch_size: must be >= 1"),
+    ("autoencoder.learning_rate", 0, "autoencoder.learning_rate: must be positive"),
+]
+
+
 class TestValidation:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["synth", "--config", str(tmp_path / "nope.json")]) == 2
@@ -699,3 +719,28 @@ class TestValidation:
         cfg = write_config(tmp_path, doc)
         assert main(["evaluate", "--config", str(cfg)]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("field,value,expected", BOUNDED_FIELDS,
+                             ids=[f"{field}={value}" for field, value, _ in BOUNDED_FIELDS])
+    def test_bounded_field_named(self, tmp_path, capsys, field, value, expected):
+        # each bound names the field that breaks it, with the same message
+        # for every integer field
+        doc = synth_config(tmp_path / "out", reducers=["pca"])
+        *parents, name = field.split(".")
+        node = doc
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[name] = value
+        assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 2
+        assert capsys.readouterr().err == f"error: [config] {expected}\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_readme_example_config_states_the_defaults(tmp_path):
+    # the README's example spells out the autoencoder's settings; dropping
+    # them must resolve to the same config, so a changed default in
+    # `AutoencoderHyper` fails here until the README follows it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    doc = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    cfg = cli.resolve_config(doc, tmp_path)
+    assert cli.resolve_config({key: v for key, v in doc.items() if key != "autoencoder"}, tmp_path) == cfg

@@ -164,6 +164,8 @@ LOADER_CASES = {
     "numeric hint on gaps": ("x,label\n1,0\n,1\n4,0\nabc,1\n", [FeatureSchema("x", "numeric")]),
     "numeric hint on a full column": ("x,label\n1,0\n2,1\n", [FeatureSchema("x", "numeric")]),
     "numeric hint on text only": ("x,label\nabc,0\n,1\nd,0\n", [FeatureSchema("x", "numeric")]),
+    "numeric hint on a text column beside numbers": ("x,z,label\nabc,1,0\ndef,2,1\n,3,0\n",
+                                                     [FeatureSchema("x", "numeric")]),
     "categorical hint on numbers": ("x,label\n1,0\n2,1\n1,0\n",
                                     [FeatureSchema("x", "categorical", ("1", "2", "3"))]),
     "categorical hint, unknown value": ("x,label\n1,0\n2,1\n", [FeatureSchema("x", "categorical", ("1", "3"))]),
@@ -288,10 +290,15 @@ class TestLoaderParity:
         path.write_text(LOADER_CASES["numeric hint on gaps"][0], encoding="utf-8")
         with pytest.raises(DataError, match=r"non-numeric value 'abc' in column 'x' at row 5 of"):
             load_csv(path, "label", [FeatureSchema("x", "numeric")])
-        path.write_text(LOADER_CASES["numeric hint on text only"][0], encoding="utf-8")
-        with pytest.raises(DataError, match=r"^column 'x' has no values to impute from$"):
-            load_csv(path, "label", [FeatureSchema("x", "numeric")])
 
+    def test_numeric_hint_on_text_and_gaps_names_the_text(self, tmp_path):
+        # a hinted column with no number at all names its first text cell,
+        # not a lack of values to impute from
+        path = tmp_path / "in.csv"
+        for case in ("numeric hint on text only", "numeric hint on a text column beside numbers"):
+            path.write_text(LOADER_CASES[case][0], encoding="utf-8")
+            with pytest.raises(DataError, match=r"^non-numeric value 'abc' in column 'x' at row 2 of "):
+                load_csv(path, "label", [FeatureSchema("x", "numeric")])
 
     def test_a_hint_must_name_a_feature_column(self, tmp_path):
         # a misspelled hint would leave its column inferred, silently

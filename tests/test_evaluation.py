@@ -304,7 +304,7 @@ def serial_per_seed(d1, d2, cond, folds, seeds, *, k, r, ae_hyper=None):
     after another in this process, each fit from the job `fit_jobs` lists."""
     splits = {seed: stratified_kfold(d1, folds, seed) for seed in seeds}
     runs = [(seed, standardized_folds(d1, splits[seed])) for seed in seeds]
-    d2s, _ = standardize(d2)
+    d2s = standardize(d2)
     jobs = fit_jobs([cond], d2s, [(seed, [tr for tr, _ in fs]) for seed, fs in runs], r=r, ae_hyper=ae_hyper)
     want = []
     for seed, fs in runs:
@@ -475,7 +475,7 @@ class TestOnePipeline:
         # `link` does: the same seeds, R and random draws
         d1, d2 = small_pair(3)
         rows = np.arange(d1.n)
-        d2s, _ = standardize(d2)
+        d2s = standardize(d2)
         ((train, test),) = standardized_folds(d1, [(rows, rows)])
         jobs = fit_jobs([condition], d2s, [(0, [train])], r=3, ae_hyper=None)
         fits = {fold: fit_reducer(*job) for (_, _, fold), job in jobs.items()}
@@ -510,7 +510,7 @@ class TestTestRows:
         # statistics, never by its own
         d1, d2 = small_pair(2)
         ((train, test),) = standardized_folds(d1, stratified_kfold(d1, 3, 0)[:1])
-        d2s, _ = standardize(d2)
+        d2s = standardize(d2)
         jobs = fit_jobs([condition], d2s, [(0, [train])], r=2, ae_hyper=AutoencoderHyper(epochs=5))
         fits = {fold: fit_reducer(*job) for (_, _, fold), job in jobs.items()}
         out = run_fold_condition(condition, train, test, prepare_d2_context(d2s, fits[None]), fits[0], k=3)
@@ -533,7 +533,7 @@ class TestLeakageAudit:
         splits = stratified_kfold(d1, 3, 0)
         tr, te = splits[0]
 
-        d2s, _ = standardize(d2)
+        d2s = standardize(d2)
 
         def run(d):
             ((d_tr, d_te),) = standardized_folds(d, [(tr, te)])

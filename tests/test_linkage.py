@@ -217,7 +217,7 @@ class TestLink:
         d1 = make_dataset(rng.normal(size=(8, 3)) * 4 + 2, [0, 1] * 4, "d1")
         d2 = make_dataset(rng.normal(size=(12, 4)), [0, 1] * 6, "d2")
         d12 = link_detailed(d1, d2, "pca", k=2, r=2).d12
-        want, _ = standardize(d1)
+        want = standardize(d1)
         assert np.array_equal(d12.X[:, :3], want.X)
 
     def test_pipeline_deterministic(self, make_dataset):
@@ -259,8 +259,8 @@ class TestLinkInto:
         # must be the search and median of that block alone, bit for bit
         rng = np.random.default_rng(13)
         X1, X2 = rng.normal(size=(70, 4)), rng.normal(size=(90, 6))
-        d1s, _ = standardize(make_dataset(X1, (X1[:, 0] + 0.3 * rng.normal(size=70) > 0).astype(int), "d1"))
-        d2s, _ = standardize(make_dataset(X2, (X2[:, 1] + 0.3 * rng.normal(size=90) > 0).astype(int), "d2"))
+        d1s = standardize(make_dataset(X1, (X1[:, 0] + 0.3 * rng.normal(size=70) > 0).astype(int), "d1"))
+        d2s = standardize(make_dataset(X2, (X2[:, 1] + 0.3 * rng.normal(size=90) > 0).astype(int), "d2"))
         hyper = AutoencoderHyper(hidden_dims=(4,), epochs=5, seed=3)
         fit1, fit2 = fit_reducer(kind, d1s, 2, hyper), fit_reducer(kind, d2s, 2, hyper)
         if cells:
@@ -301,7 +301,7 @@ class TestPooledFits:
         assert multiprocessing.active_children() == []
         for side, d, tags in (("d1", d1, [4, 0, 1]), ("d2", d2, [4, 2])):
             seed = int(np.random.SeedSequence(tags).generate_state(1)[0])
-            want = fit_autoencoder(standardize(d)[0].X, 2, replace(hyper, seed=seed))
+            want = fit_autoencoder(standardize(d).X, 2, replace(hyper, seed=seed))
             assert res.reducer_payload[side] == autoencoder_to_payload(want), side
 
     def test_no_autoencoder_starts_no_process(self, make_dataset, monkeypatch):

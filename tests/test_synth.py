@@ -89,12 +89,12 @@ class TestGenerator:
             cfg(latent_dim=3, n1=1200, n2=50, k1=6, k2=8, noise_sigma=0.0,
                 positive_rate=0.3, seed=4)
         )
-        std, _ = standardize(d1)
+        std = standardize(d1)
         model = fit_logistic(std.X, std.y)
         assert auroc(predict_proba(model, std.X), std.y) > 0.9
 
     def test_downstream_pipeline_finite(self):
         d1, d2 = synthesize_disjoint_pair(cfg(seed=9))
-        s1, _ = standardize(d1)
-        s2, _ = standardize(d2)
+        s1 = standardize(d1)
+        s2 = standardize(d2)
         assert np.isfinite(s1.X).all() and np.isfinite(s2.X).all()
