@@ -53,6 +53,7 @@ from .linkage import (
     fit_jobs,
     fit_reducer,
     link_into,
+    pair_reducers,
     pooled,
     random_rng,
     usable_cores,
@@ -229,7 +230,7 @@ def _fold_features(
         feat_tr, feat_te = x_tr, x_te
     else:
         (nb_tr, agg_tr), (nb_te, agg_te) = link_into(
-            condition, reducer, ctx.reducer, ctx.X_std, k, random_rng(seed, fold), x_tr, x_te)
+            pair_reducers(reducer, ctx.reducer), ctx.X_std, k, random_rng(seed, fold), x_tr, x_te)
         feat_tr = np.hstack([x_tr, agg_tr])
         feat_te = np.hstack([x_te, agg_te])
     _check_training(feat_tr, train.y)
@@ -402,11 +403,13 @@ def evaluate_conditions(
     The first CV seed's all-rows D1 sides are the fold of all rows that
     `link` fits, at that seed's R, linked through the seed's evaluated D2
     fits into the report's `after`. A failed all-rows fit or link is stored
-    there, and raises only when it is read. A k outside [1, D2's rows] and a
-    CV seed listed twice are errors, raised before any fit.
+    there, and raises only when it is read. A k outside [1, D2's rows], no
+    CV seed and a CV seed listed twice are errors, raised before any fit.
     """
     if folds < 2:
         raise DataError("folds must be >= 2")
+    if not seeds:
+        raise DataError("seeds must be a non-empty list")
     repeated = [s for i, s in enumerate(seeds) if s in seeds[:i]]
     if repeated:
         raise DataError(f"CV seed {repeated[0]} is listed more than once")
@@ -447,8 +450,8 @@ def evaluate_conditions(
         return [out if isinstance(out, Exception) else out.auroc for out in outcomes]
 
     def link_after(cond: str) -> Dataset:
-        ((_, agg),) = link_into(cond, _unwrap(fits[first, cond, ALL_ROWS]), _unwrap(fits[first, cond, None]),
-                                d2s.X, k, random_rng(first, 0), d1s.X)
+        pair = pair_reducers(_unwrap(fits[first, cond, ALL_ROWS]), _unwrap(fits[first, cond, None]))
+        ((_, agg),) = link_into(pair, d2s.X, k, random_rng(first, 0), d1s.X)
         return concat_linked(d1s, agg, d2s)
 
     def shape(key: tuple) -> tuple[int, int]:

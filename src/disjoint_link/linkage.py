@@ -4,8 +4,8 @@ Both callers, `link_detailed` and the cross-validated evaluation, run one
 pipeline, and `link_detailed` is the evaluation's fold whose training rows
 are all of D1. `fit_jobs` lists a run's reducer fits with their seeds and R,
 `fit_reducer` fits one dataset's side of a reducer on its standardized rows,
-and `link_into` is the one linking step: `pair_reducers` turns the two fitted
-sides into row transforms into one shared R-dimensional space,
+`pair_reducers` turns two fitted sides into transforms into one shared space
+and reducer.json's body, and `link_into`, the one linking step, uses them:
 `normalize_latent` z-scores each side's latent axes, one exact search
 (`_kernels.nearest`) finds every query row's k nearest reference rows (the
 random baseline draws them instead), and each row gets their feature-wise
@@ -102,6 +102,7 @@ def concat_linked(base: Dataset, agg: np.ndarray, other: Dataset) -> Dataset:
 
 FittedReducer = TScoreReport | PcaReducer | AutoencoderReducer
 RowTransform = Callable[[np.ndarray], np.ndarray]
+ReducerPair = tuple[RowTransform, RowTransform, Callable[[], dict]]  # pair_reducers' result
 FitJob = tuple[str, Dataset, int, AutoencoderHyper]  # fit_reducer's arguments
 
 
@@ -225,43 +226,46 @@ def pooled(tasks: list[Callable[[], Any]], in_pool: bool = True) -> list[Any]:
         pool.shutdown(cancel_futures=True)
 
 
-def pair_reducers(fit1: FittedReducer, fit2: FittedReducer) -> tuple[RowTransform, RowTransform]:
-    """Row transforms of two fitted sides into one shared space.
+def pair_reducers(fit1: FittedReducer | None, fit2: FittedReducer | None) -> ReducerPair | None:
+    """The one reducer protocol, and the only code that reads a fitted side's
+    type: two fitted sides as row transforms into one shared space, and a
+    call that builds reducer.json's body, their shared R included. None for
+    the random baseline, whose sides are None because it fits nothing.
 
     Only feature importance pairs anything: each side keeps the columns whose
-    t-score sign and rank match a column of the other side.
+    t-score sign and rank match a column of the other side. Pairing (fit2,
+    fit1) gives the same transforms, swapped.
     """
+    if fit1 is None:
+        return None
     if isinstance(fit1, TScoreReport):
         pair = feature_importance_pair(fit1, fit2)
-        return (lambda X: X[:, pair.sel1]), (lambda X: X[:, pair.sel2])
-    if isinstance(fit1, PcaReducer):
-        return (lambda X: project_pca(fit1, X)), (lambda X: project_pca(fit2, X))
-    return (lambda X: encode(fit1, X)), (lambda X: encode(fit2, X))
+        return ((lambda X: X[:, pair.sel1]), (lambda X: X[:, pair.sel2]),
+                lambda: {"R": pair.r, **pair_to_payload(pair, fit1.t, fit2.t)})
+    transform, to_payload, r = ((project_pca, pca_to_payload, fit1.components.shape[0])
+                                if isinstance(fit1, PcaReducer)
+                                else (encode, autoencoder_to_payload, fit1.latent_dim))
+    return (partial(transform, fit1), partial(transform, fit2),
+            lambda: {"R": r, "d1": to_payload(fit1), "d2": to_payload(fit2)})
 
 
 def link_into(
-    kind: str,
-    fit1: FittedReducer | None,
-    fit2: FittedReducer | None,
-    x2: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    *x1s: np.ndarray,
+    pair: ReducerPair | None, x2: np.ndarray, k: int, rng: np.random.Generator, *x1s: np.ndarray,
 ) -> list[tuple[NeighborMap, np.ndarray]]:
     """The one linking step: each block of D1's standardized rows in `x1s`,
-    linked into D2's standardized rows `x2` through the fitted sides `fit1`
-    and `fit2`, as its neighbors in D2 and their feature-wise medians.
+    linked into D2's standardized rows `x2` through `pair`'s transforms
+    (`pair_reducers`), as its neighbors in D2 and their feature-wise medians.
 
     The first block sets D1's latent statistics and later blocks (a fold's
     test rows) pass through them. The neighbors are the k smallest of each
     row of the exact distance matrix, ties to the lower index; an even k's
-    median is the midpoint of the two middle values. The random baseline
-    fits nothing (None) and draws each block's neighbors from `rng` in turn.
+    median is the midpoint of the two middle values. A None pair, the random
+    baseline's, draws each block's neighbors from `rng` in turn.
     """
-    if kind == "random":
+    if pair is None:
         nbs = [random_neighbor_map(x1.shape[0], x2.shape[0], k, rng) for x1 in x1s]
     else:
-        to_shared1, to_shared2 = pair_reducers(fit1, fit2)
+        to_shared1, to_shared2, _ = pair
         z1s = normalize_latent(*(to_shared1(x1) for x1 in x1s))
         (z2,) = normalize_latent(to_shared2(x2))
         # one search prepares D2's side once; a row's neighbors depend only on
@@ -270,16 +274,6 @@ def link_into(
         ends = np.cumsum([len(z1) for z1 in z1s])[:-1]
         nbs = [NeighborMap(k, i, d) for i, d in zip(np.split(idx, ends), np.split(dist, ends))]
     return [(nb, _kernels.median_over_rows(x2, nb.neighbors)) for nb in nbs]
-
-
-def _reducer_payload(fit1: FittedReducer, fit2: FittedReducer) -> dict:
-    """reducer.json's body for two fitted sides, their shared R included."""
-    if isinstance(fit1, TScoreReport):
-        pair = feature_importance_pair(fit1, fit2)
-        return {"R": pair.r, **pair_to_payload(pair, fit1.t, fit2.t)}
-    if isinstance(fit1, PcaReducer):
-        return {"R": fit1.components.shape[0], "d1": pca_to_payload(fit1), "d2": pca_to_payload(fit2)}
-    return {"R": fit1.latent_dim, "d1": autoencoder_to_payload(fit1), "d2": autoencoder_to_payload(fit2)}
 
 
 @dataclass(frozen=True)
@@ -328,15 +322,16 @@ def link_detailed(
     keys = [(seed, reducer_kind, 0), (seed, reducer_kind, None)]  # D1 first: its error is the one raised
     tasks = [partial(fit_reducer, *jobs[key]) for key in keys if key in jobs]
     fitted = pooled(tasks, in_pool=reducer_kind == "autoencoder")
-    fit1, fit2 = [_unwrap(fit) for fit in fitted] or (None, None)  # random fits nothing
-    # D12 first, its error the one raised. The random baseline's D21 draws
-    # continue D12's rng, so it links in this process
+    pair = pair_reducers(*([_unwrap(fit) for fit in fitted] or (None, None)))  # random fits nothing
+    # D12 first, its error the one raised; D21 links through the transforms
+    # swapped. The random baseline's D21 draws continue D12's rng, so it
+    # links in this process
     rng = random_rng(seed, 0)
-    ways = [partial(link_into, reducer_kind, fit1, fit2, d2s.X, k, rng, d1s.X),
-            partial(link_into, reducer_kind, fit2, fit1, d1s.X, k, rng, d2s.X)]
-    linked = pooled(ways, in_pool=reducer_kind != "random" and link_is_large(d1.n, d2.n, k))
+    ways = [partial(link_into, pair, d2s.X, k, rng, d1s.X),
+            partial(link_into, pair and (pair[1], pair[0], pair[2]), d1s.X, k, rng, d2s.X)]
+    linked = pooled(ways, in_pool=pair is not None and link_is_large(d1.n, d2.n, k))
     ((nb12, agg12),), ((nb21, agg21),) = [_unwrap(way) for way in linked]
-    payload = {"k": k, "seed": seed} if reducer_kind == "random" else _reducer_payload(fit1, fit2)
+    payload = {"k": k, "seed": seed} if pair is None else pair[2]()
     return LinkResult(
         d12=concat_linked(d1s, agg12, d2s),
         d21=concat_linked(d2s, agg21, d1s),

@@ -1,3 +1,8 @@
+# the package before numpy: importing it sets the BLAS to one thread per
+# process, which OpenBLAS reads only when numpy loads it. With numpy first,
+# every pool worker a test forks runs a multi-threaded BLAS, and the workers'
+# threads compete for the same cores
+import disjoint_link  # noqa: F401  # isort: skip
 import numpy as np
 import pytest
 from hypothesis import settings

@@ -277,6 +277,15 @@ class TestEvaluateConditions:
             with pytest.raises(DataError, match="^k=0 must be at least 1$"):
                 evaluate_conditions(d1, d2, conditions, folds=2, seeds=[0], k=0)
 
+    def test_empty_seed_list_rejected_before_any_fit(self, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("a reducer was fitted")
+
+        monkeypatch.setattr(evaluation, "fit_reducer", no_fit)
+        d1, d2 = small_pair()
+        with pytest.raises(DataError, match="^seeds must be a non-empty list$"):
+            evaluate_conditions(d1, d2, ["unlinked", "pca"], folds=2, seeds=[])
+
     def test_repeated_seed_rejected(self):
         d1, d2 = small_pair()
         with pytest.raises(DataError, match="^CV seed 0 is listed more than once$"):
@@ -514,7 +523,7 @@ class TestTestRows:
         jobs = fit_jobs([condition], d2s, [(0, [train])], r=2, ae_hyper=AutoencoderHyper(epochs=5))
         fits = {fold: fit_reducer(*job) for (_, _, fold), job in jobs.items()}
         out = run_fold_condition(condition, train, test, prepare_d2_context(d2s, fits[None]), fits[0], k=3)
-        to_shared1, to_shared2 = pair_reducers(fits[0], fits[None])
+        to_shared1, to_shared2, _ = pair_reducers(fits[0], fits[None])
         z_te = normalize_latent(to_shared1(train.X), to_shared1(test.X))[1]
         (z2,) = normalize_latent(to_shared2(d2s.X))
         want_idx, want_dist = _kernels.nearest(z_te, z2, 3)

@@ -20,7 +20,12 @@ from disjoint_link.linkage import (
     pair_reducers,
     pooled,
 )
-from disjoint_link.reducers import autoencoder_to_payload, normalize_latent
+from disjoint_link.reducers import (
+    autoencoder_to_payload,
+    compute_t_scores,
+    feature_importance_pair,
+    normalize_latent,
+)
 
 from oracles import LinkageMatrix, distance_matrix, k_nearest, pairwise_dist_brute
 
@@ -245,6 +250,33 @@ class TestLink:
         assert res.reducer_payload["kind"] == "feature_importance"
         assert res.reducer_payload["R"] == len(res.reducer_payload["sel1"]) == len(res.reducer_payload["sel2"])
 
+    def test_feature_importance_link_pairs_once(self, make_dataset, monkeypatch):
+        # D12, D21 and reducer.json share one pairing of the t-scores, and
+        # the pair of the swapped sides is the first pair swapped
+        rng = np.random.default_rng(12)
+        X1, X2 = rng.normal(size=(30, 4)), rng.normal(size=(40, 6))
+        d1 = make_dataset(X1, (X1[:, 0] + 0.3 * rng.normal(size=30) > 0).astype(int), "d1")
+        d2 = make_dataset(X2, (X2[:, 1] + 0.3 * rng.normal(size=40) > 0).astype(int), "d2")
+        pairs = []
+
+        def counted(r1, r2):
+            pairs.append(feature_importance_pair(r1, r2))
+            return pairs[-1]
+
+        monkeypatch.setattr(linkage, "feature_importance_pair", counted)
+        monkeypatch.setattr(os, "fork", no_fork)
+        res = link_detailed(d1, d2, "feature_importance", k=3)
+        assert len(pairs) == 1
+        fit1, fit2 = (compute_t_scores(standardize(d)) for d in (d1, d2))
+        swapped = feature_importance_pair(fit2, fit1)
+        assert (swapped.p_min, swapped.n_min) == (pairs[0].p_min, pairs[0].n_min)
+        np.testing.assert_array_equal(swapped.sel1, pairs[0].sel2)
+        np.testing.assert_array_equal(swapped.sel2, pairs[0].sel1)
+        assert res.reducer_payload["sel2"] == swapped.sel1.tolist()
+
+    def test_random_pairs_nothing(self):
+        assert pair_reducers(None, None) is None
+
     def test_unknown_reducer(self, make_dataset):
         d1 = make_dataset([[0.0], [1.0]], [0, 1], "d1")
         with pytest.raises(DataError, match="unknown reducer"):
@@ -266,8 +298,9 @@ class TestLinkInto:
         if cells:
             monkeypatch.setattr(_kernels, "_BLOCK_CELLS", cells)
         blocks = (d1s.X[:50], d1s.X[50:], d1s.X[3:10])
-        linked = link_into(kind, fit1, fit2, d2s.X, 4, None, *blocks)
-        to_shared1, to_shared2 = pair_reducers(fit1, fit2)
+        pair = pair_reducers(fit1, fit2)
+        linked = link_into(pair, d2s.X, 4, None, *blocks)
+        to_shared1, to_shared2, _ = pair
         z1s = normalize_latent(*(to_shared1(x1) for x1 in blocks))
         (z2,) = normalize_latent(to_shared2(d2s.X))
         assert len(linked) == len(blocks)
@@ -360,7 +393,7 @@ class TestPooled:
         # searched here, D21 after D12 failed, and D12's error is raised
         searched = []
 
-        def failing_link_into(kind, fit1, fit2, x2, k, rng, x1):
+        def failing_link_into(pair, x2, k, rng, x1):
             searched.append(len(x1))
             raise DataError("D12 failed" if len(x1) == 12 else "D21 failed")
 

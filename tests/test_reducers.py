@@ -112,7 +112,7 @@ class TestFeatureImportancePair:
         y[2:4] = 0
         d = make_dataset(X, y)
         fit = fit_reducer("feature_importance", d, 1, None)
-        to_shared1, to_shared2 = pair_reducers(fit, fit)
+        to_shared1, to_shared2, _ = pair_reducers(fit, fit)
         assert feature_importance_pair(fit, fit).r == 5
         np.testing.assert_array_equal(to_shared1(d.X), to_shared2(d.X))
 
