@@ -666,6 +666,14 @@ class TestValidation:
         assert main(["link", "--config", str(cfg)]) == 2
         assert "reducer" in capsys.readouterr().err
 
+    def test_negative_evaluate_seed_named(self, tmp_path, capsys):
+        doc = synth_config(tmp_path / "out", reducers=["autoencoder"], seeds=[0, -2])
+        cfg = write_config(tmp_path, doc)
+        assert main(["evaluate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "[config] seeds[1]:" in err
+        assert not (tmp_path / "out").exists()
+
     def test_repeated_evaluate_seed_named(self, tmp_path, capsys):
         # a repeated CV seed would list its folds twice in report.json and
         # count them twice in the mean and sd
@@ -695,6 +703,13 @@ class TestValidation:
         node[name] = value
         assert main([command, "--config", str(write_config(tmp_path, doc))]) == 2
         assert f"error: [config] {field}: must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_validation_happens_before_any_output(self, tmp_path):
+        doc = synth_config(tmp_path / "out")
+        doc["folds"] = 1
+        cfg = write_config(tmp_path, doc)
+        assert main(["evaluate", "--config", str(cfg)]) == 2
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,field,value,expected", [
