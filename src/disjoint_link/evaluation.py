@@ -48,6 +48,7 @@ from .linkage import (
     FittedReducer,
     NeighborMap,
     _caught,
+    _check_k,
     _unwrap,
     concat_linked,
     fit_jobs,
@@ -342,10 +343,7 @@ class EvaluationReport:
         header = f"{'Condition':<{width}} | AUROC"
         lines.append(header)
         lines.append("-" * len(header.split('|')[0]) + "+" + "-" * 14)
-        for name in CONDITION_ORDER:
-            if name not in self.conditions:
-                continue
-            c = self.conditions[name]
+        for name, c in self.conditions.items():  # in CONDITION_ORDER, as evaluated
             lines.append(f"{DISPLAY_NAMES[name]:<{width}} | {100 * c.mean:5.1f} ± {100 * c.sd:4.1f}")
         return "\n".join(lines) + "\n"
 
@@ -404,7 +402,7 @@ def evaluate_conditions(
     `link` fits, at that seed's R, linked through the seed's evaluated D2
     fits into the report's `after`. A failed all-rows fit or link is stored
     there, and raises only when it is read. A k outside [1, D2's rows], no
-    CV seed and a CV seed listed twice are errors, raised before any fit.
+    condition, no CV seed or a repeated CV seed fails before any fit.
     """
     if folds < 2:
         raise DataError("folds must be >= 2")
@@ -416,10 +414,9 @@ def evaluate_conditions(
     unknown = [c for c in conditions if c not in CONDITION_ORDER]
     if unknown:
         raise DataError(f"unknown conditions: {unknown}")
-    if k < 1:
-        raise DataError(f"k={k} must be at least 1")
-    if k > d2.n:
-        raise DataError(f"k={k} exceeds the source dataset size {d2.n}")
+    if not conditions:
+        raise DataError("conditions must be a non-empty list")
+    _check_k(k, d2.n)
     d1.require_both_classes()
     d2.require_both_classes()
     ordered = [c for c in CONDITION_ORDER if c in set(conditions)]

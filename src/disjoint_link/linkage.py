@@ -67,14 +67,14 @@ class NeighborMap:
     distances: np.ndarray  # (N, k) matching distances, for audits
 
 
-def _check_k(k: int, n_cols: int) -> None:
-    if not 1 <= k <= n_cols:
-        raise DataError(f"k={k} must lie in [1, {n_cols}]")
+def _check_k(k: int, n: int) -> None:
+    """The one k rule: a row links to 1 to all `n` rows of the other dataset."""
+    if not 1 <= k <= n:
+        raise DataError(f"k={k} must lie in [1, {n}]")
 
 
 def random_neighbor_map(n_rows: int, n_cols: int, k: int, rng: np.random.Generator) -> NeighborMap:
-    if k > n_cols:
-        raise DataError(f"k={k} exceeds the {n_cols} available samples")
+    """Per row, k of `n_cols` columns drawn without replacement; `link_into` checked k."""
     idx = np.empty((n_rows, k), dtype=np.int64)
     for i in range(n_rows):
         idx[i] = rng.choice(n_cols, size=k, replace=False)
@@ -260,8 +260,10 @@ def link_into(
     test rows) pass through them. The neighbors are the k smallest of each
     row of the exact distance matrix, ties to the lower index; an even k's
     median is the midpoint of the two middle values. A None pair, the random
-    baseline's, draws each block's neighbors from `rng` in turn.
+    baseline's, draws each block's neighbors from `rng` in turn. A k outside
+    [1, D2's rows] fails first, whichever the pair (`_check_k`).
     """
+    _check_k(k, x2.shape[0])
     if pair is None:
         nbs = [random_neighbor_map(x1.shape[0], x2.shape[0], k, rng) for x1 in x1s]
     else:

@@ -2,16 +2,17 @@
 
 Everything here is deliberately written in the most literal way possible
 (scalar loops, textbook formulas) and stays independent of the code paths it
-verifies. The full-matrix forms (`distance_matrix`, `k_nearest`) are the
-exception: they hold the whole N x M matrix from the exact kernels, the form
-the streaming search `_kernels.nearest` must equal. `roc_curve`,
-`invert_standardization` and `schema_from_json` are plain forms the pipeline
+verifies: it imports neither `disjoint_link._kernels` nor
+`disjoint_link.linkage`, so no reference wraps the code it checks.
+`roc_curve`, `invert_standardization` and `schema_from_json` are plain forms the pipeline
 does not need. `sigmoid_two_branch` and `fit_logistic_reference` are the forms
 `_kernels.sigmoid` and the logistic fit had before the sigmoid went
 branch-free; `logistic_loss` is the loss whose gradient the fit descends. The CSV references are the cell-by-cell loader and the
 row-by-row `csv.writer` writers the package's one-pass forms must equal byte
 for byte. `scatter_svg_reference` is the per-point loop `figures.scatter_svg`
-had before it scaled the points as arrays.
+had before it scaled the points as arrays. `bayes_scores` and
+`score_fidelity` read the synthetic generator's true parameters
+(`synth.SynthDetails`).
 """
 
 import csv
@@ -23,10 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from disjoint_link import _kernels
 from disjoint_link.data import DataError, Dataset, FeatureSchema
 from disjoint_link.figures import NEGATIVE_COLOR, POSITIVE_COLOR
-from disjoint_link.linkage import NeighborMap
 
 
 def welch_t_brute(values0, values1):
@@ -84,29 +83,20 @@ def group_threshold_brute(A, k, groups):
                      for row in np.asarray(A, dtype=float)])
 
 
-@dataclass(frozen=True)
-class LinkageMatrix:
-    dist: np.ndarray  # (N, M) non-negative
-    row_source: str
-    col_source: str
+def bayes_scores(details, X, sigma):
+    """The true-parameter scorer of D1's raw rows `X` at noise level `sigma`:
+    w . E[z | x] = w . A1^T (A1 A1^T + sigma^2 I)^-1 x, the ranking no model
+    of a D1 row's features beats in expectation."""
+    a1 = details.a1
+    gram = a1 @ a1.T + sigma ** 2 * np.eye(a1.shape[0])
+    return np.asarray(X, dtype=float) @ np.linalg.solve(gram, a1 @ details.w)
 
 
-def distance_matrix(a, b, row_source="a", col_source="b"):
-    """Exact all-pairs Euclidean distances between the rows of two reduced
-    datasets, tagged with the datasets' names."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[1] != b.shape[1]:
-        raise DataError(f"reduced dimensions differ: {a.shape[1]} vs {b.shape[1]}")
-    return LinkageMatrix(_kernels.pairwise_euclidean(a, b), row_source, col_source)
-
-
-def k_nearest(m, k):
-    """Per row, the k nearest columns ascending; ties go to the lower index."""
-    if not 1 <= k <= m.dist.shape[1]:
-        raise DataError(f"k={k} must lie in [1, {m.dist.shape[1]}]")
-    idx, val = _kernels.k_smallest(m.dist, k)
-    return NeighborMap(k=k, neighbors=idx, distances=val)
+def score_fidelity(details, neighbors):
+    """corr(z1 . w, the mean of z2 . w over each D1 row's D2 `neighbors`):
+    how well the rows a D1 row links to share its true outcome score."""
+    linked = (details.z2 @ details.w)[np.asarray(neighbors)].mean(axis=1)
+    return float(np.corrcoef(details.z1 @ details.w, linked)[0, 1])
 
 
 def auroc_brute(scores, labels):

@@ -2,10 +2,13 @@
 
 Criterion 2's unlinked margin is a known-red target: with source labels
 excluded from aggregation and all artifacts fit on training folds only, the
-linked features carry no information beyond the target rows' own features,
-and the measured autoencoder-vs-unlinked gap stays near zero for every
-generator parameterization tried. The assertion is kept faithful to the
-stated threshold rather than loosened; see the margins it prints.
+linked features carry no information beyond the target rows' own features.
+On criterion 2's folds (CV seeds 0-9 x 5 folds, 11 positives) even the
+true-parameter Bayes scorer of a D1 row averages 0.6824 AUROC (sd 0.129),
+against unlinked 0.6754: the threshold, unlinked + 0.05 = 0.7254, lies
+0.043 above the ranking no model of a D1 row beats in expectation. The
+assertion is kept faithful to the stated threshold rather than loosened;
+see the margins and the Bayes scorer it prints.
 """
 
 import json
@@ -34,9 +37,9 @@ from disjoint_link.evaluation import (
 )
 from disjoint_link.linkage import fit_jobs, fit_reducer, link_detailed
 from disjoint_link.reducers import fit_pca, project_pca
-from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair
+from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair, synthesize_disjoint_pair_detailed
 
-from oracles import LinkageMatrix, auroc_brute, distance_matrix, k_nearest, pca_components_brute
+from oracles import auroc_brute, bayes_scores, pca_components_brute
 
 RUNTIME_BUDGET_SECONDS = 300.0
 
@@ -45,18 +48,21 @@ def report_line(number, ok, detail):
     print(f"ACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
+ACCEPTANCE_PAIR = SyntheticPairConfig(
+    latent_dim=3, n1=300, n2=3000, k1=6, k2=10,
+    noise_sigma=1.0, positive_rate=0.05, seed=11,
+)
+CV_SEEDS = list(range(10))
+
+
 @pytest.fixture(scope="module")
 def synthetic_suite():
-    cfg = SyntheticPairConfig(
-        latent_dim=3, n1=300, n2=3000, k1=6, k2=10,
-        noise_sigma=1.0, positive_rate=0.05, seed=11,
-    )
-    d1, d2 = synthesize_disjoint_pair(cfg)
+    d1, d2 = synthesize_disjoint_pair(ACCEPTANCE_PAIR)
     start = time.monotonic()
     report = evaluate_conditions(
         d1, d2,
         ["unlinked", "random", "feature_importance", "pca", "autoencoder"],
-        folds=5, seeds=list(range(10)), k=5, r=8,
+        folds=5, seeds=CV_SEEDS, k=5, r=8,
     )
     runtime = time.monotonic() - start
     return report, runtime
@@ -77,10 +83,17 @@ def test_criterion_2_synthetic_linkage_lift(synthetic_suite):
     margin_unlinked = ae - unlinked
     margin_random = ae - random_linked
     ok = margin_unlinked >= 0.05 and margin_random >= 0.03 and runtime < RUNTIME_BUDGET_SECONDS
+    # why the unlinked margin is red: the true-parameter scorer's mean AUROC
+    # on the same folds, and how far the AE's threshold lies above it
+    d1, _, details = synthesize_disjoint_pair_detailed(ACCEPTANCE_PAIR)
+    scores = bayes_scores(details, d1.X, ACCEPTANCE_PAIR.noise_sigma)
+    bayes = np.mean([auroc(scores[te], d1.y[te]) for seed in CV_SEEDS
+                     for _, te in stratified_kfold(d1, report.folds, seed)])
     report_line(
         2, ok,
         f"AE-unlinked {margin_unlinked:+.4f} (need >=0.05), "
-        f"AE-random {margin_random:+.4f} (need >=0.03), runtime {runtime:.0f}s",
+        f"AE-random {margin_random:+.4f} (need >=0.03), runtime {runtime:.0f}s; "
+        f"Bayes scorer {bayes:.4f}, threshold {unlinked + 0.05 - bayes:+.4f} above it",
     )
     assert runtime < RUNTIME_BUDGET_SECONDS
     assert margin_random >= 0.03
@@ -209,19 +222,18 @@ def test_criterion_7_pipeline_invariant_suite(tmp_path):
     # distance transpose symmetry at 1e-12
     a = rng.normal(size=(12, 4))
     b = rng.normal(size=(15, 4))
-    fwd = distance_matrix(a, b).dist
-    rev = distance_matrix(b, a).dist
+    fwd = _kernels.pairwise_euclidean(a, b)
+    rev = _kernels.pairwise_euclidean(b, a)
     assert np.abs(fwd - rev.T).max() <= 1e-12
 
-    # neighbor tie-break determinism
-    nb = k_nearest(LinkageMatrix(np.array([[2.0, 1.0, 1.0]]), "a", "b"), 2)
-    assert nb.neighbors.tolist() == [[1, 2]]
+    # neighbor tie-break determinism, in the search the pipeline runs:
+    # reference rows at distances 2, 1 and 1 from the query
+    idx, _ = _kernels.nearest(np.array([[0.0]]), np.array([[2.0], [1.0], [-1.0]]), 2)
+    assert idx.tolist() == [[1, 2]]
 
     # median aggregation oracle on hand cases
-    nb3 = k_nearest(LinkageMatrix(np.array([[1.0, 2.0, 3.0]]), "a", "b"), 3)
-    assert _kernels.median_over_rows(np.array([[1.0], [5.0], [100.0]]), nb3.neighbors)[0, 0] == 5.0
-    nb4 = k_nearest(LinkageMatrix(np.array([[1.0, 2.0, 3.0, 4.0]]), "a", "b"), 4)
-    assert _kernels.median_over_rows(np.array([[1.0], [3.0], [5.0], [100.0]]), nb4.neighbors)[0, 0] == 4.0
+    assert _kernels.median_over_rows(np.array([[1.0], [5.0], [100.0]]), np.array([[0, 1, 2]]))[0, 0] == 5.0
+    assert _kernels.median_over_rows(np.array([[1.0], [3.0], [5.0], [100.0]]), np.array([[0, 1, 2, 3]]))[0, 0] == 4.0
 
     # D12/D21 dimension contracts
     from conftest import numeric_dataset

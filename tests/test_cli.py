@@ -334,7 +334,7 @@ class TestEvaluateCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("change, message", [
-        ({"k": 41}, "k=41 exceeds the source dataset size 40"),
+        ({"k": 41}, "k=41 must lie in [1, 40]"),
         ({"folds": 20}, "members, fewer than 20 folds"),
     ])
     def test_failed_evaluation_leaves_no_directory(self, tmp_path, capsys, change, message):

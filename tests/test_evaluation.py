@@ -271,11 +271,20 @@ class TestEvaluateConditions:
 
     def test_k_exceeding_source_rejected(self):
         d1, d2 = small_pair()
-        with pytest.raises(DataError, match="exceeds the source"):
+        with pytest.raises(DataError, match=rf"^k={d2.n + 1} must lie in \[1, {d2.n}\]$"):
             evaluate_conditions(d1, d2, ["random"], folds=2, seeds=[0], k=d2.n + 1)
         for conditions in (["unlinked", "random"], ["unlinked", "pca"]):  # a k below 1, too
-            with pytest.raises(DataError, match="^k=0 must be at least 1$"):
+            with pytest.raises(DataError, match=rf"^k=0 must lie in \[1, {d2.n}\]$"):
                 evaluate_conditions(d1, d2, conditions, folds=2, seeds=[0], k=0)
+
+    def test_empty_condition_list_rejected_before_any_fit(self, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("a reducer was fitted")
+
+        monkeypatch.setattr(evaluation, "fit_reducer", no_fit)
+        d1, d2 = synthesize_disjoint_pair(SyntheticPairConfig(2, 40, 60, 3, 4, 0.5, 0.3, 3))
+        with pytest.raises(DataError, match="^conditions must be a non-empty list$"):
+            evaluate_conditions(d1, d2, [], folds=2, seeds=[0], k=3, r=2)
 
     def test_empty_seed_list_rejected_before_any_fit(self, monkeypatch):
         def no_fit(*args):

@@ -53,6 +53,18 @@ class TestPairwiseEuclidean:
         mask[2, 0] = mask[0, 1] = True
         assert (d[~mask] > 0).all()
 
+    def test_transpose_symmetry(self):
+        rng = np.random.default_rng(1)
+        a, b = rng.normal(size=(6, 3)), rng.normal(size=(9, 3))
+        np.testing.assert_allclose(_kernels.pairwise_euclidean(a, b), _kernels.pairwise_euclidean(b, a).T, atol=1e-12)
+
+    def test_triangle_inequality_sampled(self):
+        rng = np.random.default_rng(2)
+        a, b = rng.normal(size=(5, 4)), rng.normal(size=(7, 4))
+        d_ab, d_bb = _kernels.pairwise_euclidean(a, b), pairwise_dist_brute(b, b)
+        for i, j, l in np.ndindex(5, 7, 7):
+            assert d_ab[i, j] <= d_ab[i, l] + d_bb[l, j] + 1e-12
+
 
 class TestKSmallest:
     def test_tie_broken_by_lower_index(self, as_input):
@@ -74,6 +86,10 @@ class TestKSmallest:
         dist = rng.uniform(size=(7, 9))
         idx, _ = _kernels.k_smallest(as_input(dist), 1)
         np.testing.assert_array_equal(idx[:, 0], dist.argmin(axis=1))
+
+    def test_rescaling_invariance(self):
+        dist = np.random.default_rng(5).uniform(size=(4, 6))
+        np.testing.assert_array_equal(_kernels.k_smallest(dist, 3)[0], _kernels.k_smallest(dist * 37.5, 3)[0])
 
     def test_k_out_of_range(self, as_input):
         with pytest.raises(ValueError):
@@ -360,6 +376,12 @@ class TestMedianOverRows:
                 for c in range(3):
                     want = median_brute([values[j, c] for j in idx[i]])
                     assert got[i, c] == pytest.approx(want, abs=1e-15)
+
+    def test_neighbor_permutation_invariance(self):
+        src = np.random.default_rng(7).normal(size=(10, 3))
+        idx = np.array([[0, 3, 7, 9], [2, 4, 5, 8]])
+        shuffled = idx[:, [2, 0, 3, 1]]
+        np.testing.assert_array_equal(_kernels.median_over_rows(src, idx), _kernels.median_over_rows(src, shuffled))
 
     def test_index_out_of_range(self, as_input):
         with pytest.raises(ValueError):

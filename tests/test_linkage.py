@@ -1,9 +1,11 @@
+import ast
 import concurrent.futures
 import multiprocessing
 import os
 import tracemalloc
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import pytest
 from disjoint_link import _kernels, linkage
 from disjoint_link.autoencoder import AutoencoderHyper, fit_autoencoder
 from disjoint_link.data import DataError, standardize
+from disjoint_link.evaluation import evaluate_conditions
 from disjoint_link.linkage import (
     fit_reducer,
     link_detailed,
@@ -19,6 +22,7 @@ from disjoint_link.linkage import (
     neighbors_to_csv,
     pair_reducers,
     pooled,
+    random_rng,
 )
 from disjoint_link.reducers import (
     autoencoder_to_payload,
@@ -26,92 +30,9 @@ from disjoint_link.reducers import (
     feature_importance_pair,
     normalize_latent,
 )
+from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair, synthesize_disjoint_pair_detailed
 
-from oracles import LinkageMatrix, distance_matrix, k_nearest, pairwise_dist_brute
-
-
-def reduced(a):
-    return np.asarray(a, dtype=float)
-
-
-class TestDistanceMatrix:
-    def test_identity(self):
-        m = distance_matrix(reduced([[1.0, 2.0]]), reduced([[1.0, 2.0]]))
-        assert m.dist.tolist() == [[0.0]]
-
-    def test_3_4_5(self):
-        m = distance_matrix(reduced([[0.0, 0.0]]), reduced([[3.0, 4.0]]))
-        assert m.dist[0, 0] == 5.0
-
-    def test_bruteforce_oracle(self):
-        rng = np.random.default_rng(0)
-        a, b = rng.normal(size=(3, 2)), rng.normal(size=(4, 2))
-        m = distance_matrix(reduced(a), reduced(b))
-        np.testing.assert_allclose(m.dist, pairwise_dist_brute(a, b), atol=1e-12)
-
-    def test_transpose_symmetry(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.normal(size=(6, 3)), rng.normal(size=(9, 3))
-        fwd = distance_matrix(reduced(a), reduced(b)).dist
-        rev = distance_matrix(reduced(b), reduced(a)).dist
-        np.testing.assert_allclose(fwd, rev.T, atol=1e-12)
-
-    def test_triangle_inequality_sampled(self):
-        rng = np.random.default_rng(2)
-        a, b = rng.normal(size=(5, 4)), rng.normal(size=(7, 4))
-        d_ab = distance_matrix(reduced(a), reduced(b)).dist
-        d_bb = pairwise_dist_brute(b, b)
-        for i in range(5):
-            for j in range(7):
-                for l in range(7):
-                    assert d_ab[i, j] <= d_ab[i, l] + d_bb[l, j] + 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DataError):
-            distance_matrix(reduced([[1.0, 2.0]]), reduced([[1.0]]))
-
-    def test_row_col_sources(self):
-        a, b = reduced([[0.0]]), reduced([[1.0]])
-        m = distance_matrix(a, b, "left", "right")
-        assert (m.row_source, m.col_source) == ("left", "right")
-        back = distance_matrix(b, a, "right", "left")
-        assert (back.row_source, back.col_source) == ("right", "left")
-
-
-class TestKNearest:
-    def test_tie_break(self):
-        m = LinkageMatrix(np.array([[2.0, 1.0, 1.0]]), "a", "b")
-        nb = k_nearest(m, 2)
-        assert nb.neighbors.tolist() == [[1, 2]]
-
-    def test_k_equals_m(self):
-        rng = np.random.default_rng(3)
-        m = LinkageMatrix(rng.uniform(size=(3, 5)), "a", "b")
-        nb = k_nearest(m, 5)
-        for row in nb.neighbors:
-            assert sorted(row.tolist()) == list(range(5))
-
-    def test_k1_argmin(self):
-        rng = np.random.default_rng(4)
-        dist = rng.uniform(size=(6, 8))
-        nb = k_nearest(LinkageMatrix(dist, "a", "b"), 1)
-        np.testing.assert_array_equal(nb.neighbors[:, 0], dist.argmin(axis=1))
-
-    def test_rescaling_invariance(self):
-        rng = np.random.default_rng(5)
-        dist = rng.uniform(size=(4, 6))
-        a = k_nearest(LinkageMatrix(dist, "a", "b"), 3)
-        b = k_nearest(LinkageMatrix(dist * 37.5, "a", "b"), 3)
-        np.testing.assert_array_equal(a.neighbors, b.neighbors)
-
-    def test_k_too_large(self):
-        with pytest.raises(DataError):
-            k_nearest(LinkageMatrix(np.zeros((2, 3)), "a", "b"), 4)
-
-    def test_row_distances_non_decreasing(self):
-        rng = np.random.default_rng(6)
-        nb = k_nearest(LinkageMatrix(rng.uniform(size=(5, 9)), "a", "b"), 4)
-        assert (np.diff(nb.distances, axis=1) >= 0).all()
+from oracles import k_nearest_brute, score_fidelity
 
 
 class TestNearestNeighbors:
@@ -119,14 +40,14 @@ class TestNearestNeighbors:
 
     def test_equals_k_nearest_of_the_matrix(self):
         rng = np.random.default_rng(4)
-        a, b = reduced(rng.integers(0, 3, size=(9, 2))), reduced(rng.integers(0, 3, size=(13, 2)))
+        a, b = rng.integers(0, 3, size=(9, 2)).astype(float), rng.integers(0, 3, size=(13, 2)).astype(float)
         ref_features = rng.normal(size=(13, 3))
         idx, dist = _kernels.nearest(a, b, 4)
         agg = _kernels.median_over_rows(ref_features, idx)
-        want = k_nearest(distance_matrix(a, b), 4)
-        np.testing.assert_array_equal(idx, want.neighbors)
-        np.testing.assert_array_equal(dist, want.distances)
-        np.testing.assert_array_equal(agg, _kernels.median_over_rows(ref_features, want.neighbors))
+        want_idx, want_dist = k_nearest_brute(a, b, 4)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(dist, want_dist)
+        np.testing.assert_array_equal(agg, _kernels.median_over_rows(ref_features, want_idx))
 
     def test_memory_stays_below_half_a_matrix(self):
         n = m = 4000
@@ -140,34 +61,6 @@ class TestNearestNeighbors:
             tracemalloc.stop()
         assert idx.shape == (n, 5)
         assert peak < 8 * n * m / 2
-
-
-class TestMedianAggregate:
-    """The neighbors' feature-wise median `link_into` appends, `_kernels.median_over_rows`."""
-
-    def test_k1_identity(self):
-        m = LinkageMatrix(np.array([[0.5, 0.1], [0.2, 0.9]]), "a", "b")
-        nb = k_nearest(m, 1)
-        src = np.array([[10.0, 1.0], [20.0, 2.0]])
-        out = _kernels.median_over_rows(src, nb.neighbors)
-        np.testing.assert_array_equal(out, src[[1, 0]])
-
-    def test_odd_median(self):
-        nb = k_nearest(LinkageMatrix(np.array([[1.0, 2.0, 3.0]]), "a", "b"), 3)
-        out = _kernels.median_over_rows(np.array([[1.0], [5.0], [100.0]]), nb.neighbors)
-        assert out[0, 0] == 5.0
-
-    def test_even_midpoint(self):
-        nb = k_nearest(LinkageMatrix(np.array([[1.0, 2.0, 3.0, 4.0]]), "a", "b"), 4)
-        out = _kernels.median_over_rows(np.array([[1.0], [3.0], [5.0], [100.0]]), nb.neighbors)
-        assert out[0, 0] == 4.0
-
-    def test_neighbor_permutation_invariance(self):
-        rng = np.random.default_rng(7)
-        src = rng.normal(size=(10, 3))
-        idx = np.array([[0, 3, 7, 9], [2, 4, 5, 8]])
-        shuffled = idx[:, [2, 0, 3, 1]]
-        np.testing.assert_array_equal(_kernels.median_over_rows(src, idx), _kernels.median_over_rows(src, shuffled))
 
 
 class TestLink:
@@ -310,6 +203,27 @@ class TestLinkInto:
             np.testing.assert_array_equal(nb.neighbors, want_idx)
             np.testing.assert_array_equal(nb.distances.view(np.uint64), want_dist.view(np.uint64))
             np.testing.assert_array_equal(agg.view(np.uint64), want_agg.view(np.uint64))
+
+
+class TestOneKRule:
+    """Every linking entry point checks k against D2's rows (`_check_k`),
+    with one message, before it fits or draws anything."""
+
+    @pytest.mark.parametrize("too_many", [False, True], ids=["k=0", "k=rows+1"])
+    @pytest.mark.parametrize("entry", ["evaluate_conditions", "link_detailed", "link_into-pair", "link_into-random"])
+    def test_one_message_at_every_entry_point(self, entry, too_many):
+        d1, d2 = synthesize_disjoint_pair(SyntheticPairConfig(2, 40, 60, 3, 4, 0.5, 0.3, 3))
+        d1s, d2s = standardize(d1), standardize(d2)
+        k = d2.n + 1 if too_many else 0
+        calls = {
+            "evaluate_conditions": lambda: evaluate_conditions(d1, d2, ["random", "pca"], folds=2, seeds=[0], k=k),
+            "link_detailed": lambda: link_detailed(d1, d2, "pca", k=k),
+            "link_into-pair": lambda: link_into(
+                pair_reducers(*(fit_reducer("pca", d, 2, AutoencoderHyper()) for d in (d1s, d2s))), d2s.X, k, None, d1s.X),
+            "link_into-random": lambda: link_into(None, d2s.X, k, random_rng(0, 0), d1s.X),
+        }
+        with pytest.raises(DataError, match=rf"^k={k} must lie in \[1, {d2.n}\]$"):
+            calls[entry]()
 
 
 def no_fork():
@@ -460,6 +374,25 @@ class TestRandomLink:
             assert len(set(row.tolist())) == 4
 
 
+class TestScoreFidelity:
+    def test_fidelity_before_any_alignment(self):
+        # corr(z1 . w, mean z2 . w over the neighbors) on the acceptance
+        # generator at noise 0.25, R 3, k 5: neighbors by the true latent
+        # reach 1 and random ones 0. The reducers' values, which no latent
+        # alignment corrects yet, are printed, not asserted
+        for gen_seed in (11, 12):
+            cfg = SyntheticPairConfig(3, 300, 3000, 6, 10, 0.25, 0.05, gen_seed)
+            d1, d2, details = synthesize_disjoint_pair_detailed(cfg)
+            fidelity = {"true latent": score_fidelity(details, _kernels.nearest(details.z1, details.z2, 5)[0])}
+            for kind in ("random", "feature_importance", "pca", "autoencoder"):
+                nb = link_detailed(d1, d2, kind, k=5, r=3, seed=1).neighbors_12
+                fidelity[kind] = score_fidelity(details, nb.neighbors)
+            print(f"score fidelity, generator seed {gen_seed}: "
+                  + ", ".join(f"{name} {value:+.3f}" for name, value in fidelity.items()))
+            assert fidelity["true latent"] >= 0.99
+            assert abs(fidelity["random"]) < 0.15
+
+
 class TestSerialization:
     def test_linked_csv_headers(self, tmp_path, make_dataset):
         rng = np.random.default_rng(17)
@@ -485,3 +418,17 @@ class TestSerialization:
         assert len(lines) == 1 + 4 * 2
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
+
+
+def test_oracles_wrap_no_linking_code():
+    # a reference built on the kernels or the linking step would agree with
+    # them by construction, so the brute-force oracles import neither
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert not imported & {"disjoint_link._kernels", "disjoint_link.linkage"}
