@@ -245,7 +245,7 @@ def cmd_evaluate(cfg: dict, out_override: str | None = None) -> Path:
         key=lambda c: (report.conditions[c].mean, -CONDITION_ORDER.index(c)),
     )
     before = export_projection_2d(d1)
-    after = export_projection_2d(_unwrap(report.after[best]))
+    after = export_projection_2d(report.after[best])
     out = _out_dir(cfg, out_override)  # after the pipeline: an error leaves no directory
     (out / "report.json").write_text(
         json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -15,12 +15,12 @@ it links each on its own and fits their models in lockstep
 `evaluate_conditions` groups the keys by that shape, the training row count
 and the feature count, which are known before any linking, and deals each
 group into at most one chunk per usable core. It runs two waves, each one
-call of the package's fork pool: the first runs the autoencoder fits, the
-all-rows links of the other conditions and their chunks; the second, which
-inherits those fits, the autoencoder's all-rows link and chunks. AUROCs are
-read back in the serial order. The all-rows links are the first CV seed's D1
-side of each linked condition, fitted on all rows and linked through that
-seed's evaluated D2 fit: the D12 that `after.svg` projects.
+call of the package's fork pool: the first runs the autoencoder fits and the
+other conditions' chunks; the second, which inherits those fits, the
+autoencoder's chunks. AUROCs are read back in the serial order. The first CV
+seed's folds hold each D1 row out once, so their test rows' neighbors make
+an out-of-fold D12 of every linked condition: the D12 that `after.svg`
+projects.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _kernels
 from ._kernels import sigmoid
 from .autoencoder import AutoencoderHyper
 from .data import (
@@ -59,8 +60,6 @@ from .linkage import (
     random_rng,
     usable_cores,
 )
-
-ALL_ROWS = "all rows"  # the fold key of the first CV seed's all-rows D1 fits
 
 CONDITION_ORDER = ("unlinked", "random", *REDUCER_KINDS)
 
@@ -311,12 +310,10 @@ class EvaluationReport:
     k: int
     r: int
     conditions: dict[str, ConditionSummary] = field(default_factory=dict)
-    # condition -> the first CV seed's D12, which `after.svg` projects: the
-    # all-rows D1 side linked through that seed's evaluated D2 fit, or the
-    # error its fit or link raised. Unless the seed's smallest training fold
-    # capped R below the all-rows fold's, this is
-    # `link_detailed(..., seed=seeds[0]).d12`. Not in the JSON
-    after: dict[str, Dataset | Exception] = field(default_factory=dict, repr=False)
+    # linked condition -> the first CV seed's out-of-fold D12, which
+    # `after.svg` projects: each row's medians come from the fold that held
+    # it out. Not in the JSON
+    after: dict[str, Dataset] = field(default_factory=dict, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -389,20 +386,18 @@ def evaluate_conditions(
     (`_chunks`), each chunk one pooled `run_fold_conditions` call whose
     models are fitted in lockstep. The feature-importance and PCA sides are
     fitted here; then two waves run, each one `pooled` call. The first trains
-    the autoencoders, D2's first and the all-rows D1 sides last, links the
-    all-rows D12 of the other linked conditions and runs the chunks of every
-    condition but the autoencoder. The second, which inherits those fits,
-    links the autoencoder's all-rows D12 and runs its chunks; without an
-    autoencoder it has no task and forks nothing. Each fit, link and chunk
-    comes back as its result or its error, and AUROCs are read in the serial
-    loop's (seed, condition, fold) order, so neither the report nor the
-    first error raised depends on the worker count.
+    the autoencoders, D2's first, and runs the chunks of every condition but
+    the autoencoder. The second, which inherits those fits, runs the
+    autoencoder's chunks; without an autoencoder it has no task and forks
+    nothing. Each fit and chunk comes back as its result or its error, and
+    AUROCs are read in the serial loop's (seed, condition, fold) order, so
+    neither the report nor the first error raised depends on the worker
+    count.
 
-    The first CV seed's all-rows D1 sides are the fold of all rows that
-    `link` fits, at that seed's R, linked through the seed's evaluated D2
-    fits into the report's `after`. A failed all-rows fit or link is stored
-    there, and raises only when it is read. A k outside [1, D2's rows], no
-    condition, no CV seed or a repeated CV seed fails before any fit.
+    The first CV seed's reducer cells also return their test rows'
+    neighbors, from which the report's `after` assembles each linked
+    condition's out-of-fold D12. A k outside [1, D2's rows], no condition,
+    no CV seed or a repeated CV seed fails before any fit.
     """
     if folds < 2:
         raise DataError("folds must be >= 2")
@@ -420,20 +415,17 @@ def evaluate_conditions(
     d1.require_both_classes()
     d2.require_both_classes()
     ordered = [c for c in CONDITION_ORDER if c in set(conditions)]
-    runs = {seed: standardized_folds(d1, stratified_kfold(d1, folds, seed)) for seed in seeds}
-    d1s = standardize(d1)
+    splits = {seed: stratified_kfold(d1, folds, seed) for seed in seeds}
+    runs = {seed: standardized_folds(d1, split) for seed, split in splits.items()}
     d2s = standardize(d2)  # once: every seed and condition shares D2's rows
     jobs = fit_jobs(ordered, d2s, [(seed, [tr for tr, _ in split]) for seed, split in runs.items()],
                     r=r, ae_hyper=ae_hyper)
-    first = seeds[0]  # the CV seed whose all-rows D12s `after` holds
-    linked = [cond for seed, cond, fold in jobs if seed == first and fold is None]
-    for cond in linked:
-        jobs[first, cond, ALL_ROWS] = fit_jobs([cond], d2s, [(first, [d1s])], r=jobs[first, cond, None][2],
-                                               ae_hyper=ae_hyper)[first, cond, 0]
+    first = seeds[0]  # the CV seed whose out-of-fold D12s `after` holds
+    linked = [cond for cond in ordered if cond in REDUCER_KINDS]
     # fitted here, before the pool forks, so the pooled cells inherit them;
     # each fit or its error, which a cell raises where the serial loop would
     fits = {key: _caught(fit_reducer, *job) for key, job in jobs.items() if job[0] != "autoencoder"}
-    # D2's fits, the longest, start first; the all-rows fits come last in `jobs`
+    # D2's fits, the longest, start first
     ae_keys = sorted((key for key, job in jobs.items() if job[0] == "autoencoder"),
                      key=lambda key: key[2] is not None)
 
@@ -442,38 +434,38 @@ def evaluate_conditions(
         ctx = prepare_d2_context(d2s, _unwrap(fits.get((seed, cond, None))))
         return cond, train, test, ctx, _unwrap(fits.get((seed, cond, fold))), seed, fold
 
-    def chunk_aurocs(chunk: list[tuple]) -> list[float | Exception]:
+    def chunk_outcomes(chunk: list[tuple]) -> list[tuple[float, NeighborMap | None] | Exception]:
+        # each cell's AUROC, with its test rows' neighbors if `after` needs them
         outcomes = run_fold_conditions([_caught(cell_args, *key) for key in chunk], k=k)
-        return [out if isinstance(out, Exception) else out.auroc for out in outcomes]
-
-    def link_after(cond: str) -> Dataset:
-        pair = pair_reducers(_unwrap(fits[first, cond, ALL_ROWS]), _unwrap(fits[first, cond, None]))
-        ((_, agg),) = link_into(pair, d2s.X, k, random_rng(first, 0), d1s.X)
-        return concat_linked(d1s, agg, d2s)
+        return [out if isinstance(out, Exception) else
+                (out.auroc, out.neighbors_test if key[0] == first and key[1] in linked else None)
+                for key, out in zip(chunk, outcomes)]
 
     def shape(key: tuple) -> tuple[int, int]:
         seed, cond, fold = key
         return runs[seed][fold][0].n, d1.k + (d2.k if cond != "unlinked" else 0)
 
     keys = [(seed, cond, fold) for seed in seeds for cond in ordered for fold in range(folds)]
-    after: dict[str, Dataset | Exception] = {}
-    aurocs: dict[tuple, float | Exception] = {}
-    # the autoencoder's links and cells wait for its fits: its wave forks
-    # after the first returns, and inherits them
+    cells: dict[tuple, tuple[float, NeighborMap | None] | Exception] = {}
+    # the autoencoder's cells wait for its fits: its wave forks after the
+    # first returns, and inherits them
     for ae_wave in (False, True):
         fit_keys = [] if ae_wave else ae_keys
-        wave_linked = [cond for cond in linked if (cond == "autoencoder") == ae_wave]
         chunks = _chunks([key for key in keys if (key[1] == "autoencoder") == ae_wave], shape)
         results = iter(pooled([partial(fit_reducer, *jobs[key]) for key in fit_keys]
-                              + [partial(link_after, cond) for cond in wave_linked]
-                              + [partial(chunk_aurocs, chunk) for chunk in chunks]))
+                              + [partial(chunk_outcomes, chunk) for chunk in chunks]))
         # read in the order submitted: zip takes each key before its result,
         # so it stops after its last key's result
         fits.update(zip(fit_keys, results))
-        after.update(zip(wave_linked, results))
         for chunk, result in zip(chunks, results):  # a failed chunk fails each of its cells
-            aurocs.update(zip(chunk, result if isinstance(result, list) else [result] * len(chunk)))
-    per_seed = np.reshape([_unwrap(aurocs[key]) for key in keys], (len(seeds), len(ordered), folds))
+            cells.update(zip(chunk, result if isinstance(result, list) else [result] * len(chunk)))
+    per_seed = np.reshape([_unwrap(cells[key])[0] for key in keys], (len(seeds), len(ordered), folds))
+    d1s, after = standardize(d1), {}
+    for cond in linked:  # each row's medians from the fold that held it out
+        agg = np.empty((d1.n, d2s.k))
+        for fold, (_, te) in enumerate(splits[first]):
+            agg[te] = _kernels.median_over_rows(d2s.X, cells[first, cond, fold][1].neighbors)
+        after[cond] = concat_linked(d1s, agg, d2s)
     return EvaluationReport(
         d1_id=d1.id,
         d2_id=d2.id,

@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from disjoint_link import _kernels, cli, data, evaluation, linkage
@@ -18,6 +19,8 @@ from disjoint_link.data import DataError
 from disjoint_link.evaluation import CONDITION_ORDER, run_fold_conditions
 from disjoint_link.figures import export_projection_2d, projection_to_csv
 from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair
+
+from test_evaluation import serial_out_of_fold
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -235,7 +238,9 @@ class TestEvaluateCommand:
         assert read_all_bytes(tmp_path / "out") == first
 
     @pytest.mark.parametrize("reducers", [["autoencoder"], ["feature_importance", "pca"]])
-    def test_after_projection_is_the_first_cv_seeds_link(self, tmp_path, reducers):
+    def test_after_projection_is_the_first_cv_seeds_out_of_fold_link(self, tmp_path, reducers):
+        # after.svg projects the best condition's D12 as the first CV seed's
+        # cells linked it: each D1 row by the fold that held it out
         doc = self.evaluate_config(tmp_path / "out")
         doc.update(reducers=reducers, seeds=[3, 0], seed=9)
         assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
@@ -243,14 +248,18 @@ class TestEvaluateCommand:
         best = max(reducers, key=lambda c: (report["conditions"][c]["mean"], -CONDITION_ORDER.index(c)))
         d1, d2 = synthesize_disjoint_pair(SyntheticPairConfig(**doc["inputs"]["synthetic"]))
         hyper = AutoencoderHyper(hidden_dims=(4,), epochs=5, batch_size=16, learning_rate=0.01)
-        res = linkage.link_detailed(d1, d2, best, k=3, r=2, ae_hyper=hyper, seed=3)
-        projection_to_csv(export_projection_2d(res.d12), tmp_path / "want.csv")
+        d2s = data.standardize(d2)
+        agg = np.empty((d1.n, d2.k))
+        for te, out in serial_out_of_fold(d1, d2, best, 2, 3, k=3, r=2, ae_hyper=hyper):
+            agg[te] = np.median(d2s.X[out.neighbors_test.neighbors], axis=1)
+        d12 = linkage.concat_linked(data.standardize(d1), agg, d2s)
+        projection_to_csv(export_projection_2d(d12), tmp_path / "want.csv")
         assert (tmp_path / "out" / "after.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_d2_is_fitted_once_per_cv_seed_and_condition(self, tmp_path, monkeypatch):
         # with the pooled tasks run here, once each, every fit calls
-        # `evaluation.fit_reducer` in this process, after.svg's D1 sides
-        # included: evaluate fits one on all rows per linked condition
+        # `evaluation.fit_reducer` in this process: D2 once per CV seed and
+        # linked condition, and D1 on its training folds only
         listed = []
 
         def recording_fit(*job):
@@ -265,11 +274,12 @@ class TestEvaluateCommand:
         d2_fits = [(kind, hyper.seed) for kind, d, _, hyper in listed if d.n == 60]
         assert len(d2_fits) == len(set(d2_fits)) == 2 * 3
         all_rows = [kind for kind, d, _, _ in listed if d.n == 40]
-        assert sorted(all_rows) == ["autoencoder", "feature_importance", "pca"]
+        assert all_rows == []
+        assert len(listed) == 2 * 3 * (1 + 2)
 
     def test_d2_rows_are_never_the_query(self, tmp_path, monkeypatch):
-        # after.svg plots D12 only, so no search of evaluate, the cells' or
-        # after.svg's, links D2's 60 rows into D1
+        # after.svg plots D12 only, so no search of evaluate's cells links
+        # D2's 60 rows into D1
         query_rows, nearest = [], _kernels.nearest
 
         def recording_nearest(z_query, *args):
@@ -281,47 +291,13 @@ class TestEvaluateCommand:
         doc = self.evaluate_config(tmp_path / "out")
         assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
         assert 60 not in query_rows
-        # one search per link: a cell's 20 training and 20 test rows, and after.svg's D1
+        # one search per cell: its 20 training and 20 test rows
         assert sorted(set(query_rows)) == [40]
 
-    def test_a_failed_all_rows_fit_raises_only_for_the_best_condition(self, tmp_path, monkeypatch, capsys):
-        # after.svg projects the best condition's all-rows D12 alone: another
-        # condition's failed all-rows fit is stored and never read
-        doc = self.evaluate_config(tmp_path / "ok")
-        assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
-        want = read_all_bytes(tmp_path / "ok")
-        del want["manifest.json"]  # it names the output directory
-        report = json.loads(want["report.json"])
-        reducers = doc["reducers"]
-        best = max(reducers, key=lambda c: (report["conditions"][c]["mean"], -CONDITION_ORDER.index(c)))
-        fit_reducer, failing = linkage.fit_reducer, []
-
-        def failing_fit(kind, d, *args):
-            if d.n == 40 and kind in failing:  # D1's all rows; its training folds have 20
-                raise DataError(f"{kind} all-rows fit failed")
-            return fit_reducer(kind, d, *args)
-
-        monkeypatch.setattr(evaluation, "fit_reducer", failing_fit)
-        use_cores(monkeypatch, {0, 1})
-        for cond in reducers:
-            failing[:] = [cond]
-            doc = self.evaluate_config(tmp_path / cond)
-            code = main(["evaluate", "--config", str(write_config(tmp_path, doc))])
-            if cond == best:
-                assert code == 1
-                assert f"error: [evaluate] {cond} all-rows fit failed" in capsys.readouterr().err
-                assert not (tmp_path / cond).exists()
-            else:
-                assert code == 0, cond
-                got = read_all_bytes(tmp_path / cond)
-                del got["manifest.json"]
-                assert got == want, cond
-            assert multiprocessing.active_children() == []
-
-    def test_training_folds_cap_r_below_the_all_rows_fold(self, tmp_path):
+    def test_after_keeps_every_row_when_training_folds_cap_r(self, tmp_path):
         # 10 rows in 2 folds: the smallest training fold caps the evaluated R
-        # below the all-rows fold's 6, so after.svg's D1 fit must take the
-        # evaluated D2 fit's R
+        # below D1's 6 features; after.svg still holds every D1 row, each
+        # linked by the fold that held it out
         doc = synth_config(tmp_path / "out", n1=10, k1=6, k2=8, seed=6, reducers=["pca"], folds=2, R=6)
         assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
         assert (tmp_path / "out" / "after.csv").read_text().count("\n") == 1 + 10
@@ -387,9 +363,8 @@ class TestPooledFits:
         assert b"training_log" in outputs[0][1]
 
     def test_evaluate_with_autoencoder_does_not_depend_on_worker_count(self, tmp_path, monkeypatch, pool_sizes):
-        # the autoencoder is the only reducer, so after.svg links its all-rows
-        # D1 side, which trains on the pool after the fold fits; the
-        # autoencoder cells run on a second pool once their fits are back
+        # the autoencoder is the only reducer, so after.svg projects its
+        # cells' D12; they run on a second pool once their fits are back
         outputs = []
         for cores in ({0}, {0, 1}):
             use_cores(monkeypatch, cores)
@@ -455,8 +430,8 @@ class TestPooledFits:
             assert multiprocessing.active_children() == []
 
     def test_no_search_runs_in_the_main_process(self, tmp_path, monkeypatch):
-        # every search of evaluate, the cells' and after.svg's all-rows D12s,
-        # runs in a pool worker; the main process only reads results
+        # every search of evaluate, one per cell, runs in a pool worker; the
+        # main process only reads results, after.svg's D12 included
         log, nearest = tmp_path / "pids.log", _kernels.nearest
 
         def recording_nearest(*args):
@@ -469,8 +444,8 @@ class TestPooledFits:
         doc = TestEvaluateCommand().evaluate_config(tmp_path / "out")
         assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
         pids = log.read_text(encoding="utf-8").split()
-        # three linked conditions: 2 fold cells and 1 all-rows D12 each
-        assert len(pids) == 3 * (2 + 1)
+        # three linked conditions: 2 fold cells each
+        assert len(pids) == 3 * 2
         assert str(os.getpid()) not in pids
 
     def test_cli_import_loads_no_pool_module(self):

@@ -341,6 +341,20 @@ def serial_per_seed(d1, d2, cond, folds, seeds, *, k, r, ae_hyper=None):
     return tuple(want)
 
 
+def serial_out_of_fold(d1, d2, cond, folds, seed, *, k, r, ae_hyper=None):
+    """One linked condition's cells of one CV seed, from the pipeline's steps
+    called one after another in this process: each fold's test rows with
+    its `run_fold_condition` outcome."""
+    split = stratified_kfold(d1, folds, seed)
+    fs = standardized_folds(d1, split)
+    d2s = standardize(d2)
+    jobs = fit_jobs([cond], d2s, [(seed, [tr for tr, _ in fs])], r=r, ae_hyper=ae_hyper)
+    ctx = prepare_d2_context(d2s, fit_reducer(*jobs[seed, cond, None]))
+    return [(te, run_fold_condition(cond, d1_tr, d1_te, ctx, fit_reducer(*jobs[seed, cond, fold]),
+                                    k=k, seed=seed, fold=fold))
+            for fold, ((_, te), (d1_tr, d1_te)) in enumerate(zip(split, fs))]
+
+
 class TestPooledFits:
     def test_report_equals_the_serial_pipeline(self):
         # every pooled fit reaches the (seed, fold) it was listed for
@@ -413,22 +427,25 @@ class TestPooledFits:
         # second pool
         d1, d2 = small_pair(5)
         hyper = AutoencoderHyper(hidden_dims=(4,), epochs=5)
-        reports = []
+        reports, afters = [], []
         for cores in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
             report = evaluate_conditions(d1, d2, list(evaluation.CONDITION_ORDER), folds=3, seeds=[0, 1],
                                          k=3, r=2, ae_hyper=hyper)
             reports.append(report.to_json_dict())
+            afters.append({cond: (d.X.tobytes(), d.feature_names) for cond, d in report.after.items()})
             assert multiprocessing.active_children() == []
+        assert list(afters[0]) == ["feature_importance", "pca", "autoencoder"]
+        assert afters[0] == afters[1]
         assert reports[0] == reports[1]
         assert reports[0]["conditions"]["autoencoder"]["per_seed"] == [
             list(v) for v in serial_per_seed(d1, d2, "autoencoder", 3, [0, 1], k=3, r=2, ae_hyper=hyper)]
 
     def test_the_pooled_schedule(self, monkeypatch):
         # the first pool call starts the autoencoder fits, D2's (the longest)
-        # first and the all-rows D1 fit last, then the other conditions'
-        # all-rows links and chunks; the second holds only the autoencoder's
-        # all-rows link and chunks, and has no task without an autoencoder
+        # first, then the other conditions' chunks; the second holds only the
+        # autoencoder's chunks, and has no task without an autoencoder. No
+        # task links anything outside a cell
         calls = []
 
         def recording_pool(tasks):
@@ -436,10 +453,11 @@ class TestPooledFits:
             return linkage.pooled(tasks)
 
         def schedule(tasks):
-            # ("fit", kind, rows), ("link", condition) or ("chunk", its conditions)
+            # ("fit", kind, rows) or ("chunk", its conditions); anything else
+            # is named by its function
             return [("fit", task.args[0], task.args[1].n) if task.func is linkage.fit_reducer
-                    else ("link", task.args[0]) if isinstance(task.args[0], str)
-                    else ("chunk", sorted(cell[1] for cell in task.args[0])) for task in tasks]
+                    else ("chunk", sorted(cell[1] for cell in task.args[0])) if isinstance(task.args[0], list)
+                    else (task.func.__name__, task.args) for task in tasks]
 
         monkeypatch.setattr(evaluation, "pooled", recording_pool)
         d1, d2 = small_pair(4)
@@ -447,22 +465,20 @@ class TestPooledFits:
         evaluate_conditions(d1, d2, list(evaluation.CONDITION_ORDER), folds=3, seeds=[0, 1], k=3, r=2,
                             ae_hyper=hyper)
         first, second = [schedule(tasks) for tasks in calls]
-        fits = first[:9]  # per CV seed D2's and 3 folds', and the first seed's all-rows fit
-        assert [kind for _, kind, _ in fits] == ["autoencoder"] * 9
+        fits = first[:8]  # per CV seed D2's and 3 folds'
+        assert [kind for _, kind, _ in fits] == ["autoencoder"] * 8
         rows = [n for *_, n in fits]
-        assert rows[:2] == [d2.n, d2.n] and rows[-1] == d1.n
-        assert all(n < d1.n for n in rows[2:-1])
-        assert first[9:11] == [("link", "feature_importance"), ("link", "pca")]
-        assert all(kind == "chunk" for kind, _ in first[11:])
-        assert sorted(c for _, conds in first[11:] for c in conds) == sorted(
+        assert rows[:2] == [d2.n, d2.n]
+        assert all(n < d1.n for n in rows[2:])
+        assert all(kind == "chunk" for kind, _ in first[8:])
+        assert sorted(c for _, conds in first[8:] for c in conds) == sorted(
             ["unlinked", "random", "feature_importance", "pca"] * 2 * 3)
-        assert second[0] == ("link", "autoencoder")
-        assert all(kind == "chunk" for kind, _ in second[1:])
-        assert [c for _, conds in second[1:] for c in conds] == ["autoencoder"] * 2 * 3
+        assert all(kind == "chunk" for kind, _ in second)
+        assert [c for _, conds in second for c in conds] == ["autoencoder"] * 2 * 3
         calls.clear()
         evaluate_conditions(d1, d2, ["unlinked", "pca"], folds=3, seeds=[0], k=3, r=2)
         first, second = [schedule(tasks) for tasks in calls]
-        assert first[0] == ("link", "pca") and all(kind == "chunk" for kind, _ in first[1:])
+        assert all(kind == "chunk" for kind, _ in first)
         assert second == []
         assert multiprocessing.active_children() == []
 
@@ -504,21 +520,27 @@ class TestOnePipeline:
         assert np.array_equal(out.neighbors_train.distances, want.distances, equal_nan=True)
 
 
-class TestLinkAllRows:
-    def test_fits_nothing_and_equals_link(self, monkeypatch):
-        # evaluate links every linked condition's all-rows D1 side through the
-        # D2 fit it evaluated, on its pool, so after.svg's D12 is `link`'s and
-        # reading it fits nothing
+class TestOutOfFoldAfter:
+    def test_each_row_is_linked_by_the_fold_that_held_it_out(self):
+        # after.svg's D12 is the first CV seed's out of fold: D1's rows
+        # standardized on all rows, each with the medians of the neighbors
+        # that its fold's cell found for it as a test row
         d1, d2 = small_pair(3)
         hyper = AutoencoderHyper(hidden_dims=(4,), epochs=5)
         conditions = ["feature_importance", "pca", "autoencoder"]
-        report = evaluate_conditions(d1, d2, conditions, folds=3, seeds=[2], k=3, r=2, ae_hyper=hyper)
-        want = {c: link_detailed(d1, d2, c, k=3, r=2, ae_hyper=hyper, seed=2).d12 for c in conditions}
-        assert sorted(report.after) == sorted(conditions)
+        report = evaluate_conditions(d1, d2, conditions, folds=3, seeds=[2, 0], k=3, r=2, ae_hyper=hyper)
+        d2s = standardize(d2)
+        assert list(report.after) == conditions
         for cond in conditions:
             got = report.after[cond]
-            assert got.X.tobytes() == want[cond].X.tobytes(), cond
-            assert got.feature_names == want[cond].feature_names
+            assert got.feature_names == ([f"own.{n}" for n in d1.feature_names]
+                                         + [f"agg.{d2.id}.{n}" for n in d2.feature_names])
+            assert got.X[:, :d1.k].tobytes() == standardize(d1).X.tobytes()
+            assert np.array_equal(got.y, d1.y) and got.id == d1.id
+            for te, out in serial_out_of_fold(d1, d2, cond, 3, 2, k=3, r=2, ae_hyper=hyper):
+                # k = 3: the median is the middle neighbor's value, bit for bit
+                want = np.median(d2s.X[out.neighbors_test.neighbors], axis=1)
+                assert got.X[te, d1.k:].tobytes() == want.tobytes(), cond
 
 
 class TestTestRows:

@@ -16,7 +16,8 @@ load time; the pinned kernel is stored as `blas_core`, outside the
 fingerprint, and a digest mismatch names it next to this machine's.
 
 A change that alters outputs on purpose re-pins in the same commit, with
-`PYTHONPATH=src python tests/test_golden.py`, and says so in CHANGES.md.
+`PYTHONPATH=src python tests/test_golden.py`, and says so in CHANGES.md. The
+re-pin prints each `run/file` whose digest changed, appeared or vanished.
 """
 
 import ctypes
@@ -125,6 +126,15 @@ def run_digests(name: str, tmp: Path) -> dict:
     return digests
 
 
+def moved(old: dict, new: dict) -> list[str]:
+    """Each `run/file` whose digest differs between two pinned `runs`
+    tables, with how: changed, appeared or vanished."""
+    old, new = ({f"{run}/{name}": digest for run, files in runs.items() for name, digest in files.items()}
+                for runs in (old, new))
+    return [f"{'vanished' if key not in new else 'appeared' if key not in old else 'changed'} {key}"
+            for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
+
+
 @pytest.mark.parametrize("name", RUNS)
 def test_outputs_match_pinned_digests(name, tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
@@ -135,7 +145,9 @@ def test_outputs_match_pinned_digests(name, tmp_path):
 
 
 if __name__ == "__main__":
+    pinned = json.loads(GOLDEN.read_text(encoding="utf-8"))["runs"] if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         runs = {name: run_digests(name, Path(tmp) / name) for name in RUNS}
+    print("\n".join(moved(pinned, runs)) or "no digest moved")
     GOLDEN.write_text(json.dumps({"blas_core": blas_core(), "fingerprint": fingerprint(), "runs": runs},
                                  indent=2, sort_keys=True) + "\n", encoding="utf-8")

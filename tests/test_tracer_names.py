@@ -1,6 +1,8 @@
 """The per-layer benchmark wraps package functions by name from outside
 `src/` (perfbench/tracer.py); a renamed or deleted function would break its
-traced runs without failing anything in the package."""
+traced runs without failing anything in the package. The benchmark also
+recomputes the commands' outputs (perfbench/checks.py), so an output it
+would reject fails here first."""
 
 import importlib.util
 import json
@@ -12,15 +14,22 @@ from pathlib import Path
 import disjoint_link
 from disjoint_link.cli import main
 
+from test_golden import write_numeric_pair
+
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
+CHECKS = ROOT / "perfbench" / "checks.py"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load(path):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load(TRACER)
 
 
 def test_every_traced_name_exists():
@@ -65,3 +74,21 @@ def test_traced_commands_run_and_count(tmp_path):
     assert totals["evaluate"]["data.load_csv"]["bytes"] > 0
     assert totals["evaluate"]["figures.export_projection_2d"]["calls"] > 0
     assert totals["evaluate"]["figures.write"]["calls"] > 0
+
+
+def test_outputs_pass_the_benchmark_checks(tmp_path):
+    checks = load(CHECKS)
+    inputs = write_numeric_pair(tmp_path)
+    d1, d2 = (Path(inputs["files"][side]["path"]) for side in ("d1", "d2"))
+    reducers = ["feature_importance", "pca", "autoencoder"]
+    configs = {
+        "link": {"reducer": "pca", "k": 3, "R": 2},
+        "evaluate": {"reducers": reducers, "folds": 2, "seeds": [0, 1], "k": 3, "R": 2,
+                     "autoencoder": {"hidden_dims": [4], "epochs": 5, "batch_size": 16}},
+    }
+    for command, doc in configs.items():
+        config = tmp_path / f"{command}.json"
+        config.write_text(json.dumps({**doc, "inputs": inputs}), encoding="utf-8")
+        assert main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 0
+    assert checks.check_link(tmp_path / "link", d1, d2, 3, 16, 0).startswith("link ok")
+    assert checks.check_evaluate(tmp_path / "evaluate", d1, [0, 1], 2, reducers).startswith("evaluate ok")
