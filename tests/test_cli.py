@@ -238,7 +238,7 @@ class TestEvaluateCommand:
         assert read_all_bytes(tmp_path / "out") == first
 
     @pytest.mark.parametrize("reducers", [["autoencoder"], ["feature_importance", "pca"]])
-    def test_after_projection_is_the_first_cv_seeds_out_of_fold_link(self, tmp_path, reducers):
+    def test_after_projection_is_the_first_cv_seeds_link(self, tmp_path, reducers):
         # after.svg projects the best condition's D12 as the first CV seed's
         # cells linked it: each D1 row by the fold that held it out
         doc = self.evaluate_config(tmp_path / "out")
