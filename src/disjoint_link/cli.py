@@ -23,7 +23,6 @@ from .linkage import (
     REDUCER_KINDS,
     _unwrap,
     link_detailed,
-    link_is_large,
     linked_to_csv,
     neighbors_columns,
     neighbors_to_csv,
@@ -41,9 +40,9 @@ def _expect(cond: bool, path: str, msg: str) -> None:
         raise ConfigError(f"{path}: {msg}")
 
 
-def _as_int(value, path: str, at_least: int | None = None) -> int:
+def _as_int(value, path: str, at_least: int) -> int:
     _expect(isinstance(value, int) and not isinstance(value, bool), path, "must be an integer")
-    _expect(at_least is None or value >= at_least, path, f"must be >= {at_least}")
+    _expect(value >= at_least, path, f"must be >= {at_least}")
     return value
 
 
@@ -81,7 +80,7 @@ def resolve_config(raw: dict, base_dir: Path) -> dict:
     if has_synth:
         s = inputs["synthetic"]
         _expect(isinstance(s, dict), "inputs.synthetic", "must be an object")
-        ints = {"latent_dim": 1, "n1": 2, "n2": 2, "k1": None, "k2": None, "seed": 0}  # name: lower bound
+        ints = {"latent_dim": 1, "n1": 2, "n2": 2, "k1": 1, "k2": 1, "seed": 0}  # name: lower bound
         _known(s, "inputs.synthetic", *ints, "noise_sigma", "positive_rate")
         out = {}
         for name in (*ints, "noise_sigma", "positive_rate"):
@@ -215,10 +214,10 @@ def cmd_link(cfg: dict, out_override: str | None = None) -> Path:
              (linked_to_csv, res.d21, dataset_columns(res.d21), "D21.csv"),
              (neighbors_to_csv, res.neighbors_12, neighbors_columns(res.neighbors_12), "neighbors.csv")]
     blocks = [csv_blocks(columns) for _, _, (_, columns), _ in files]
-    # a large link formats every block of its three files on one pool; the
-    # texts are read in order, so the first error is the serial one
+    # a file of more than one block puts every block of the three files on one
+    # pool; the texts are read in order, so the first error is the serial one
     texts = pooled([task for file_blocks in blocks for task in file_blocks],
-                   in_pool=link_is_large(d1.n, d2.n, cfg["k"]))
+                   in_pool=any(len(file_blocks) > 1 for file_blocks in blocks))
     texts = iter([_unwrap(text) for text in texts])
     for (write, obj, _, name), file_blocks in zip(files, blocks):
         write(obj, out / name, [next(texts) for _ in file_blocks])

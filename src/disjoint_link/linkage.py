@@ -15,9 +15,9 @@ the full distance matrix is never built. A linked table is a
 `own.<feature>` for the base rows, `agg.<other id>.<feature>` for the
 medians. `pooled` runs a command's slow tasks, on a fork pool or in this
 process, and returns each one's result or error in order: the autoencoder
-fits, evaluate's chunks of same-shape fold-by-condition cells and, for a
-large link (`link_is_large`), the two search directions and the formatting
-of the CSV blocks that `linked_to_csv` and `neighbors_to_csv` write.
+fits, evaluate's chunks of same-shape fold-by-condition cells and the
+formatting of the CSV blocks that `linked_to_csv` and `neighbors_to_csv`
+write.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import _kernels, data
+from . import _kernels
 from .autoencoder import AutoencoderHyper, AutoencoderReducer, encode, fit_autoencoder
 from .data import (
     Dataset,
@@ -287,14 +287,6 @@ class LinkResult:
     reducer_payload: dict
 
 
-def link_is_large(n1: int, n2: int, k: int) -> bool:
-    """Whether one of `link`'s files spans more than one CSV block: D12.csv
-    has `n1` rows, D21.csv `n2` and neighbors.csv `n1 * k`. A large link runs
-    its two searches and its CSV formatting on the pool; a smaller one starts
-    no process for them."""
-    return max(n1 * k, n2) > data.CSV_BLOCK_ROWS
-
-
 def link_detailed(
     d1: Dataset,
     d2: Dataset,
@@ -311,8 +303,7 @@ def link_detailed(
     This is CV seed `seed` of the evaluation with one fold whose training
     rows are all of D1: the same seeds and R (`fit_jobs`) and, for
     "random", the same draws. The autoencoders of D1 and D2 train
-    concurrently, and so do the two directions of a large link
-    (`link_is_large`) that draws no random neighbors.
+    concurrently; the two searches run in this process.
     """
     if reducer_kind not in LINK_KINDS:
         raise DataError(f"unknown reducer kind {reducer_kind!r}")
@@ -325,14 +316,11 @@ def link_detailed(
     tasks = [partial(fit_reducer, *jobs[key]) for key in keys if key in jobs]
     fitted = pooled(tasks, in_pool=reducer_kind == "autoencoder")
     pair = pair_reducers(*([_unwrap(fit) for fit in fitted] or (None, None)))  # random fits nothing
-    # D12 first, its error the one raised; D21 links through the transforms
-    # swapped. The random baseline's D21 draws continue D12's rng, so it
-    # links in this process
+    # D21 links through the transforms swapped; the random baseline's D21
+    # draws continue D12's rng
     rng = random_rng(seed, 0)
-    ways = [partial(link_into, pair, d2s.X, k, rng, d1s.X),
-            partial(link_into, pair and (pair[1], pair[0], pair[2]), d1s.X, k, rng, d2s.X)]
-    linked = pooled(ways, in_pool=pair is not None and link_is_large(d1.n, d2.n, k))
-    ((nb12, agg12),), ((nb21, agg21),) = [_unwrap(way) for way in linked]
+    ((nb12, agg12),) = link_into(pair, d2s.X, k, rng, d1s.X)
+    ((nb21, agg21),) = link_into(pair and (pair[1], pair[0], pair[2]), d1s.X, k, rng, d2s.X)
     payload = {"k": k, "seed": seed} if pair is None else pair[2]()
     return LinkResult(
         d12=concat_linked(d1s, agg12, d2s),

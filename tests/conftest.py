@@ -3,6 +3,8 @@
 # every pool worker a test forks runs a multi-threaded BLAS, and the workers'
 # threads compete for the same cores
 import disjoint_link  # noqa: F401  # isort: skip
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -24,3 +26,10 @@ def numeric_dataset(X, y, ds_id="test"):
 @pytest.fixture
 def make_dataset():
     return numeric_dataset
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a pool worker running."""
+    yield
+    assert multiprocessing.active_children() == []

@@ -494,9 +494,10 @@ def no_fork():
 
 
 class TestPooledLink:
-    """A link with a file of more than one CSV block searches both ways and
-    formats its CSV blocks on the pool; blocks of 16 rows make the small
-    synthetic pair (D12.csv 40 rows, D21.csv 60, neighbors.csv 80) large."""
+    """A link with a file of more than one CSV block formats its CSV blocks
+    on the pool and searches both ways in this process; blocks of 16 rows make
+    the small synthetic pair (D12.csv 40 rows, D21.csv 60, neighbors.csv 80)
+    large."""
 
     FILES = ("D12.csv", "D21.csv", "neighbors.csv", "reducer.json")
 
@@ -511,27 +512,52 @@ class TestPooledLink:
             assert main(["link", "--config", str(write_config(tmp_path, doc))]) == 0
             assert multiprocessing.active_children() == []
             outputs.append([(out / name).read_bytes() for name in self.FILES])
-        # the random baseline's searches stay here; the last run, with the
-        # default blocks, is serial and opens no pool
-        want = [1, 2] if reducer == "random" else [1, 1, 2, 2]
-        assert pool_sizes == want
+        # the last run, with the default blocks, is serial and opens no pool
+        assert pool_sizes == [1, 2]
         assert outputs[0] == outputs[1] == outputs[2]
 
     def test_failing_directions_report_d12s_error(self, tmp_path, monkeypatch, capsys):
-        # D12's worker sleeps first, so D21's error comes back before it
         def failing_link_into(pair, x2, k, rng, x1):
-            if len(x1) == 40:
-                time.sleep(0.5)
-                raise DataError("D12 failed")
-            raise DataError("D21 failed")
+            raise DataError("D12 failed" if len(x1) == 40 else "D21 failed")
 
         monkeypatch.setattr(linkage, "link_into", failing_link_into)
         monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16)
-        use_cores(monkeypatch, {0, 1})
         doc = synth_config(tmp_path / "out", reducer="pca", k=2, R=2)
         assert main(["link", "--config", str(write_config(tmp_path, doc))]) == 1
         assert "error: [link] D12 failed" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
+
+    def test_searches_run_in_this_process(self, tmp_path, monkeypatch, pool_sizes):
+        # a large link's one pool formats its CSV blocks
+        link_into = linkage.link_into
+        pids = []
+
+        def recording_link_into(*args):
+            pids.append(os.getpid())
+            return link_into(*args)
+
+        monkeypatch.setattr(linkage, "link_into", recording_link_into)
+        monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16)
+        use_cores(monkeypatch, {0, 1})
+        doc = synth_config(tmp_path / "out", reducer="pca", k=2, R=2)
+        assert main(["link", "--config", str(write_config(tmp_path, doc))]) == 0
+        assert pids == [os.getpid()] * 2
+        assert pool_sizes == [2]
+
+    @pytest.mark.parametrize("k, largest", [(2, 80), (1, 60)])  # neighbors.csv's 40 * k rows, D21.csv's 60
+    def test_a_pool_opens_once_the_largest_file_spans_two_blocks(
+            self, tmp_path, monkeypatch, pool_sizes, k, largest):
+        # the random baseline fits nothing, so a pool can only format blocks
+        use_cores(monkeypatch, {0, 1})
+        outputs = []
+        for block_rows in (data.CSV_BLOCK_ROWS, largest, largest - 1):
+            monkeypatch.setattr(data, "CSV_BLOCK_ROWS", block_rows)
+            out = tmp_path / str(block_rows)
+            doc = synth_config(out, reducer="random", k=k)
+            assert main(["link", "--config", str(write_config(tmp_path, doc))]) == 0
+            outputs.append([(out / name).read_bytes() for name in self.FILES])
+        assert pool_sizes == [2]
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_failing_block_reports_the_first_files_error(self, tmp_path, monkeypatch, capsys):
         # D12.csv's last block sleeps, then fails; a later block of
@@ -575,6 +601,8 @@ BOUNDED_FIELDS = [  # the field set, its value, and the error's path and message
     ("inputs.synthetic.latent_dim", 0, "inputs.synthetic.latent_dim: must be >= 1"),
     ("inputs.synthetic.n1", 1, "inputs.synthetic.n1: must be >= 2"),
     ("inputs.synthetic.n2", 1, "inputs.synthetic.n2: must be >= 2"),
+    ("inputs.synthetic.k1", 0, "inputs.synthetic.k1: must be >= 1"),
+    ("inputs.synthetic.k2", 0, "inputs.synthetic.k2: must be >= 1"),
     ("inputs.synthetic.seed", -1, "inputs.synthetic.seed: must be >= 0"),
     ("inputs.synthetic.seed", 2**64, "inputs.synthetic.seed: must be < 2**64"),
     ("inputs.synthetic.noise_sigma", -1, "inputs.synthetic.noise_sigma: must be >= 0"),
