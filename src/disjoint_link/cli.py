@@ -238,11 +238,7 @@ def cmd_evaluate(cfg: dict, out_override: str | None = None) -> Path:
         folds=cfg["folds"], seeds=cfg["seeds"],
         k=cfg["k"], r=cfg["R"], ae_hyper=AutoencoderHyper(**cfg["autoencoder"]),
     )
-    linked_conditions = [c for c in cfg["reducers"] if c in report.conditions]
-    best = max(
-        linked_conditions,
-        key=lambda c: (report.conditions[c].mean, -CONDITION_ORDER.index(c)),
-    )
+    best = max(report.after, key=lambda c: (report.conditions[c].mean, -CONDITION_ORDER.index(c)))
     before = export_projection_2d(d1)
     after = export_projection_2d(report.after[best])
     out = _out_dir(cfg, out_override)  # after the pipeline: an error leaves no directory

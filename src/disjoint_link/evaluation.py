@@ -9,25 +9,22 @@ through already fitted transforms.
 
 A cell is one (seed, condition, fold) key: link the fold's rows
 (`link_into`), fit the logistic model, score the test rows.
-`run_fold_conditions` runs a list of cells that share one logistic shape:
-it links each on its own and fits their models in lockstep
-(`fit_logistics`), which gives each model the bits of a fit on its own.
-`evaluate_conditions` groups the keys by that shape, the training row count
-and the feature count, which are known before any linking, and deals each
-group into at most one chunk per usable core. It runs two waves, each one
-call of the package's fork pool: the first runs the autoencoder fits and the
-other conditions' chunks; the second, which inherits those fits, the
-autoencoder's chunks. AUROCs are read back in the serial order. The first CV
-seed's folds hold each D1 row out once, so their test rows' neighbors make
-an out-of-fold D12 of every linked condition: the D12 that `after.svg`
-projects.
+`run_fold_conditions` runs a list of cells: it links each on its own and
+fits their models in one `fit_logistics` call, which stacks same-shape fits
+in lockstep and gives each model the bits of a fit on its own.
+`evaluate_conditions` deals each wave's keys round-robin into at most one
+chunk per usable core. It runs two waves, each one call of the package's
+fork pool: the first runs the autoencoder fits and the other conditions'
+chunks; the second, which inherits those fits, the autoencoder's chunks.
+AUROCs are read back in the serial order. The first CV seed's folds hold
+each D1 row out once, so their test rows' neighbors make an out-of-fold D12
+of every linked condition: the D12 that `after.svg` projects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -112,26 +109,35 @@ def _check_training(X: np.ndarray, y: np.ndarray) -> None:
 def fit_logistics(
     Xs: list[np.ndarray], ys: list[np.ndarray], hyper: LogisticHyper | None = None
 ) -> list[LogisticModel]:
-    """S full-batch gradient descents from zero init in lockstep, one per
-    same-shape (n, d) matrix of `Xs` with its labels in `ys`; deterministic.
+    """One full-batch gradient descent from zero init per (n, d) matrix of
+    `Xs` with its labels in `ys`, in input order; deterministic.
 
-    Each step is a few calls on the stacked (S, n, d) operands: `np.matmul`
-    runs each slice's product as the matrix-vector product of a single fit
-    does, and the bias gradient sums each slice's residuals as a 1-D sum does,
-    so every model has the bits of its fit alone, whatever S. The first
-    slice without both classes or with a non-finite value raises."""
+    The fits of one shape run in lockstep, S at a time. Each step is a few
+    calls on the stacked (S, n, d) operands: `np.matmul` runs each slice's
+    product as the matrix-vector product of a single fit does, and the bias
+    gradient sums each slice's residuals as a 1-D sum does, so every model
+    has the bits of its fit alone, whatever the other fits. Before any fit,
+    the first slice without both classes or with a non-finite value raises."""
     hyper = hyper or LogisticHyper()
-    X = np.array(Xs, dtype=np.float64)
-    y = np.array(ys, dtype=np.float64)
-    for x_s, y_s in zip(X, y):
+    Xs = [np.asarray(X, dtype=np.float64) for X in Xs]
+    ys = [np.asarray(y, dtype=np.float64) for y in ys]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, (x_s, y_s) in enumerate(zip(Xs, ys)):
         _check_training(x_s, y_s)
-    w = np.zeros((X.shape[0], X.shape[2]))
-    b = np.zeros(X.shape[0])
-    for _ in range(hyper.epochs):
-        gw, gb = _logistic_grad(w, b, X, y, hyper.l2_lambda)
-        w = w - hyper.learning_rate * gw
-        b = b - hyper.learning_rate * gb
-    return [LogisticModel(weights=w_s, bias=float(b_s)) for w_s, b_s in zip(w, b)]
+        groups.setdefault(x_s.shape, []).append(i)
+    models = [None] * len(Xs)
+    for group in groups.values():
+        X = np.array([Xs[i] for i in group])
+        y = np.array([ys[i] for i in group])
+        w = np.zeros((X.shape[0], X.shape[2]))
+        b = np.zeros(X.shape[0])
+        for _ in range(hyper.epochs):
+            gw, gb = _logistic_grad(w, b, X, y, hyper.l2_lambda)
+            w = w - hyper.learning_rate * gw
+            b = b - hyper.learning_rate * gb
+        for i, w_s, b_s in zip(group, w, b):
+            models[i] = LogisticModel(weights=w_s, bias=float(b_s))
+    return models
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, hyper: LogisticHyper | None = None) -> LogisticModel:
@@ -257,17 +263,14 @@ def run_fold_conditions(
     seed, fold); a cell given as an error, one whose inputs failed, stays
     that error.
 
-    The cells must share one logistic shape, training rows by features, as
-    each of `evaluate_conditions`' chunks and `run_fold_condition`'s one cell
-    do. Each cell links on its own; the cells that linked then fit their
-    models in one `fit_logistics` call, which gives each model the bits of
-    its fit alone."""
+    Each cell links on its own; the cells that linked then fit their models
+    in one `fit_logistics` call, which gives each model the bits of its fit
+    alone."""
     outcomes = [cell if isinstance(cell, Exception) else _caught(_fold_features, *cell, k) for cell in cells]
     linked = [i for i, out in enumerate(outcomes) if not isinstance(out, Exception)]
-    if linked:
-        models = fit_logistics([outcomes[i][0] for i in linked], [cells[i][1].y for i in linked])
-        for i, model in zip(linked, models):
-            outcomes[i] = _caught(_fold_outcome, cells[i][2].y, *outcomes[i][1:], model)
+    models = fit_logistics([outcomes[i][0] for i in linked], [cells[i][1].y for i in linked])
+    for i, model in zip(linked, models):
+        outcomes[i] = _caught(_fold_outcome, cells[i][2].y, *outcomes[i][1:], model)
     return outcomes
 
 
@@ -355,18 +358,6 @@ def _summary(per_seed: list[list[float]]) -> ConditionSummary:
     )
 
 
-def _chunks(keys: list[tuple], shape: Callable[[tuple], tuple[int, int]]) -> list[list[tuple]]:
-    """The (seed, condition, fold) `keys` grouped by `shape(key)`, the shape
-    of their logistic fit (training rows, features), each group dealt
-    round-robin into at most one chunk per usable core. Fold sizes that
-    differ by a row make separate groups: no fit is padded."""
-    groups: dict[tuple[int, int], list[tuple]] = {}
-    for key in keys:
-        groups.setdefault(shape(key), []).append(key)
-    cores = usable_cores()
-    return [group[j::cores] for group in groups.values() for j in range(min(cores, len(group)))]
-
-
 def evaluate_conditions(
     d1: Dataset,
     d2: Dataset,
@@ -382,9 +373,9 @@ def evaluate_conditions(
 
     All conditions in one seed share the identical fold split, so comparisons
     are paired. A cell is its (seed, condition, fold) key: link, fit the
-    logistic model, score. The keys run in chunks of one logistic shape
-    (`_chunks`), each chunk one pooled `run_fold_conditions` call whose
-    models are fitted in lockstep. The feature-importance and PCA sides are
+    logistic model, score. Each wave's keys are dealt round-robin into at
+    most one chunk per usable core, each chunk one pooled
+    `run_fold_conditions` call. The feature-importance and PCA sides are
     fitted here; then two waves run, each one `pooled` call. The first trains
     the autoencoders, D2's first, and runs the chunks of every condition but
     the autoencoder. The second, which inherits those fits, runs the
@@ -441,17 +432,15 @@ def evaluate_conditions(
                 (out.auroc, out.neighbors_test if key[0] == first and key[1] in linked else None)
                 for key, out in zip(chunk, outcomes)]
 
-    def shape(key: tuple) -> tuple[int, int]:
-        seed, cond, fold = key
-        return runs[seed][fold][0].n, d1.k + (d2.k if cond != "unlinked" else 0)
-
     keys = [(seed, cond, fold) for seed in seeds for cond in ordered for fold in range(folds)]
+    cores = usable_cores()
     cells: dict[tuple, tuple[float, NeighborMap | None] | Exception] = {}
     # the autoencoder's cells wait for its fits: its wave forks after the
     # first returns, and inherits them
     for ae_wave in (False, True):
         fit_keys = [] if ae_wave else ae_keys
-        chunks = _chunks([key for key in keys if (key[1] == "autoencoder") == ae_wave], shape)
+        wave = [key for key in keys if (key[1] == "autoencoder") == ae_wave]
+        chunks = [wave[j::cores] for j in range(min(cores, len(wave)))]
         results = iter(pooled([partial(fit_reducer, *jobs[key]) for key in fit_keys]
                               + [partial(chunk_outcomes, chunk) for chunk in chunks]))
         # read in the order submitted: zip takes each key before its result,

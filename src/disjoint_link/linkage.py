@@ -15,9 +15,8 @@ the full distance matrix is never built. A linked table is a
 `own.<feature>` for the base rows, `agg.<other id>.<feature>` for the
 medians. `pooled` runs a command's slow tasks, on a fork pool or in this
 process, and returns each one's result or error in order: the autoencoder
-fits, evaluate's chunks of same-shape fold-by-condition cells and the
-formatting of the CSV blocks that `linked_to_csv` and `neighbors_to_csv`
-write.
+fits, evaluate's chunks of fold-by-condition cells and the formatting of the
+CSV blocks that `linked_to_csv` and `neighbors_to_csv` write.
 """
 
 from __future__ import annotations
@@ -197,12 +196,14 @@ def pooled(tasks: list[Callable[[], Any]], in_pool: bool = True) -> list[Any]:
 
     The package's one process pool. With `in_pool` set, the tasks start in
     the order given on a fork pool of at most one worker per usable core and
-    never more workers than tasks; otherwise they run in this process, one
-    after another. A worker inherits the task list when it forks and is sent
-    only a task's index, so no task's data is pickled, only its result. Every
-    worker is joined before the call returns, so no child process outlives it.
+    never more workers than tasks; otherwise, or when that pool would hold
+    one worker, they run in this process, one after another. A worker
+    inherits the task list when it forks and is sent only a task's index, so
+    no task's data is pickled, only its result. Every worker is joined before
+    the call returns, so no child process outlives it.
     """
-    if not (in_pool and tasks):
+    workers = min(len(tasks), usable_cores())
+    if not in_pool or workers < 2:
         return [_caught(task) for task in tasks]
     # imported here: at module level they add 20-25 ms to the start-up of
     # every command, including those that open no pool
@@ -210,7 +211,7 @@ def pooled(tasks: list[Callable[[], Any]], in_pool: bool = True) -> list[Any]:
     import multiprocessing
 
     pool = concurrent.futures.ProcessPoolExecutor(
-        min(len(tasks), usable_cores()),
+        workers,
         # fork, not spawn: a spawned worker imports numpy and the package
         # again, about 0.3 s each, and could not inherit the tasks. The
         # package runs no threads, and a fork pool forks every worker before

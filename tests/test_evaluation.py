@@ -70,12 +70,33 @@ class TestLogistic:
             for model, (w, b) in zip(models, want):
                 assert model.weights.tobytes() == w.tobytes() and model.bias == b
 
+    def test_mixed_shape_fits_match_the_reference_bit_for_bit(self):
+        # one call of interleaved shapes, the fold sizes of a 300-row
+        # dataset by two feature counts: each shape stacks on its own, and
+        # the models come back in input order
+        rng = np.random.default_rng(17)
+        hyper = LogisticHyper(epochs=40)
+        shapes = [(n, d) for _ in range(2) for d in (6, 16) for n in (239, 240, 241)]
+        Xs = [rng.normal(size=shape) * rng.choice([0.5, 3.0, 40.0], size=shape[1]) for shape in shapes]
+        ys = [(rng.random(n) < 0.3).astype(float) for n, _ in shapes]
+        for y in ys:
+            y[:2] = 0.0, 1.0
+        models = fit_logistics(Xs, ys, hyper)
+        assert len(models) == len(shapes)
+        for model, X, y in zip(models, Xs, ys):
+            w, b = fit_logistic_reference(X, y, hyper)
+            assert model.weights.tobytes() == w.tobytes() and model.bias == b
+
     def test_lockstep_fits_name_the_first_bad_slice(self):
         X = np.arange(6.0).reshape(3, 2)
         with pytest.raises(DataError, match="^logistic training needs both classes$"):
             fit_logistics([X, X], [np.array([0, 1, 0]), np.array([1, 1, 1])])
         with pytest.raises(DataError, match="^logistic training input contains non-finite values$"):
             fit_logistics([X, np.where(X == 5.0, np.inf, X)], [np.array([0, 1, 0])] * 2)
+        # the first bad slice raises before any fit, whatever the shapes
+        with pytest.raises(DataError, match="^logistic training input contains non-finite values$"):
+            fit_logistics([X, np.where(X == 5.0, np.inf, X), np.arange(8.0).reshape(4, 2)],
+                          [np.array([0, 1, 0])] * 2 + [np.array([1, 1, 1, 1])])
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -422,9 +443,9 @@ class TestPooledFits:
 
     def test_report_does_not_depend_on_usable_cores(self, monkeypatch):
         # 23 positives in 3 folds give training folds of 39, 40 and 41 rows,
-        # so every condition's cells form three groups; one core stacks each
-        # group whole, two split it, and the autoencoder cells run on a
-        # second pool
+        # so every condition's cells fit in three shapes; one core runs each
+        # wave here as one chunk, two deal it into two chunks on a pool, and
+        # the autoencoder cells run in the second wave
         d1, d2 = small_pair(5)
         hyper = AutoencoderHyper(hidden_dims=(4,), epochs=5)
         reports, afters = [], []
@@ -443,9 +464,9 @@ class TestPooledFits:
 
     def test_the_pooled_schedule(self, monkeypatch):
         # the first pool call starts the autoencoder fits, D2's (the longest)
-        # first, then the other conditions' chunks; the second holds only the
-        # autoencoder's chunks, and has no task without an autoencoder. No
-        # task links anything outside a cell
+        # first, then the other conditions' cells in one chunk per usable
+        # core; the second holds only the autoencoder's chunks, and has no
+        # task without an autoencoder. No task links anything outside a cell
         calls = []
 
         def recording_pool(tasks):
@@ -460,6 +481,7 @@ class TestPooledFits:
                     else (task.func.__name__, task.args) for task in tasks]
 
         monkeypatch.setattr(evaluation, "pooled", recording_pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         d1, d2 = small_pair(4)
         hyper = AutoencoderHyper(hidden_dims=(4,), epochs=5)
         evaluate_conditions(d1, d2, list(evaluation.CONDITION_ORDER), folds=3, seeds=[0, 1], k=3, r=2,
@@ -470,15 +492,15 @@ class TestPooledFits:
         rows = [n for *_, n in fits]
         assert rows[:2] == [d2.n, d2.n]
         assert all(n < d1.n for n in rows[2:])
-        assert all(kind == "chunk" for kind, _ in first[8:])
+        assert [kind for kind, _ in first[8:]] == ["chunk"] * 2
         assert sorted(c for _, conds in first[8:] for c in conds) == sorted(
             ["unlinked", "random", "feature_importance", "pca"] * 2 * 3)
-        assert all(kind == "chunk" for kind, _ in second)
+        assert [kind for kind, _ in second] == ["chunk"] * 2
         assert [c for _, conds in second for c in conds] == ["autoencoder"] * 2 * 3
         calls.clear()
         evaluate_conditions(d1, d2, ["unlinked", "pca"], folds=3, seeds=[0], k=3, r=2)
         first, second = [schedule(tasks) for tasks in calls]
-        assert all(kind == "chunk" for kind, _ in first)
+        assert [kind for kind, _ in first] == ["chunk"] * 2
         assert second == []
         assert multiprocessing.active_children() == []
 
@@ -487,19 +509,22 @@ class TestPooledFits:
         # the 39-, 40- and 41-row training folds never share a stack
         shapes = []
 
-        def recording_fits(Xs, ys, hyper=None):
-            shapes.append(sorted({np.shape(X) for X in Xs}))
-            return fit_logistics(Xs, ys, hyper)
+        def recording_grad(w, b, X, y, l2):
+            shapes.append(X.shape)
+            return _logistic_grad(w, b, X, y, l2)
 
         monkeypatch.setattr(evaluation, "pooled", lambda tasks: linkage.pooled(tasks, in_pool=False))
-        monkeypatch.setattr(evaluation, "fit_logistics", recording_fits)
+        monkeypatch.setattr(evaluation, "_logistic_grad", recording_grad)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         d1, d2 = small_pair(5)
         evaluate_conditions(d1, d2, ["unlinked", "random", "pca"], folds=3, seeds=[0], k=3, r=2)
-        assert all(len(stack) == 1 for stack in shapes)
+        # each stack takes one gradient per epoch, one stack after another
+        epochs = LogisticHyper().epochs
+        stacks = shapes[::epochs]
+        assert [shape for shape in stacks for _ in range(epochs)] == shapes
         # one core: one stack per (rows, features) group, unlinked's and the
         # linked conditions' for each fold size
-        assert sorted(stack[0] for stack in shapes) == [(n, d) for n in (39, 40, 41) for d in (4, 9)]
+        assert sorted(shape[1:] for shape in stacks) == [(n, d) for n in (39, 40, 41) for d in (4, 9)]
 
 
 class TestOnePipeline:
