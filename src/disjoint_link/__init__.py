@@ -31,7 +31,6 @@ from .data import (
 )
 from .evaluation import (
     EvaluationReport,
-    LogisticHyper,
     LogisticModel,
     auroc,
     evaluate_conditions,
@@ -62,7 +61,6 @@ __all__ = [
     "EvaluationReport",
     "FeatureImportancePair",
     "FeatureSchema",
-    "LogisticHyper",
     "LogisticModel",
     "NeighborMap",
     "PcaReducer",

@@ -50,13 +50,16 @@ class AutoencoderHyper:
 class AutoencoderReducer:
     encoder_layers: Layers
     decoder_layers: Layers
-    latent_dim: int
-    activation: str = "tanh"
     training_log: tuple[float, ...] = field(default=())
 
     @property
     def all_layers(self) -> Layers:
         return self.encoder_layers + self.decoder_layers
+
+    @property
+    def latent_dim(self) -> int:
+        """R, the width of the last encoder layer."""
+        return self.encoder_layers[-1][0].shape[1]
 
 
 def _layer_dims(k: int, r: int, hidden: tuple[int, ...]) -> list[int]:
@@ -233,7 +236,6 @@ def fit_autoencoder(X: np.ndarray, r: int, hyper: AutoencoderHyper | None = None
     return AutoencoderReducer(
         encoder_layers=frozen[:n_encoder],
         decoder_layers=frozen[n_encoder:],
-        latent_dim=r,
         training_log=tuple(log),
     )
 

@@ -162,6 +162,8 @@ def load_config(path: str | Path) -> dict:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: {path} is not valid JSON: {exc}") from exc
     return resolve_config(raw, path.parent.resolve())

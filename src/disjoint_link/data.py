@@ -250,7 +250,7 @@ def load_csv(
     row; where some of its cells are numbers, the error names the first that
     is not, such as a missing-value code like `NA`. Labels must coerce to
     {0,1}.
-    A leading UTF-8 byte-order mark is skipped.
+    A file must be UTF-8 text; a leading byte-order mark is skipped.
 
     Without schema hints, a file of finite numbers with 0/1 labels is parsed
     by numpy's C reader (`_load_numeric_csv`); any other file, or one in
@@ -269,6 +269,8 @@ def _load_general_csv(path: Path, label_column: str, schema_hints: list[FeatureS
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     if not rows:
         raise DataError(f"{path} is empty")
     header, body = rows[0], rows[1:]
@@ -398,14 +400,14 @@ def write_csv(
         fh.writelines(texts if texts is not None else (block() for block in csv_blocks(columns)))
 
 
-def dataset_columns(d: Dataset, label_column: str = LABEL_COLUMN) -> tuple[list[str], list[np.ndarray]]:
+def dataset_columns(d: Dataset) -> tuple[list[str], list[np.ndarray]]:
     """The CSV header and columns of `d`: its feature names and columns, the
-    label last."""
-    return d.feature_names + [label_column], [*d.X.T, d.y]
+    label last, as `LABEL_COLUMN`."""
+    return d.feature_names + [LABEL_COLUMN], [*d.X.T, d.y]
 
 
-def dataset_to_csv(d: Dataset, path: str | Path, label_column: str = LABEL_COLUMN) -> None:
-    write_csv(path, *dataset_columns(d, label_column))
+def dataset_to_csv(d: Dataset, path: str | Path) -> None:
+    write_csv(path, *dataset_columns(d))
 
 
 def schema_to_json(schema: tuple[FeatureSchema, ...] | list[FeatureSchema]) -> list[dict]:

@@ -8,7 +8,8 @@ dataset is treated as fully available context. Test rows only ever pass
 through already fitted transforms.
 
 A cell is one (seed, condition, fold) key: link the fold's rows
-(`link_into`), fit the logistic model, score the test rows.
+(`link_into`), fit the logistic model, whose schedule is fixed (`EPOCHS`
+steps of `LEARNING_RATE`, L2 penalty `L2_LAMBDA`), score the test rows.
 `run_fold_conditions` runs a list of cells: it links each on its own and
 fits their models in one `fit_logistics` call, which stacks same-shape fits
 in lockstep and gives each model the bits of a fit on its own.
@@ -74,11 +75,9 @@ DISPLAY_NAMES = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LogisticHyper:
-    learning_rate: float = 0.1
-    epochs: int = 500
-    l2_lambda: float = 1e-3
+LEARNING_RATE = 0.1
+EPOCHS = 500
+L2_LAMBDA = 1e-3
 
 
 @dataclass(frozen=True)
@@ -106,9 +105,7 @@ def _check_training(X: np.ndarray, y: np.ndarray) -> None:
         raise DataError("logistic training input contains non-finite values")
 
 
-def fit_logistics(
-    Xs: list[np.ndarray], ys: list[np.ndarray], hyper: LogisticHyper | None = None
-) -> list[LogisticModel]:
+def fit_logistics(Xs: list[np.ndarray], ys: list[np.ndarray]) -> list[LogisticModel]:
     """One full-batch gradient descent from zero init per (n, d) matrix of
     `Xs` with its labels in `ys`, in input order; deterministic.
 
@@ -118,7 +115,6 @@ def fit_logistics(
     gradient sums each slice's residuals as a 1-D sum does, so every model
     has the bits of its fit alone, whatever the other fits. Before any fit,
     the first slice without both classes or with a non-finite value raises."""
-    hyper = hyper or LogisticHyper()
     Xs = [np.asarray(X, dtype=np.float64) for X in Xs]
     ys = [np.asarray(y, dtype=np.float64) for y in ys]
     groups: dict[tuple[int, ...], list[int]] = {}
@@ -131,18 +127,18 @@ def fit_logistics(
         y = np.array([ys[i] for i in group])
         w = np.zeros((X.shape[0], X.shape[2]))
         b = np.zeros(X.shape[0])
-        for _ in range(hyper.epochs):
-            gw, gb = _logistic_grad(w, b, X, y, hyper.l2_lambda)
-            w = w - hyper.learning_rate * gw
-            b = b - hyper.learning_rate * gb
+        for _ in range(EPOCHS):
+            gw, gb = _logistic_grad(w, b, X, y, L2_LAMBDA)
+            w = w - LEARNING_RATE * gw
+            b = b - LEARNING_RATE * gb
         for i, w_s, b_s in zip(group, w, b):
             models[i] = LogisticModel(weights=w_s, bias=float(b_s))
     return models
 
 
-def fit_logistic(X: np.ndarray, y: np.ndarray, hyper: LogisticHyper | None = None) -> LogisticModel:
+def fit_logistic(X: np.ndarray, y: np.ndarray) -> LogisticModel:
     """Full-batch gradient descent from zero init; `fit_logistics` of one."""
-    (model,) = fit_logistics([X], [y], hyper)
+    (model,) = fit_logistics([X], [y])
     return model
 
 
@@ -295,13 +291,19 @@ def run_fold_condition(
 
 @dataclass(frozen=True)
 class ConditionSummary:
-    per_seed: tuple[tuple[float, ...], ...]  # [seed][fold]
-    mean: float
-    sd: float  # sample standard deviation over all fold-by-seed values
+    per_seed: tuple[tuple[float, ...], ...]  # [seed][fold], at least 2 values
 
     @property
     def values(self) -> list[float]:
         return [v for fold_list in self.per_seed for v in fold_list]
+
+    @property
+    def mean(self) -> float:
+        return float(np.mean(self.values))
+
+    @property
+    def sd(self) -> float:  # the sample standard deviation over all fold-by-seed values
+        return float(np.std(self.values, ddof=1))
 
 
 @dataclass(frozen=True)
@@ -346,16 +348,6 @@ class EvaluationReport:
         for name, c in self.conditions.items():  # in CONDITION_ORDER, as evaluated
             lines.append(f"{DISPLAY_NAMES[name]:<{width}} | {100 * c.mean:5.1f} ± {100 * c.sd:4.1f}")
         return "\n".join(lines) + "\n"
-
-
-def _summary(per_seed: list[list[float]]) -> ConditionSummary:
-    flat = np.array([v for fl in per_seed for v in fl])
-    sd = float(flat.std(ddof=1)) if flat.size > 1 else 0.0
-    return ConditionSummary(
-        per_seed=tuple(tuple(fl) for fl in per_seed),
-        mean=float(flat.mean()),
-        sd=sd,
-    )
 
 
 def evaluate_conditions(
@@ -462,6 +454,7 @@ def evaluate_conditions(
         seeds=tuple(int(s) for s in seeds),
         k=k,
         r=r,
-        conditions={c: _summary(per_seed[:, j].tolist()) for j, c in enumerate(ordered)},
+        conditions={c: ConditionSummary(tuple(map(tuple, per_seed[:, j].tolist())))
+                    for j, c in enumerate(ordered)},
         after=after,
     )

@@ -27,8 +27,8 @@ def projection_to_csv(p: Dataset, path: str | Path) -> None:
     write_csv(path, *dataset_columns(p))
 
 
-def scatter_svg(p: Dataset, title: str = "") -> str:
-    """Self-contained SVG scatter, one marker color per class."""
+def scatter_svg(p: Dataset, title: str) -> str:
+    """Self-contained SVG scatter under `title`, one marker color per class."""
     width, height, margin = 640.0, 480.0, 48.0
     xs, ys = p.X[:, 0], p.X[:, 1]
     xmin, ymin = xs.min(), ys.min()
@@ -36,20 +36,17 @@ def scatter_svg(p: Dataset, title: str = "") -> str:
     yspan = max(ys.max() - ymin, 1e-12)
     cx = margin + (xs - xmin) / xspan * (width - 2 * margin)
     cy = height - margin - (ys - ymin) / yspan * (height - 2 * margin)
+    # a title names a dataset by its file stem, which may hold markup characters
+    text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
         f'<rect x="{margin:.0f}" y="{margin:.0f}" width="{width - 2 * margin:.0f}" '
         f'height="{height - 2 * margin:.0f}" fill="none" stroke="#cccccc"/>',
+        f'<text x="{width / 2:.0f}" y="{margin / 2 + 6:.0f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{text}</text>',
     ]
-    if title:
-        # a title names a dataset by its file stem, which may hold markup characters
-        text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        parts.append(
-            f'<text x="{width / 2:.0f}" y="{margin / 2 + 6:.0f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{text}</text>'
-        )
     # negatives first so the rare positives stay visible on top
     for target, color in ((0, NEGATIVE_COLOR), (1, POSITIVE_COLOR)):
         mine = p.y == target
@@ -67,5 +64,5 @@ def scatter_svg(p: Dataset, title: str = "") -> str:
     return "\n".join(parts) + "\n"
 
 
-def write_projection_svg(p: Dataset, path: str | Path, title: str = "") -> None:
+def write_projection_svg(p: Dataset, path: str | Path, title: str) -> None:
     Path(path).write_text(scatter_svg(p, title), encoding="utf-8")

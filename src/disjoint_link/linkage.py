@@ -61,9 +61,12 @@ _RANDOM_TAG = 7919  # namespaces the random-baseline rng away from the fits' see
 
 @dataclass(frozen=True)
 class NeighborMap:
-    k: int
     neighbors: np.ndarray  # (N, k) column indices, ascending distance
     distances: np.ndarray  # (N, k) matching distances, for audits
+
+    @property
+    def k(self) -> int:
+        return self.neighbors.shape[1]
 
 
 def _check_k(k: int, n: int) -> None:
@@ -77,7 +80,7 @@ def random_neighbor_map(n_rows: int, n_cols: int, k: int, rng: np.random.Generat
     idx = np.empty((n_rows, k), dtype=np.int64)
     for i in range(n_rows):
         idx[i] = rng.choice(n_cols, size=k, replace=False)
-    return NeighborMap(k=k, neighbors=idx, distances=np.full((n_rows, k), np.nan))
+    return NeighborMap(idx, np.full((n_rows, k), np.nan))
 
 
 def random_rng(seed: int, fold: int) -> np.random.Generator:
@@ -275,7 +278,7 @@ def link_into(
         # it and D2, so each block's slice is that block's own answer
         idx, dist = _kernels.nearest(np.concatenate(z1s), z2, k)
         ends = np.cumsum([len(z1) for z1 in z1s])[:-1]
-        nbs = [NeighborMap(k, i, d) for i, d in zip(np.split(idx, ends), np.split(dist, ends))]
+        nbs = [NeighborMap(i, d) for i, d in zip(np.split(idx, ends), np.split(dist, ends))]
     return [(nb, _kernels.median_over_rows(x2, nb.neighbors)) for nb in nbs]
 
 

@@ -180,7 +180,7 @@ def autoencoder_to_payload(r: AutoencoderReducer) -> dict:
 
     return {
         "latent_dim": r.latent_dim,
-        "activation": r.activation,
+        "activation": "tanh",  # the only one `autoencoder._tanh_flags` applies
         "encoder": layers(r.encoder_layers),
         "decoder": layers(r.decoder_layers),
         "training_log": _floats(np.array(r.training_log)),

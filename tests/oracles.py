@@ -152,15 +152,15 @@ def sigmoid_two_branch(z):
     return out
 
 
-def fit_logistic_reference(X, y, hyper):
+def fit_logistic_reference(X, y, learning_rate, epochs, l2_lambda):
     """`fit_logistic`'s weights and bias by its update rule, with the
     two-branch sigmoid and `ndarray.mean` for the bias gradient."""
     w, b = np.zeros(X.shape[1]), 0.0
-    for _ in range(hyper.epochs):
+    for _ in range(epochs):
         resid = sigmoid_two_branch(X @ w + b) - y
-        gw = X.T @ resid / X.shape[0] + hyper.l2_lambda * w
-        w = w - hyper.learning_rate * gw
-        b = b - hyper.learning_rate * float(resid.mean())
+        gw = X.T @ resid / X.shape[0] + l2_lambda * w
+        w = w - learning_rate * gw
+        b = b - learning_rate * float(resid.mean())
     return w, b
 
 
@@ -345,6 +345,8 @@ def load_csv_reference(
             rows = list(reader)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     if not rows:
         raise DataError(f"{path} is empty")
     header, body = rows[0], rows[1:]
@@ -456,7 +458,7 @@ def neighbors_rows_reference(nb):
             yield [i, rank, int(nb.neighbors[i, rank]), repr(float(nb.distances[i, rank]))]
 
 
-def scatter_svg_reference(p, title=""):
+def scatter_svg_reference(p, title):
     width, height, margin = 640.0, 480.0, 48.0
     xs, ys = p.X[:, 0], p.X[:, 1]
     xmin, ymin = xs.min(), ys.min()
@@ -476,12 +478,11 @@ def scatter_svg_reference(p, title=""):
         f'<rect x="{margin:.0f}" y="{margin:.0f}" width="{width - 2 * margin:.0f}" '
         f'height="{height - 2 * margin:.0f}" fill="none" stroke="#cccccc"/>',
     ]
-    if title:
-        text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-        parts.append(
-            f'<text x="{width / 2:.0f}" y="{margin / 2 + 6:.0f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{text}</text>'
-        )
+    text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    parts.append(
+        f'<text x="{width / 2:.0f}" y="{margin / 2 + 6:.0f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{text}</text>'
+    )
     for target, color in ((0, NEGATIVE_COLOR), (1, POSITIVE_COLOR)):
         for (x, y), lab in zip(p.X, p.y):
             if lab != target:

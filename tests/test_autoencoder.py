@@ -205,7 +205,6 @@ class TestEncode:
         zeroed = type(red)(
             encoder_layers=tuple((np.zeros_like(w), np.zeros_like(b)) for w, b in red.encoder_layers),
             decoder_layers=red.decoder_layers,
-            latent_dim=red.latent_dim,
         )
         np.testing.assert_array_equal(encode(zeroed, X), np.zeros((8, 2)))
 
@@ -218,7 +217,6 @@ class TestEncode:
         red = AutoencoderReducer(
             encoder_layers=((w, np.zeros(2)),),
             decoder_layers=((np.zeros((2, 4)), np.zeros(4)),),
-            latent_dim=2,
         )
         rng = np.random.default_rng(8)
         X = rng.normal(size=(5, 4))
@@ -259,7 +257,7 @@ def assert_payload_holds(doc, red):
     for entry, (w, b) in zip(layers, red.all_layers):
         assert np.array_equal(entry["w"], w) and np.array_equal(entry["b"], b)
     assert tuple(doc["training_log"]) == red.training_log
-    assert (doc["latent_dim"], doc["activation"]) == (red.latent_dim, red.activation)
+    assert (doc["latent_dim"], doc["activation"]) == (red.latent_dim, "tanh")
 
 
 class TestSerialization:

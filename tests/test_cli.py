@@ -155,6 +155,21 @@ class TestLinkCommand:
         assert "died" in err and "[link]" in err
         assert not (tmp_path / "out").exists()  # the inputs are read before any output
 
+    def test_a_file_that_is_not_utf8_fails_by_name(self, tmp_path, capsys):
+        d2 = tmp_path / "latin1.csv"
+        d2.write_bytes(b"x,r\xe9gion,label\n1,2,0\n3,4,1\n5,6,0\n")
+        good = tmp_path / "good.csv"
+        good.write_text("x,y,label\n1,2,0\n3,4,1\n5,6,0\n", encoding="utf-8")
+        doc = {
+            "inputs": {"files": {"d1": {"path": str(good), "label_column": "label"},
+                                 "d2": {"path": str(d2), "label_column": "label"}}},
+            "reducer": "pca",
+            "output_dir": str(tmp_path / "out"),
+        }
+        assert main(["link", "--config", str(write_config(tmp_path, doc))]) == 1
+        assert f"error: [link] {d2} is not UTF-8 text: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_id_column_fails_by_name(self, tmp_path, capsys):
         # one text id per row would one-hot encode into one column per row
         d1 = tmp_path / "d1.csv"
@@ -626,6 +641,13 @@ class TestValidation:
         assert main(["synth", "--config", str(bad)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        # a Latin-1 export: one 0xe9 byte in the output directory's name
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(json.dumps(synth_config(tmp_path / "r\u00e9sultats"), ensure_ascii=False).encode("latin-1"))
+        assert main(["synth", "--config", str(bad)]) == 2
+        assert f"error: [config] config: {bad} is not UTF-8 text: " in capsys.readouterr().err
+
     def test_both_inputs_rejected(self, tmp_path, capsys):
         doc = synth_config(tmp_path / "out")
         doc["inputs"]["files"] = {"d1": {"path": "x", "label_column": "y"},
@@ -741,3 +763,11 @@ def test_readme_example_config_states_the_defaults(tmp_path):
     doc = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
     cfg = cli.resolve_config(doc, tmp_path)
     assert cli.resolve_config({key: v for key, v in doc.items() if key != "autoencoder"}, tmp_path) == cfg
+
+
+def test_every_exported_name_resolves():
+    # a name dropped from the package but left in `__all__` fails only on a
+    # star import
+    import disjoint_link
+
+    assert [name for name in disjoint_link.__all__ if not hasattr(disjoint_link, name)] == []

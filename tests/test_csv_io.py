@@ -105,8 +105,8 @@ class TestWriterBytes:
         if len(X) < 2:
             X, y = np.vstack([X, X]), np.concatenate([y, y])
         d = Dataset(tuple(FeatureSchema(n, "numeric") for n in header), X, y, "d")
-        same_bytes(tmp_path_factory.mktemp("d"), lambda p: dataset_to_csv(d, p, "died, y"),
-                   lambda p: write_rows_reference(p, header + ["died, y"], labelled_rows_reference(X, y)))
+        same_bytes(tmp_path_factory.mktemp("d"), lambda p: dataset_to_csv(d, p),
+                   lambda p: write_rows_reference(p, header + ["label"], labelled_rows_reference(X, y)))
 
     @given(n=st.integers(1, 12), extra=st.integers(0, 5), seed=st.integers(0, 2**32 - 1),
            block_rows=st.sampled_from([1, 3, 4096]))
@@ -116,7 +116,7 @@ class TestWriterBytes:
         k = int(rng.integers(1, 4))
         tmp = tmp_path_factory.mktemp("nb")
         nan_map = random_neighbor_map(n, k + extra, k, rng)  # NaN distances
-        finite = NeighborMap(k=k, neighbors=nan_map.neighbors,
+        finite = NeighborMap(neighbors=nan_map.neighbors,
                              distances=rng.choice(EDGE_FLOATS, size=(n, k)) * rng.random((n, k)))
         with pytest.MonkeyPatch.context() as m:
             m.setattr(data, "CSV_BLOCK_ROWS", block_rows)
@@ -278,6 +278,14 @@ class TestLoaderParity:
         assert load_outcome(load_csv, path, None) == want
         dataset_to_csv(load_csv(path, "label"), tmp_path / "written.csv")
         assert load_outcome(load_csv, tmp_path / "written.csv", None)[:-1] == want[:-1]
+
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path):
+        # survey exports are often Latin-1; both loaders name the file
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"x,r\xe9gion,label\n1,2,0\n3,4,1\n")
+        outcome = load_outcome(load_csv, path, None)
+        assert outcome == load_outcome(load_csv_reference, path, None)
+        assert outcome[0] == "error" and outcome[1].startswith(f"{path} is not UTF-8 text: ")
 
     def test_label_error_names_the_row(self, tmp_path):
         path = tmp_path / "in.csv"

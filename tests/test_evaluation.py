@@ -14,7 +14,6 @@ from disjoint_link.data import (
     stratified_kfold,
 )
 from disjoint_link.evaluation import (
-    LogisticHyper,
     _logistic_grad,
     auroc,
     evaluate_conditions,
@@ -33,6 +32,12 @@ from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair
 from oracles import auroc_brute, fit_logistic_reference, logistic_loss, roc_curve
 
 
+def reference_fit(X, y):
+    """`fit_logistic_reference` under the classifier's constants as they
+    stand, patched or not."""
+    return fit_logistic_reference(X, y, evaluation.LEARNING_RATE, evaluation.EPOCHS, evaluation.L2_LAMBDA)
+
+
 class TestLogistic:
     def test_separable_case(self):
         X = np.array([[-1.0], [1.0]])
@@ -42,49 +47,48 @@ class TestLogistic:
 
     def test_fit_matches_the_reference_bit_for_bit(self):
         rng = np.random.default_rng(5)
-        hyper = LogisticHyper()
         for n, k in ((240, 16), (61, 3), (7, 1)):
             X = rng.normal(size=(n, k)) * rng.choice([0.5, 3.0, 40.0], size=k)
             y = (rng.random(n) < 0.3).astype(float)
             y[:2] = 0.0, 1.0
-            model = fit_logistic(X, y, hyper)
-            w, b = fit_logistic_reference(X, y, hyper)
+            model = fit_logistic(X, y)
+            w, b = reference_fit(X, y)
             assert model.weights.tobytes() == w.tobytes() and model.bias == b
 
     @pytest.mark.parametrize("d", [1, 3, 6, 16])
     @pytest.mark.parametrize("n", [7, 61, 160, 239, 240, 241, 2000])
-    def test_lockstep_fits_match_the_reference_bit_for_bit(self, n, d):
+    def test_lockstep_fits_match_the_reference_bit_for_bit(self, n, d, monkeypatch):
         # every slice of a stack has the bits of its fit alone, whatever
         # the stack's size; 239-241 rows are the fold sizes of a 300-row
         # dataset in 5 folds, each fitted in its own stack
         rng = np.random.default_rng(n * 100 + d)
-        hyper = LogisticHyper(epochs=40)
+        monkeypatch.setattr(evaluation, "EPOCHS", 40)
         Xs = [rng.normal(size=(n, d)) * rng.choice([0.5, 3.0, 40.0], size=d) for _ in range(15)]
         ys = [(rng.random(n) < 0.3).astype(float) for _ in range(15)]
         for y in ys:
             y[:2] = 0.0, 1.0
-        want = [fit_logistic_reference(X, y, hyper) for X, y in zip(Xs, ys)]
+        want = [reference_fit(X, y) for X, y in zip(Xs, ys)]
         for stack in (1, 2, 15):
-            models = fit_logistics(Xs[:stack], ys[:stack], hyper)
+            models = fit_logistics(Xs[:stack], ys[:stack])
             assert len(models) == stack
             for model, (w, b) in zip(models, want):
                 assert model.weights.tobytes() == w.tobytes() and model.bias == b
 
-    def test_mixed_shape_fits_match_the_reference_bit_for_bit(self):
+    def test_mixed_shape_fits_match_the_reference_bit_for_bit(self, monkeypatch):
         # one call of interleaved shapes, the fold sizes of a 300-row
         # dataset by two feature counts: each shape stacks on its own, and
         # the models come back in input order
         rng = np.random.default_rng(17)
-        hyper = LogisticHyper(epochs=40)
+        monkeypatch.setattr(evaluation, "EPOCHS", 40)
         shapes = [(n, d) for _ in range(2) for d in (6, 16) for n in (239, 240, 241)]
         Xs = [rng.normal(size=shape) * rng.choice([0.5, 3.0, 40.0], size=shape[1]) for shape in shapes]
         ys = [(rng.random(n) < 0.3).astype(float) for n, _ in shapes]
         for y in ys:
             y[:2] = 0.0, 1.0
-        models = fit_logistics(Xs, ys, hyper)
+        models = fit_logistics(Xs, ys)
         assert len(models) == len(shapes)
         for model, X, y in zip(models, Xs, ys):
-            w, b = fit_logistic_reference(X, y, hyper)
+            w, b = reference_fit(X, y)
             assert model.weights.tobytes() == w.tobytes() and model.bias == b
 
     def test_lockstep_fits_name_the_first_bad_slice(self):
@@ -120,12 +124,13 @@ class TestLogistic:
         lo = logistic_loss(w, b - eps, X, y, lam)
         assert abs(gb - (hi - lo) / (2 * eps)) / max(abs(gb), 1e-8) < 1e-6
 
-    def test_strong_regularization_shrinks_to_prior(self):
+    def test_strong_regularization_shrinks_to_prior(self, monkeypatch):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(200, 3))
         y = (rng.uniform(size=200) < 0.3).astype(int)
-        hyper = LogisticHyper(learning_rate=0.01, epochs=4000, l2_lambda=50.0)
-        model = fit_logistic(X, y, hyper)
+        for name, value in (("LEARNING_RATE", 0.01), ("EPOCHS", 4000), ("L2_LAMBDA", 50.0)):
+            monkeypatch.setattr(evaluation, name, value)
+        model = fit_logistic(X, y)
         assert np.abs(model.weights).max() < 0.01
         assert predict_proba(model, X).mean() == pytest.approx(y.mean(), abs=0.02)
 
@@ -134,15 +139,14 @@ class TestLogistic:
         X = rng.normal(size=(50, 6))
         X = apply_standardization(fit_standardization(X), X)
         y = (X[:, 0] + rng.normal(size=50) > 0).astype(float)
-        hyper = LogisticHyper()
         w = np.zeros(6)
         b = 0.0
         losses = []
         for _ in range(200):
-            losses.append(logistic_loss(w, b, X, y, hyper.l2_lambda))
-            gw, gb = _logistic_grad(w, b, X, y, hyper.l2_lambda)
-            w = w - hyper.learning_rate * gw
-            b = b - hyper.learning_rate * gb
+            losses.append(logistic_loss(w, b, X, y, evaluation.L2_LAMBDA))
+            gw, gb = _logistic_grad(w, b, X, y, evaluation.L2_LAMBDA)
+            w = w - evaluation.LEARNING_RATE * gw
+            b = b - evaluation.LEARNING_RATE * gb
         assert (np.diff(losses) <= 1e-12).all()
 
     def test_single_class_rejected(self):
@@ -519,7 +523,7 @@ class TestPooledFits:
         d1, d2 = small_pair(5)
         evaluate_conditions(d1, d2, ["unlinked", "random", "pca"], folds=3, seeds=[0], k=3, r=2)
         # each stack takes one gradient per epoch, one stack after another
-        epochs = LogisticHyper().epochs
+        epochs = evaluation.EPOCHS
         stacks = shapes[::epochs]
         assert [shape for shape in stacks for _ in range(epochs)] == shapes
         # one core: one stack per (rows, features) group, unlinked's and the

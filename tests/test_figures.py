@@ -90,7 +90,7 @@ class TestExports:
         d = make_dataset(rng.normal(size=(6, 2)), [0, 0, 0, 1, 1, 1])
         proj = export_projection_2d(d)
         path = tmp_path / "p.svg"
-        write_projection_svg(proj, path)
+        write_projection_svg(proj, path, "demo")
         text = path.read_text()
         assert text.count(NEGATIVE_COLOR) == 3
         assert text.count(POSITIVE_COLOR) == 3
