@@ -4,8 +4,12 @@ The network is K -> hidden_dims -> R -> reversed(hidden_dims) -> K with tanh
 on the hidden layers and identity on the latent and output layers. The
 encoder output is the sample's reduced representation.
 
-Every forward pass, the training step's, the epoch loss's and `encode`'s, is
-the list of numpy calls `_forward_calls` builds on fixed activation buffers.
+Activations are feature-major, (d + 1, m) for m rows with a last row of
+ones, so each layer is one product [W; b]^T [a; 1] with its bias folded in,
+and its gradient one product [a; 1] delta^T. Every forward pass, the training
+step's, the check after the last epoch's and `encode`'s, is the list of numpy
+calls `_forward_calls` builds on fixed activation buffers. The epoch loss is
+taken from the batches' residuals, not from a separate pass over all rows.
 """
 
 from __future__ import annotations
@@ -85,71 +89,80 @@ def init_layers(dims: list[int], rng: np.random.Generator) -> list[list[np.ndarr
     return layers
 
 
-def _layer_views(flat: np.ndarray, dims: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each layer's (W, b) as reshaped views into one flat vector laid out
-    W0, b0, W1, b1, ..."""
-    views, start = [], 0
+def _layer_blocks(flat: np.ndarray, dims: list[int]) -> list[np.ndarray]:
+    """Each layer's (din + 1, dout) block [W; b] as a reshaped view into one
+    flat vector laid out W0, b0, W1, b1, ...: W is the block's first din rows
+    and b its last."""
+    blocks, start = [], 0
     for din, dout in zip(dims[:-1], dims[1:]):
-        w = flat[start : start + din * dout].reshape(din, dout)
-        start += din * dout
-        views.append((w, flat[start : start + dout]))
-        start += dout
-    return views
+        blocks.append(flat[start : start + (din + 1) * dout].reshape(din + 1, dout))
+        start += (din + 1) * dout
+    return blocks
+
+
+def _with_ones(X: np.ndarray) -> np.ndarray:
+    """X with a last column of ones: its transpose is X feature-major, with
+    the ones row that multiplies the first layer's bias."""
+    return np.hstack((X, np.ones((len(X), 1))))
 
 
 Call = tuple[Callable[..., Any], tuple]  # a numpy function and its positional arguments
 
 
-def _forward_calls(layers, tanh_flags, x: np.ndarray, acts: list[np.ndarray]) -> list[Call]:
-    """The forward pass of the rows `x` as numpy calls that write each
-    layer's activation into its (len(x), dout) buffer in `acts`; the last
+def _forward_buffers(m: int, widths: list[int]) -> list[np.ndarray]:
+    """Each layer's feature-major activation buffer for m rows: (dout + 1, m)
+    with a last row of ones, which multiplies the next layer's bias, and
+    (dout, m) for the last layer, which no layer reads."""
+    return [np.ones((d + 1, m)) for d in widths[:-1]] + [np.empty((widths[-1], m))]
+
+
+def _forward_calls(blocks, tanh_flags, x: np.ndarray, acts: list[np.ndarray]) -> list[Call]:
+    """The forward pass of the feature-major rows `x`, whose last row is
+    ones, as numpy calls: per layer one product [W; b]^T [a; 1] into the
+    first dout rows of its buffer in `acts`, then tanh in place. The last
     buffer ends up holding the output."""
     calls: list[Call] = []
     a = x
-    for (w, b), is_tanh, z in zip(layers, tanh_flags, acts):
-        calls += [(np.dot, (a, w, z)), (np.add, (z, b, z))]
+    for wb, is_tanh, buf in zip(blocks, tanh_flags, acts):
+        z = buf[: wb.shape[1]]
+        calls.append((np.dot, (wb.T, a, z)))
         if is_tanh:
             calls.append((np.tanh, (z, z)))
-        a = z
+        a = buf
     return calls
 
 
-def _squared_error_calls(out: np.ndarray, x: np.ndarray) -> list[Call]:
-    """(out - x)^2 written over the output activation `out`; its mean is the
-    reconstruction loss."""
-    return [(np.subtract, (out, x, out)), (np.square, (out, out))]
+def _step_buffers(m: int, widths: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each layer's feature-major activation and (dout, m) delta buffer for
+    batches of m rows."""
+    return _forward_buffers(m, widths), [np.empty((d, m)) for d in widths]
 
 
-def _step_buffers(m: int, dims: list[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Each layer's (m, dout) activation and delta buffer for batches of m rows."""
-    return [np.empty((m, d)) for d in dims[1:]], [np.empty((m, d)) for d in dims[1:]]
+def _step_calls(blocks, tanh_flags, grads, x: np.ndarray, resid: np.ndarray, bufs) -> list[Call]:
+    """One training step on the feature-major rows `x` as numpy calls on
+    fixed arrays, to be run in order: the forward pass into `bufs`'
+    activations, the residual output - x into `resid`, the output delta and
+    backpropagation, which writes each layer's folded gradient [dW; db] into
+    its block in `grads`. The calls allocate nothing.
 
-
-def _step_calls(layers, tanh_flags, grads, x: np.ndarray, bufs) -> list[Call]:
-    """One training step on the rows `x` as numpy calls on fixed arrays, to be
-    run in order: the forward pass into `bufs`' activations, the output delta
-    and backpropagation, which writes each layer's weight and bias gradient
-    into the arrays `grads` holds. The calls allocate nothing.
-
-    Each tanh derivative 1 - a^2 is taken in place in its activation, which
-    backpropagation no longer reads once it is used; the output activation is
-    kept, so the caller can take the loss from it.
+    Each gradient is one product [a; 1] delta^T: the ones row makes its last
+    row, the bias gradient, the sum of delta over the rows. Each tanh
+    derivative 1 - a^2 is taken in place in its activation, which
+    backpropagation no longer reads once it is used.
     """
     acts, deltas = bufs
-    calls = _forward_calls(layers, tanh_flags, x, acts)
-    a, delta = acts[-1], deltas[-1]
+    calls = _forward_calls(blocks, tanh_flags, x, acts)
+    delta = deltas[-1]
     # d(mean r^2)/dr = 2 r / size, rounded once: size / 2 is exact
-    calls += [(np.subtract, (a, x, delta)), (np.divide, (delta, delta.size * 0.5, delta))]
+    calls += [(np.subtract, (acts[-1], x[:-1], resid)), (np.divide, (resid, delta.size * 0.5, delta))]
     ins = [x, *acts[:-1]]
-    for i in range(len(layers) - 1, -1, -1):
-        gw, gb = grads[i]
-        # np.add.reduce with axis 0 is np.sum without its Python wrapper
-        calls += [(np.dot, (ins[i].T, delta, gw)), (np.add.reduce, (delta, 0, None, gb))]
+    for i in range(len(blocks) - 1, -1, -1):
+        calls.append((np.dot, (ins[i], delta.T, grads[i])))
         if i > 0:
             below = deltas[i - 1]
-            calls.append((np.dot, (delta, layers[i][0].T, below)))
+            calls.append((np.dot, (blocks[i][:-1], delta, below)))
             if tanh_flags[i - 1]:
-                a = ins[i]
+                a = ins[i][:-1]
                 calls += [(np.square, (a, a)), (np.subtract, (1.0, a, a)), (np.multiply, (below, a, below))]
             delta = below
     return calls
@@ -160,28 +173,58 @@ def _run(calls: list[Call]) -> None:
         f(*args)
 
 
+def _mean_square(r: np.ndarray) -> float:
+    """The mean of r^2, squared in place. numpy's pairwise sum gives the same
+    bits at any BLAS thread count, which BLAS's dot does not."""
+    return float(np.mean(np.square(r, out=r)))
+
+
+def _reconstruction_error(blocks, tanh_flags, x: np.ndarray) -> float:
+    """Mean squared reconstruction error of the feature-major rows `x`
+    through one forward pass on buffers of all its rows."""
+    acts = _forward_buffers(x.shape[1], [wb.shape[1] for wb in blocks])
+    out = acts[-1]
+    _run(_forward_calls(blocks, tanh_flags, x, acts) + [(np.subtract, (out, x[:-1], out))])
+    return _mean_square(out)
+
+
 def loss_and_grads(layers, tanh_flags, X: np.ndarray):
-    """Mean squared reconstruction error and its gradient per layer: one
-    training step's calls on all of X, without the momentum update."""
+    """Mean squared reconstruction error and its gradient (dW, db) per layer:
+    one training step's calls on all of X, without the momentum update."""
     dims = [X.shape[1], *(w.shape[1] for w, _ in layers)]
-    grads = [(np.empty_like(w), np.empty_like(b)) for w, b in layers]
-    bufs = _step_buffers(len(X), dims)
-    out = bufs[0][-1]
-    _run(_step_calls(layers, tanh_flags, grads, X, bufs) + _squared_error_calls(out, X))
-    return float(np.mean(out)), grads
+    theta = np.concatenate([a.ravel() for layer in layers for a in layer])
+    grad = np.empty_like(theta)
+    grads = _layer_blocks(grad, dims)
+    resid = np.empty((X.shape[1], len(X)))
+    _run(_step_calls(_layer_blocks(theta, dims), tanh_flags, grads, _with_ones(X).T, resid,
+                     _step_buffers(len(X), dims[1:])))
+    return _mean_square(resid), [(g[:-1], g[-1]) for g in grads]
+
+
+def _finite(loss: float, epoch: int) -> float:
+    if not np.isfinite(loss):
+        raise TrainingDiverged(f"non-finite reconstruction loss at epoch {epoch}; lower the learning rate")
+    return loss
 
 
 def fit_autoencoder(X: np.ndarray, r: int, hyper: AutoencoderHyper | None = None) -> AutoencoderReducer:
     """Train the autoencoder; deterministic for a fixed seed.
 
     A step's cost is dominated by the number of numpy calls, not by their
-    size, so the epoch's calls are built once per fit and then only run. All
-    parameters live in one flat vector, so the momentum step is four
-    whole-vector calls however many layers the net has. Each epoch gathers
-    the shuffled rows into one fixed buffer, and every batch is a view into
-    it; the batches share one set of activation and delta buffers, and a short
-    last batch has its own. The epoch-end loss over all rows is built once
-    too: the same forward calls into n-row buffers, then the squared error.
+    size, so the epoch's calls are built once per fit and then only run.
+    Every layer is one product with its bias folded in, on feature-major
+    activations. All parameters live in one flat vector, so the momentum
+    step is four whole-vector calls however many layers the net has. Each
+    epoch gathers the shuffled rows, with their ones column, into one fixed
+    buffer, and every batch is a view into it; the batches share one set of
+    activation and delta buffers, and a short last batch has its own.
+
+    `training_log[e]` is the mean squared residual of epoch e's batches, each
+    taken before its batch's update: the row-weighted mean of the batch
+    losses. Each batch writes its residual into its own slice of one epoch
+    buffer, so no pass over all rows is needed. A non-finite epoch loss
+    raises `TrainingDiverged`, and so does a non-finite loss of one forward
+    pass over all rows after the last epoch, which sees the last updates.
     """
     hyper = hyper or AutoencoderHyper()
     X = np.asarray(X, dtype=np.float64)
@@ -198,9 +241,9 @@ def fit_autoencoder(X: np.ndarray, r: int, hyper: AutoencoderHyper | None = None
 
     rng = np.random.default_rng(hyper.seed)
     theta = np.concatenate([a.ravel() for layer in init_layers(dims, rng) for a in layer])
-    layers = _layer_views(theta, dims)
+    blocks = _layer_blocks(theta, dims)
     grad = np.empty_like(theta)
-    grads = _layer_views(grad, dims)
+    grads = _layer_blocks(grad, dims)
     velocity = np.zeros_like(theta)
     step = np.empty_like(theta)
     momentum: list[Call] = [
@@ -209,30 +252,31 @@ def fit_autoencoder(X: np.ndarray, r: int, hyper: AutoencoderHyper | None = None
         (np.multiply, (velocity, hyper.learning_rate, step)),
         (np.subtract, (theta, step, theta)),
     ]
-    shuffled = np.empty_like(X)
-    batches = [shuffled[start : start + hyper.batch_size] for start in range(0, n, hyper.batch_size)]
-    bufs = {len(batch): _step_buffers(len(batch), dims) for batch in batches[:1] + batches[-1:]}
-    epoch_calls = [call for batch in batches
-                   for call in _step_calls(layers, tanh_flags, grads, batch, bufs[len(batch)]) + momentum]
-    loss_acts = [np.empty((n, dout)) for dout in dims[1:]]
-    loss_calls = _forward_calls(layers, tanh_flags, X, loss_acts) + _squared_error_calls(loss_acts[-1], X)
+    X1 = _with_ones(X)
+    shuffled = np.empty_like(X1)
+    resid = np.empty(n * k)
+    starts = range(0, n, hyper.batch_size)
+    sizes = [min(hyper.batch_size, n - start) for start in starts]
+    bufs = {m: _step_buffers(m, dims[1:]) for m in sizes[:1] + sizes[-1:]}
+    epoch_calls = [
+        call for start, m in zip(starts, sizes)
+        for call in _step_calls(blocks, tanh_flags, grads, shuffled[start : start + m].T,
+                                resid[start * k : (start + m) * k].reshape(k, m), bufs[m]) + momentum
+    ]
 
     log = []
     # a diverging net overflows long before its epoch ends; TrainingDiverged
     # reports it, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(hyper.epochs):
-            np.take(X, rng.permutation(n), axis=0, out=shuffled)
+            np.take(X1, rng.permutation(n), axis=0, out=shuffled)
             _run(epoch_calls)
-            _run(loss_calls)
-            epoch_loss = float(np.mean(loss_acts[-1]))
-            if not np.isfinite(epoch_loss):
-                raise TrainingDiverged(
-                    f"non-finite reconstruction loss at epoch {epoch}; lower the learning rate"
-                )
-            log.append(epoch_loss)
+            log.append(_finite(_mean_square(resid), epoch))
+        # each batch's loss precedes its update, so the last updates are
+        # checked by one more pass over all rows
+        _finite(_reconstruction_error(blocks, tanh_flags, X1.T), hyper.epochs - 1)
 
-    frozen = tuple((w.copy(), b.copy()) for w, b in layers)
+    frozen = tuple((wb[:-1].copy(), wb[-1].copy()) for wb in blocks)
     return AutoencoderReducer(
         encoder_layers=frozen[:n_encoder],
         decoder_layers=frozen[n_encoder:],
@@ -241,12 +285,14 @@ def fit_autoencoder(X: np.ndarray, r: int, hyper: AutoencoderHyper | None = None
 
 
 def encode(reducer: AutoencoderReducer, X: np.ndarray) -> np.ndarray:
-    """Forward pass through the encoder half only."""
+    """Forward pass through the encoder half only; the latent comes back
+    row-major, (n, R) and C-contiguous."""
     X = np.asarray(X, dtype=np.float64)
     din = reducer.encoder_layers[0][0].shape[0]
     if X.shape[1] != din:
         raise DataError(f"encoder expects {din} columns, got {X.shape[1]}")
     n_encoder = len(reducer.encoder_layers)
-    acts = [np.empty((len(X), w.shape[1])) for w, _ in reducer.encoder_layers]
-    _run(_forward_calls(reducer.encoder_layers, _tanh_flags(n_encoder, n_encoder), X, acts))
-    return acts[-1]
+    blocks = [np.vstack((w, b)) for w, b in reducer.encoder_layers]
+    acts = _forward_buffers(len(X), [wb.shape[1] for wb in blocks])
+    _run(_forward_calls(blocks, _tanh_flags(n_encoder, n_encoder), _with_ones(X).T, acts))
+    return acts[-1].T.copy()

@@ -7,7 +7,9 @@ verifies: it imports neither `disjoint_link._kernels` nor
 `roc_curve`, `invert_standardization` and `schema_from_json` are plain forms the pipeline
 does not need. `sigmoid_two_branch` and `fit_logistic_reference` are the forms
 `_kernels.sigmoid` and the logistic fit had before the sigmoid went
-branch-free; `logistic_loss` is the loss whose gradient the fit descends. The CSV references are the cell-by-cell loader and the
+branch-free; `logistic_loss` is the loss whose gradient the fit descends. `loss_and_grads` is the
+row-major autoencoder gradient, with a separate bias add and sum, that the
+training step had before it folded each bias into its product. The CSV references are the cell-by-cell loader and the
 row-by-row `csv.writer` writers the package's one-pass forms must equal byte
 for byte. `scatter_svg_reference` is the per-point loop `figures.scatter_svg`
 had before it scaled the points as arrays. `bayes_scores` and
@@ -223,36 +225,77 @@ def pca_components_brute(X, r):
     return np.maximum(vals[order], 0.0), comps
 
 
-def reconstruction_mse(layers, tanh_flags, X):
-    """Mean squared reconstruction error through an allocating forward pass."""
-    X = np.asarray(X, dtype=np.float64)
-    a = X
+def _ones_below(a):
+    """`a` (d, m) with a row of ones appended, as a new array in `a`'s memory
+    order."""
+    return np.vstack((a, np.ones((1, a.shape[1]))))
+
+
+def _folded_forward(layers, tanh_flags, x):
+    """Every layer's feature-major activation (dout, m) of the feature-major
+    rows `x` (k, m), each layer one product [W; b]^T [a; 1]; allocating."""
+    acts = [x]
     for (w, b), is_tanh in zip(layers, tanh_flags):
-        a = a @ w + b
-        if is_tanh:
-            a = np.tanh(a)
-    return float(np.mean((a - X) ** 2))
+        z = np.vstack((w, b)).T @ _ones_below(acts[-1])
+        acts.append(np.tanh(z) if is_tanh else z)
+    return acts
+
+
+def reconstruction_mse(layers, tanh_flags, X):
+    """Mean squared reconstruction error through an allocating forward pass,
+    its residual feature-major."""
+    x = np.asarray(X, dtype=np.float64).T
+    return float(np.mean((_folded_forward(layers, tanh_flags, x)[-1] - x) ** 2))
 
 
 def encode_reference(reducer, X):
     """An autoencoder's latent for X through an allocating forward pass of
     its encoder half: tanh on every hidden layer, identity on the latent."""
     layers = reducer.encoder_layers
-    a = np.asarray(X, dtype=np.float64)
-    for i, (w, b) in enumerate(layers):
-        a = a @ w + b
-        if i < len(layers) - 1:
-            a = np.tanh(a)
-    return a
+    flags = [True] * (len(layers) - 1) + [False]
+    return _folded_forward(layers, flags, np.asarray(X, dtype=np.float64).T)[-1].T
+
+
+def loss_and_grads(layers, tanh_flags, X):
+    """Mean squared reconstruction error and its gradient (dW, db) per layer
+    in the plain row-major form: `a @ W + b` forward, `a.T @ delta` and
+    `delta.sum(axis=0)` backward, all allocating."""
+    X = np.asarray(X, dtype=np.float64)
+    acts = [X]
+    for (w, b), is_tanh in zip(layers, tanh_flags):
+        z = acts[-1] @ w + b
+        acts.append(np.tanh(z) if is_tanh else z)
+    resid = acts[-1] - X
+    delta = 2.0 * resid / resid.size
+    grads = []
+    for i in range(len(layers) - 1, -1, -1):
+        w, _ = layers[i]
+        grads.append((acts[i].T @ delta, delta.sum(axis=0)))
+        if i > 0:
+            delta = delta @ w.T
+            if tanh_flags[i - 1]:
+                delta = delta * (1.0 - acts[i] ** 2)
+    grads.reverse()
+    return float(np.mean(resid**2)), grads
 
 
 def fit_autoencoder_reference(X, r, hyper):
     """The autoencoder training loop in its plain per-layer form: allocating
-    forward and backward passes, a per-layer momentum update and a fancy-index
-    gather per batch. Returns the trained ((W, b), ...) and the epoch losses.
+    folded, feature-major forward and backward passes, a per-layer momentum
+    update and a fancy-index gather per batch. Returns the trained
+    ((W, b), ...) and the epoch losses, each the mean squared residual of the
+    epoch's batches, taken before each batch's update, over the residuals
+    laid out batch after batch, each feature-major.
 
     Deliberately independent of `disjoint_link.autoencoder` apart from the
-    hyperparameters; a training step must match it bit for bit.
+    hyperparameters; a training step must match it bit for bit. That needs
+    the package's operand layouts too: OpenBLAS's small-matrix GEMM sums in
+    another order when the left operand is C-ordered and the right one
+    F-ordered, the contraction is 32 or longer and the product has at most
+    1200 entries, and the weight gradient of a 32-row batch is such a
+    product. So each batch goes in as `batch.T`, F-ordered like the
+    package's transposed gather, and `np.vstack` keeps that order; with a
+    C-ordered first input, fits with 32-row batches differ by up to 2.2e-16.
     """
     X = np.asarray(X, dtype=np.float64)
     n, k = X.shape
@@ -262,28 +305,21 @@ def fit_autoencoder_reference(X, r, hyper):
     tanh_flags[len(hidden)] = False  # latent layer
     tanh_flags[-1] = False  # output layer
 
-    def forward(layers, batch):
-        acts = [batch]
-        for (w, b), is_tanh in zip(layers, tanh_flags):
-            z = acts[-1] @ w + b
-            acts.append(np.tanh(z) if is_tanh else z)
-        return acts
-
-    def loss_and_grads(layers, batch):
-        acts = forward(layers, batch)
-        resid = acts[-1] - batch
-        loss = float(np.mean(resid**2))
+    def resid_and_grads(layers, x):
+        acts = _folded_forward(layers, tanh_flags, x)
+        resid = acts[-1] - x
         delta = 2.0 * resid / resid.size
         grads = []
         for i in range(len(layers) - 1, -1, -1):
             w, _ = layers[i]
-            grads.append((acts[i].T @ delta, delta.sum(axis=0)))
+            g = _ones_below(acts[i]) @ delta.T
+            grads.append((g[:-1], g[-1]))
             if i > 0:
-                delta = delta @ w.T
+                delta = w @ delta
                 if tanh_flags[i - 1]:
                     delta = delta * (1.0 - acts[i] ** 2)
         grads.reverse()
-        return loss, grads
+        return resid, grads
 
     rng = np.random.default_rng(hyper.seed)
     layers = []
@@ -295,15 +331,17 @@ def fit_autoencoder_reference(X, r, hyper):
     log = []
     for _ in range(hyper.epochs):
         order = rng.permutation(n)
+        resids = []
         for start in range(0, n, hyper.batch_size):
             batch = X[order[start : start + hyper.batch_size]]
-            _, grads = loss_and_grads(layers, batch)
+            resid, grads = resid_and_grads(layers, batch.T)
+            resids.append(resid.ravel())
             for layer, vel, (gw, gb) in zip(layers, velocity, grads):
                 vel[0] = 0.9 * vel[0] + gw
                 vel[1] = 0.9 * vel[1] + gb
                 layer[0] = layer[0] - hyper.learning_rate * vel[0]
                 layer[1] = layer[1] - hyper.learning_rate * vel[1]
-        log.append(float(np.mean((forward(layers, X)[-1] - X) ** 2)))
+        log.append(float(np.mean(np.concatenate(resids) ** 2)))
     return tuple((w, b) for w, b in layers), tuple(log)
 
 

@@ -4,15 +4,18 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
+from disjoint_link import autoencoder
 from disjoint_link.autoencoder import (
     AutoencoderHyper,
     TrainingDiverged,
+    _layer_blocks,
     _layer_dims,
-    _layer_views,
     _run,
     _step_buffers,
     _step_calls,
     _tanh_flags,
+    _with_ones,
     encode,
     fit_autoencoder,
     init_layers,
@@ -82,7 +85,8 @@ class TestGradients:
 
     def test_backward_into_flat_buffers_equals_loss_and_grads(self):
         # the training step's calls write every parameter's gradient into
-        # flat views, bit for bit what loss_and_grads returns
+        # flat views, the bias's through the ones row, bit for bit what
+        # loss_and_grads returns
         rng = np.random.default_rng(14)
         X = rng.normal(size=(9, 5))
         dims = _layer_dims(5, 2, (4, 3))
@@ -92,12 +96,38 @@ class TestGradients:
             layer[1][:] = rng.normal(scale=0.1, size=layer[1].shape)
         _, want = loss_and_grads(layers, flags, X)
 
-        flat = np.full(sum(din * dout + dout for din, dout in zip(dims[:-1], dims[1:])), np.nan)
-        grads = _layer_views(flat, dims)
-        _run(_step_calls(layers, flags, grads, X, _step_buffers(len(X), dims)))
+        theta = np.concatenate([a.ravel() for layer in layers for a in layer])
+        flat = np.full(theta.size, np.nan)
+        grads = _layer_blocks(flat, dims)
+        _run(_step_calls(_layer_blocks(theta, dims), flags, grads, _with_ones(X).T, np.empty((5, 9)),
+                         _step_buffers(len(X), dims[1:])))
         assert not np.isnan(flat).any()  # every parameter's gradient was written
+        for g, (ww, wb) in zip(grads, want):
+            assert g[:-1].tobytes() == ww.tobytes() and g[-1].tobytes() == wb.tobytes()
+
+    @pytest.mark.parametrize(
+        "hidden, n, k, r",
+        [((), 9, 4, 2), ((5,), 9, 4, 2), ((16, 8), 9, 4, 2), ((5,), 1, 4, 2), ((5,), 9, 4, 4),
+         ((32,), 40, 10, 6)],
+        ids=["linear", "one-hidden", "two-hidden", "one-row", "r-equals-k", "acceptance-width"],
+    )
+    def test_folded_matches_the_unfolded_form(self, hidden, n, k, r):
+        # one product per layer with the bias folded in, on feature-major
+        # activations, against a @ W + b and delta.sum(axis=0) on row-major
+        # ones; 40 rows contract the weight gradients over more than 32
+        rng = np.random.default_rng(n + len(hidden))
+        X = rng.normal(size=(n, k))
+        dims = _layer_dims(k, r, hidden)
+        flags = _tanh_flags(len(dims) - 1, len(hidden) + 1)
+        layers = init_layers(dims, rng)
+        for layer in layers:
+            layer[1][:] = rng.normal(scale=0.1, size=layer[1].shape)
+        loss, grads = loss_and_grads(layers, flags, X)
+        want_loss, want = oracles.loss_and_grads(layers, flags, X)
+        assert abs(loss - want_loss) <= 1e-12 * want_loss
         for (gw, gb), (ww, wb) in zip(grads, want):
-            assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
+            assert relative_error(gw, ww) < 1e-12
+            assert relative_error(gb, wb) < 1e-12
 
 
 def fit_bytes(layers, log) -> bytes:
@@ -132,13 +162,14 @@ class TestTrainingMatchesReference:
         assert fit_bytes(red.all_layers, red.training_log) == fit_bytes(ref_layers, ref_log)
 
     def test_pinned_digest(self):
-        # SHA-256 of one fit's weights and log, computed before the training
-        # loop took its flat-vector form; it catches a change made to both
-        # the loop and the reference
+        # SHA-256 of one fit's weights and log, computed when each layer
+        # became one product with its bias folded in and the log took its
+        # loss from the batches; it catches a change made to both the loop
+        # and the reference
         X = np.random.default_rng(20).normal(size=(23, 4))
         hyper = AutoencoderHyper(hidden_dims=(3,), epochs=6, batch_size=5,
                                  learning_rate=0.05, seed=9)
-        want = "6cbc3627c021f28155ddc406e1fae72fc3985a4e15d506ab168fe0d4b4bc9b1f"
+        want = "78b3397d7b01549570ce6136b7e8338f1efc3dfc29879724de853ce6723cb268"
         red = fit_autoencoder(X, 2, hyper)
         assert hashlib.sha256(fit_bytes(red.all_layers, red.training_log)).hexdigest() == want
         assert hashlib.sha256(fit_bytes(*fit_autoencoder_reference(X, 2, hyper))).hexdigest() == want
@@ -182,6 +213,27 @@ class TestTraining:
                 X, 2,
                 AutoencoderHyper(hidden_dims=(), epochs=50, learning_rate=50.0, seed=0),
             )
+
+    def test_divergence_in_the_last_update_is_reported(self):
+        # one epoch of one batch: its loss is taken before its only update,
+        # which overflows, so only the pass after the last epoch sees it
+        X = np.random.default_rng(5).normal(size=(20, 3))
+        hyper = AutoencoderHyper(hidden_dims=(), epochs=1, batch_size=32, learning_rate=1e300, seed=0)
+        with warnings.catch_warnings(), pytest.raises(
+                TrainingDiverged, match="^non-finite reconstruction loss at epoch 0; lower the learning rate$"):
+            warnings.simplefilter("error")
+            fit_autoencoder(X, 2, hyper)
+
+    def test_a_step_is_21_calls_and_4_momentum_calls(self, monkeypatch):
+        # hidden (32,): 6 forward, 2 for the residual and output delta, 13
+        # backward, then the momentum update; the gain over the 29 + 4 calls
+        # of a step with separate bias calls, guarded without a timer
+        lengths = []
+        real_run = autoencoder._run
+        monkeypatch.setattr(autoencoder, "_run", lambda calls: (lengths.append(len(calls)), real_run(calls)))
+        X = np.random.default_rng(15).normal(size=(64, 10))
+        fit_autoencoder(X, 6, AutoencoderHyper(hidden_dims=(32,), epochs=1, batch_size=32, seed=0))
+        assert lengths[0] == 2 * (21 + 4)
 
     def test_architecture_dims(self):
         rng = np.random.default_rng(6)
@@ -234,20 +286,26 @@ class TestEncode:
         with pytest.raises(DataError):
             encode(red, np.zeros((2, 5)))
 
-    def test_reconstruct_matches_forward(self):
+    def test_reconstruct_matches_forward(self, monkeypatch):
         # with two hidden layers the encoder has two tanh layers before its
         # identity latent, so a wrong tanh flag in encode shows
         rng = np.random.default_rng(11)
         X = rng.normal(size=(9, 4))
+        errors = []
+        real_error = autoencoder._reconstruction_error
+        monkeypatch.setattr(autoencoder, "_reconstruction_error",
+                            lambda *args: errors.append(real_error(*args)) or errors[-1])
         for hidden in ((32,), (4, 3)):
+            errors.clear()
             red = fit_autoencoder(X, 2, AutoencoderHyper(hidden_dims=hidden, epochs=3, seed=2))
             got, want = encode(red, X), encode_reference(red, X)
             assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+            assert got.flags.c_contiguous
             layers = red.all_layers
             flags = _tanh_flags(len(layers), len(red.encoder_layers))
-            # the epoch-end loss, run from the same forward calls on n-row
-            # buffers, is the allocating forward pass's MSE bit for bit
-            assert red.training_log[-1] == reconstruction_mse(layers, flags, X)
+            # the check after the last epoch, run from the same forward calls
+            # on n-row buffers, is the allocating forward pass's MSE bit for bit
+            assert errors == [reconstruction_mse(layers, flags, X)]
 
 
 def assert_payload_holds(doc, red):
