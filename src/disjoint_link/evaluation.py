@@ -7,19 +7,19 @@ reducers, the reduced axes' z-scores, neighbor search — while the other
 dataset is treated as fully available context. Test rows only ever pass
 through already fitted transforms.
 
-A cell is one (seed, condition, fold) key: link the fold's rows
-(`link_into`), fit the logistic model, whose schedule is fixed (`EPOCHS`
-steps of `LEARNING_RATE`, L2 penalty `L2_LAMBDA`), score the test rows.
-`run_fold_conditions` runs a list of cells: it links each on its own and
-fits their models in one `fit_logistics` call, which stacks same-shape fits
-in lockstep and gives each model the bits of a fit on its own.
-`evaluate_conditions` deals each wave's keys round-robin into at most one
-chunk per usable core. It runs two waves, each one call of the package's
-fork pool: the first runs the autoencoder fits and the other conditions'
-chunks; the second, which inherits those fits, the autoencoder's chunks.
-AUROCs are read back in the serial order. The first CV seed's folds hold
-each D1 row out once, so their test rows' neighbors make an out-of-fold D12
-of every linked condition: the D12 that `after.svg` projects.
+A cell is one (seed, condition, fold) key: link the fold's rows through its D1
+fit and the condition's one D2 fit (`link_into`), fit the logistic model,
+whose schedule is fixed (`EPOCHS` steps of `LEARNING_RATE`, L2 penalty
+`L2_LAMBDA`), score the test rows. `run_fold_conditions` runs a list of cells:
+it links each on its own and fits their models in one `fit_logistics` call,
+which stacks same-shape fits in lockstep and gives each model the bits of a
+fit on its own. `evaluate_conditions` deals each wave's keys round-robin into
+at most one chunk per usable core. It runs two waves, each one call of the
+package's fork pool: the first runs the autoencoder fits and the other
+conditions' chunks; the second, which inherits those fits, the autoencoder's
+chunks. AUROCs are read back in the serial order. The first CV seed's folds
+hold each D1 row out once, so their test rows' neighbors make an out-of-fold
+D12 of every linked condition: the D12 that `after.svg` projects.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class D2Context:
-    """Per-(condition, seed) artifacts of the source dataset, shared by folds."""
+    """Per-condition artifacts of the source dataset, shared by every cell."""
 
     X_std: np.ndarray
     reducer: FittedReducer | None = None  # None for unlinked and random
@@ -365,17 +365,17 @@ def evaluate_conditions(
 
     All conditions in one seed share the identical fold split, so comparisons
     are paired. A cell is its (seed, condition, fold) key: link, fit the
-    logistic model, score. Each wave's keys are dealt round-robin into at
-    most one chunk per usable core, each chunk one pooled
-    `run_fold_conditions` call. The feature-importance and PCA sides are
-    fitted here; then two waves run, each one `pooled` call. The first trains
-    the autoencoders, D2's first, and runs the chunks of every condition but
-    the autoencoder. The second, which inherits those fits, runs the
-    autoencoder's chunks; without an autoencoder it has no task and forks
-    nothing. Each fit and chunk comes back as its result or its error, and
-    AUROCs are read in the serial loop's (seed, condition, fold) order, so
-    neither the report nor the first error raised depends on the worker
-    count.
+    logistic model, score. D2's side of a condition is fitted once
+    (`fit_jobs`) and every CV seed's cells read it. Each wave's keys are
+    dealt round-robin into at most one chunk per usable core, each chunk one
+    pooled `run_fold_conditions` call. The feature-importance and PCA sides
+    are fitted here; then two waves run, each one `pooled` call. The first
+    trains the autoencoders, D2's first, and runs the other conditions'
+    chunks. The second, which inherits those fits, runs the autoencoder's
+    chunks; without an autoencoder it has no task and forks nothing. Each
+    fit and chunk comes back as its result or its error, and AUROCs are read
+    in the serial loop's (seed, condition, fold) order, so neither the
+    report nor the first error raised depends on the worker count.
 
     The first CV seed's reducer cells also return their test rows'
     neighbors, from which the report's `after` assembles each linked
@@ -403,18 +403,17 @@ def evaluate_conditions(
     d2s = standardize(d2)  # once: every seed and condition shares D2's rows
     jobs = fit_jobs(ordered, d2s, [(seed, [tr for tr, _ in split]) for seed, split in runs.items()],
                     r=r, ae_hyper=ae_hyper)
-    first = seeds[0]  # the CV seed whose out-of-fold D12s `after` holds
+    first = seeds[0]  # the CV seed of every cell's D2 fit and of `after`'s out-of-fold D12s
     linked = [cond for cond in ordered if cond in REDUCER_KINDS]
     # fitted here, before the pool forks, so the pooled cells inherit them;
     # each fit or its error, which a cell raises where the serial loop would
     fits = {key: _caught(fit_reducer, *job) for key, job in jobs.items() if job[0] != "autoencoder"}
-    # D2's fits, the longest, start first
-    ae_keys = sorted((key for key, job in jobs.items() if job[0] == "autoencoder"),
-                     key=lambda key: key[2] is not None)
+    # D2's fit, the longest, is listed first and so starts first
+    ae_keys = [key for key, job in jobs.items() if job[0] == "autoencoder"]
 
     def cell_args(seed: int, cond: str, fold: int) -> tuple:
         train, test = runs[seed][fold]
-        ctx = prepare_d2_context(d2s, _unwrap(fits.get((seed, cond, None))))
+        ctx = prepare_d2_context(d2s, _unwrap(fits.get((first, cond, None))))
         return cond, train, test, ctx, _unwrap(fits.get((seed, cond, fold))), seed, fold
 
     def chunk_outcomes(chunk: list[tuple]) -> list[tuple[float, NeighborMap | None] | Exception]:

@@ -122,29 +122,30 @@ def fit_jobs(
     ae_hyper: AutoencoderHyper | None,
 ) -> dict[tuple[int, str, int | None], FitJob]:
     """`fit_reducer`'s arguments for every reducer fit of a run, keyed by
-    (seed, condition, fold) in canonical order; fold None is D2's fit, listed
-    before D1's. `runs` pairs each CV seed with its folds' D1 training rows,
-    each fold standardized by its own statistics; D2's side is fitted on
-    `d2s`, D2 with its rows standardized.
+    (seed, condition, fold); fold None is D2's fit, listed first and only
+    under the first CV seed, as D2 is never split. `runs` pairs each CV seed
+    with its folds' D1 training rows, each fold standardized by its own
+    statistics; D2's side is fitted on `d2s`, D2 with its rows standardized.
 
-    The one seed rule: D2's autoencoder of CV seed s trains with
-    SeedSequence([s, 2]) and fold f's D1 autoencoder with
-    SeedSequence([s, f, 1]). The one R rule: both sides of a (seed,
-    condition) share one R, capped by the seed's smallest training fold, by
-    both sides' feature counts and, but for the autoencoder, by D2's rows.
-    Feature importance ignores R.
+    The one seed rule: D2's autoencoder trains with SeedSequence([s, 2]) for
+    the first CV seed s, and fold f's D1 autoencoder of CV seed s with
+    SeedSequence([s, f, 1]). The one R rule: both sides of a condition share
+    one R, capped by the smallest training fold (`stratified_kfold`'s fold
+    sizes do not depend on the CV seed), by both sides' feature counts and,
+    but for the autoencoder, by D2's rows. Feature importance ignores R.
     """
     linked = [c for c in conditions if c not in ("unlinked", "random")]
+    first, train = runs[0]
     jobs = {}
-    for seed, train in runs:
-        for cond in linked:
-            d2_limits = (d2s.k,) if cond == "autoencoder" else (d2s.n, d2s.k)
-            limits = (min(d.n for d in train), train[0].k, *d2_limits)
-            r_eff = min(r, *limits)
-            if r_eff < 1:
-                raise DataError(f"no valid reduced dimension (requested {r}, limits {limits})")
-            jobs[seed, cond, None] = (cond, d2s, r_eff, _ae_seeded(ae_hyper, seed, 2))
-            for fold, d1_tr in enumerate(train):
+    for cond in linked:
+        d2_limits = (d2s.k,) if cond == "autoencoder" else (d2s.n, d2s.k)
+        limits = (min(d.n for d in train), train[0].k, *d2_limits)
+        r_eff = min(r, *limits)
+        if r_eff < 1:
+            raise DataError(f"no valid reduced dimension (requested {r}, limits {limits})")
+        jobs[first, cond, None] = (cond, d2s, r_eff, _ae_seeded(ae_hyper, first, 2))
+        for seed, folds in runs:
+            for fold, d1_tr in enumerate(folds):
                 jobs[seed, cond, fold] = (cond, d1_tr, r_eff, _ae_seeded(ae_hyper, seed, fold, 1))
     return jobs
 

@@ -18,6 +18,7 @@ from disjoint_link.cli import main
 from disjoint_link.data import DataError
 from disjoint_link.evaluation import CONDITION_ORDER, run_fold_conditions
 from disjoint_link.figures import export_projection_2d, projection_to_csv
+from disjoint_link.reducers import autoencoder_to_payload
 from disjoint_link.synth import SyntheticPairConfig, synthesize_disjoint_pair
 
 from test_evaluation import serial_out_of_fold
@@ -271,10 +272,11 @@ class TestEvaluateCommand:
         projection_to_csv(export_projection_2d(d12), tmp_path / "want.csv")
         assert (tmp_path / "out" / "after.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
-    def test_d2_is_fitted_once_per_cv_seed_and_condition(self, tmp_path, monkeypatch):
+    def test_d2_is_fitted_once_per_condition(self, tmp_path, monkeypatch):
         # with the pooled tasks run here, once each, every fit calls
-        # `evaluation.fit_reducer` in this process: D2 once per CV seed and
-        # linked condition, and D1 on its training folds only
+        # `evaluation.fit_reducer` in this process: D2 once per linked
+        # condition, with the first CV seed's seed, and D1 on each CV seed's
+        # training folds only
         listed = []
 
         def recording_fit(*job):
@@ -287,10 +289,33 @@ class TestEvaluateCommand:
         doc["seeds"] = [0, 1]
         assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
         d2_fits = [(kind, hyper.seed) for kind, d, _, hyper in listed if d.n == 60]
-        assert len(d2_fits) == len(set(d2_fits)) == 2 * 3
+        assert len(d2_fits) == len(set(d2_fits)) == 3
+        assert {seed for _, seed in d2_fits} == {linkage._ae_seeded(None, 0, 2).seed}
         all_rows = [kind for kind, d, _, _ in listed if d.n == 40]
         assert all_rows == []
-        assert len(listed) == 2 * 3 * (1 + 2)
+        assert len(listed) == 3 + 2 * 3 * 2
+
+    def test_link_fits_the_d2_autoencoder_every_cv_seed_reads(self, tmp_path, monkeypatch):
+        # `link` with seed 3 is the all-rows fold of CV seed 3: its D2 side
+        # is the one D2 fit of an evaluate whose first CV seed is 3, which
+        # the cells of CV seed 0 read too
+        read = {}
+
+        def recording_run(cells, **kwargs):
+            for cond, _, _, ctx, _, seed, _ in cells:
+                if cond == "autoencoder":
+                    payload = json.dumps(autoencoder_to_payload(ctx.reducer), sort_keys=True)
+                    read.setdefault(seed, set()).add(payload)
+            return run_fold_conditions(cells, **kwargs)
+
+        monkeypatch.setattr(evaluation, "pooled", inline_pool)
+        monkeypatch.setattr(evaluation, "run_fold_conditions", recording_run)
+        doc = self.evaluate_config(tmp_path / "evaluate")
+        doc.update(reducers=["autoencoder"], reducer="autoencoder", seeds=[3, 0], seed=3)
+        assert main(["evaluate", "--config", str(write_config(tmp_path, doc))]) == 0
+        assert main(["link", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "link")]) == 0
+        d2 = json.loads((tmp_path / "link" / "reducer.json").read_text())["d2"]
+        assert read == {3: {json.dumps(d2, sort_keys=True)}, 0: {json.dumps(d2, sort_keys=True)}}
 
     def test_d2_rows_are_never_the_query(self, tmp_path, monkeypatch):
         # after.svg plots D12 only, so no search of evaluate's cells links

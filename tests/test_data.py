@@ -187,6 +187,9 @@ class TestStratifiedKfold:
         assert max(pos_counts) - min(pos_counts) <= 1
         for tr, te in splits:
             assert np.intersect1d(tr, te).size == 0
+        # round-robin dealing: fold sizes, and so the one R per condition,
+        # do not depend on the CV seed
+        assert [len(te) for _, te in splits] == [len(te) for _, te in stratified_kfold(d, folds, seed + 1)]
 
     def test_per_fold_positive_balance(self, make_dataset):
         rng = np.random.default_rng(5)

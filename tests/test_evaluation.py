@@ -344,15 +344,16 @@ class TestEvaluateConditions:
 
 def serial_per_seed(d1, d2, cond, folds, seeds, *, k, r, ae_hyper=None):
     """One condition's per-seed AUROCs from the pipeline's steps called one
-    after another in this process, each fit from the job `fit_jobs` lists."""
+    after another in this process, each fit from the job `fit_jobs` lists:
+    every CV seed's cells read the first CV seed's D2 fit."""
     splits = {seed: stratified_kfold(d1, folds, seed) for seed in seeds}
     runs = [(seed, standardized_folds(d1, splits[seed])) for seed in seeds]
     d2s = standardize(d2)
     jobs = fit_jobs([cond], d2s, [(seed, [tr for tr, _ in fs]) for seed, fs in runs], r=r, ae_hyper=ae_hyper)
+    d2_job = jobs.get((seeds[0], cond, None))
+    ctx = prepare_d2_context(d2s, d2_job and fit_reducer(*d2_job))
     want = []
     for seed, fs in runs:
-        d2_job = jobs.get((seed, cond, None))
-        ctx = prepare_d2_context(d2s, d2_job and fit_reducer(*d2_job))
         fold_values = []
         for fold, ((tr, te), (d1_tr, d1_te)) in enumerate(zip(splits[seed], fs)):
             params = fit_standardization(d1.X[tr])
@@ -367,9 +368,9 @@ def serial_per_seed(d1, d2, cond, folds, seeds, *, k, r, ae_hyper=None):
 
 
 def serial_out_of_fold(d1, d2, cond, folds, seed, *, k, r, ae_hyper=None):
-    """One linked condition's cells of one CV seed, from the pipeline's steps
-    called one after another in this process: each fold's test rows with
-    its `run_fold_condition` outcome."""
+    """One linked condition's cells of one CV seed, the first, from the
+    pipeline's steps called one after another in this process: each fold's
+    test rows with its `run_fold_condition` outcome."""
     split = stratified_kfold(d1, folds, seed)
     fs = standardized_folds(d1, split)
     d2s = standardize(d2)
@@ -491,13 +492,13 @@ class TestPooledFits:
         evaluate_conditions(d1, d2, list(evaluation.CONDITION_ORDER), folds=3, seeds=[0, 1], k=3, r=2,
                             ae_hyper=hyper)
         first, second = [schedule(tasks) for tasks in calls]
-        fits = first[:8]  # per CV seed D2's and 3 folds'
-        assert [kind for _, kind, _ in fits] == ["autoencoder"] * 8
+        fits = first[:7]  # D2's once, then each CV seed's 3 folds'
+        assert [kind for _, kind, _ in fits] == ["autoencoder"] * 7
         rows = [n for *_, n in fits]
-        assert rows[:2] == [d2.n, d2.n]
-        assert all(n < d1.n for n in rows[2:])
-        assert [kind for kind, _ in first[8:]] == ["chunk"] * 2
-        assert sorted(c for _, conds in first[8:] for c in conds) == sorted(
+        assert rows[0] == d2.n
+        assert all(n < d1.n for n in rows[1:])
+        assert [kind for kind, _ in first[7:]] == ["chunk"] * 2
+        assert sorted(c for _, conds in first[7:] for c in conds) == sorted(
             ["unlinked", "random", "feature_importance", "pca"] * 2 * 3)
         assert [kind for kind, _ in second] == ["chunk"] * 2
         assert [c for _, conds in second for c in conds] == ["autoencoder"] * 2 * 3
